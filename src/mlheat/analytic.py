@@ -1,11 +1,10 @@
 """Closed-form Green's function of the constant-coefficient strip problem."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .special_functions import theta3
+from .special_functions import folded_kernel
 
 
 @dataclass(frozen=True)
@@ -30,16 +29,18 @@ class StripProblem:
 
 
 def strip_green(problem, x):
-    """Green's function of the strip at time T, via the theta-series form.
+    """Green's function of the strip at time T, as a pair of folded heat kernels.
 
-    u(T, x) = (1/2l) [theta3(pi(x - x0)/2l, q) - theta3(pi(x + x0 - 2 y0)/2l, q)]
-    with l = yN - y0 and q = exp(-pi^2 sigma^2 T / l^2).
+    u(T, x) = (1/2) [K(sigma^2 T, x - x0, l) - K(sigma^2 T, x + x0 - 2 y0, l)]
+    with l = yN - y0 and K the reflected heat kernel of ``folded_kernel``
+    (equivalently (1/2l) [theta3(pi(x - x0)/2l, q) - theta3(pi(x + x0 - 2 y0)/2l, q)],
+    q = exp(-pi^2 sigma^2 T / l^2)).
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < problem.y0) or np.any(x > problem.yN):
         raise ValueError("evaluation point outside the strip")
     l = problem.yN - problem.y0
-    q = math.exp(-math.pi ** 2 * problem.sigma ** 2 * problem.T / l ** 2)
-    direct = theta3(np.pi * (x - problem.x0) / (2.0 * l), q)
-    image = theta3(np.pi * (x + problem.x0 - 2.0 * problem.y0) / (2.0 * l), q)
-    return (direct - image) / (2.0 * l)
+    delta = problem.sigma ** 2 * problem.T
+    direct = folded_kernel(delta, x - problem.x0, l)
+    image = folded_kernel(delta, x + problem.x0 - 2.0 * problem.y0, l)
+    return 0.5 * (direct - image)

@@ -123,7 +123,7 @@ def cmd_green(args):
     t1 = time.perf_counter()
     fld = greens_function(problem, scheme=scheme, xs=xs)
     t2 = time.perf_counter()
-    print(f"precompute_ms={(t1 - t0) * 1e3:.3f} solve_ms={(t2 - t1) * 1e3:.3f}")
+    print(f"precompute_ms={(t1 - t0) * 1e3:.3f} solve_ms={(t2 - t1) * 1e3:.3f}", file=sys.stderr)
     out = args.out or cfg.get("output")
     _write_csv(out, ["x", "u"], zip(map(float, xs), map(float, fld.values)))
     return 0
@@ -145,7 +145,7 @@ def cmd_compare(args):
     t1 = time.perf_counter()
     fd = fd_solve(problem, grid)
     t2 = time.perf_counter()
-    print(f"ml_ms={(t1 - t0) * 1e3:.3f} fd_ms={(t2 - t1) * 1e3:.3f}")
+    print(f"ml_ms={(t1 - t0) * 1e3:.3f} fd_ms={(t2 - t1) * 1e3:.3f}", file=sys.stderr)
 
     scale = float(np.max(np.abs(ml.values)))
     rel = 100.0 * (fd.values - ml.values) / scale

@@ -319,57 +319,8 @@ def laplace_field(problem, lam, g_hat, x):
     return float(out[0, 0])
 
 
-def _flux_jump_batch(problem, lams, g):
-    """Laplace-domain flux-jump residual at each internal boundary.
-
-    Per boundary y_i the residual is sigma_i^2 d/dx U_i(y_i) minus
-    sigma_{i+1}^2 d/dx U_{i+1}(y_i), both from the analytic derivative of
-    the sinh interpolation (plus the source-layer particular term).
-    Shape (m, N-1).
-    """
-    med = problem.medium
-    N = med.n_layers
-    lams = np.asarray(lams, dtype=float)
-    m = len(lams)
-    sq = np.sqrt(lams)[:, None]
-    a = sq * (med.widths / med.sigmas)[None, :]
-    if a.max() < _DIRECT_HYP_MAX:
-        csch = 1.0 / np.sinh(a)
-        coth = np.cosh(a) * csch
-    else:
-        coth = _coth(a)
-        csch = _csch(a)
-    sig = med.sigmas[None, :]
-
-    G = np.zeros((m, N + 1))
-    if g is not None and g.size:
-        G[:, 1:N] = g
-
-    j = problem.source_layer
-    yj, yjm1 = med.boundaries[j], med.boundaries[j - 1]
-    lj = yj - yjm1
-    gamma1 = (yj - problem.x0) / lj
-    gamma2 = (problem.x0 - yjm1) / lj
-    aj = a[:, j - 1]
-
-    # flux of layer i at its top end y_i, and of layer i+1 at its bottom
-    # end y_i, for i = 1..N-1 at once
-    left = sq * sig[:, :-1] * (-G[:, :-2] * csch[:, :-1] + G[:, 1:-1] * coth[:, :-1])
-    right = sq * sig[:, 1:] * (G[:, 2:] * csch[:, 1:] - G[:, 1:-1] * coth[:, 1:])
-    if j <= N - 1:  # particular term of the source layer at its top end y_j
-        left[:, j - 1] -= _sinh_ratio(gamma2 * aj, aj)
-    if j >= 2:  # and at its bottom end y_{j-1}
-        right[:, j - 2] += _sinh_ratio(gamma1 * aj, aj)
-    return left - right
-
-
 def _flux_residual(diag, offdiag, rhs, g, lams):
-    """Flux-jump residual sqrt(lam)*(M g - rhs), shape (m, N-1).
-
-    Algebraically identical to the explicit derivative form of
-    ``_flux_jump_batch`` (the linear system *is* the flux-continuity
-    condition), but regrouped so the residual is solver-accurate.
-    """
+    """Flux-jump residual sqrt(lam)*(M g - rhs), shape (m, N-1)."""
     res = diag * g - rhs
     if g.shape[1] > 1:
         res[:, 1:] += offdiag * g[:, :-1]

@@ -1,28 +1,31 @@
 """Jacobi theta functions and the dual-series layer kernels.
 
-The third Jacobi theta function
+Every kernel here is the reflected heat kernel
+
+    K(delta, a, l) = sum_n exp(-(a + 2 n l)^2 / (4 delta)) / sqrt(pi delta)
+
+or one of its first two a-derivatives.  Poisson summation turns the image
+sum into the theta series theta3(pi a / (2 l), q) / l with nome
+q = exp(-pi^2 delta / l^2).  The image sum converges fast for small
+delta / l^2 and the theta series for large; ``folded_kernel`` evaluates
+whichever is faster, element by element, and the third Jacobi theta
+function
 
     theta3(z, q) = 1 + 2 sum_{n>=1} q^(n^2) cos(2 n z),   0 <= q < 1,
 
-and its first two z-derivatives are evaluated by direct summation with
-adaptive truncation.  The layer kernels ``eta_even`` / ``eta_odd`` admit two
-complementary series (Gaussian images and theta form, related by Poisson
-summation); we pick whichever converges faster.
+its z-derivatives and the layer kernels ``eta_even`` / ``eta_odd`` are
+thin calls to it.
 """
 
 import math
 
 import numpy as np
 
-# Truncation: stop once the next term bound drops below REL_TOL times the
-# running sum.  Both series converge super-geometrically, so the hard cap
-# is never reached for valid arguments.
-MAX_TERMS = 10_000
-REL_TOL = 1e-16
-
-# Nome at which the image series and the theta series converge at the same
-# rate: q = exp(-pi).  Below it the image series wins.
-NOME_SWITCH = math.exp(-math.pi)
+# Truncation.  Theta terms with q^(k^2) below exp(-_DECAY) are dropped;
+# images more than _REACH sqrt(delta) beyond [-l, l] are dropped, being
+# below exp(-_REACH^2 / 4) ~ 4e-19 of the nearest one.
+_DECAY = 42.0
+_REACH = 13.0
 
 
 def _check_args(z, q):
@@ -37,10 +40,92 @@ def _check_args(z, q):
     return z, q
 
 
-def _scalar_or_array(total, z, q):
-    if np.ndim(z) == 0 and np.ndim(q) == 0:
-        return float(total)
-    return total
+def _image_sum(delta, a, l, deriv):
+    """Gaussian image form of the d-th a-derivative of K, for |a| <= l.
+
+    The images pair up as a + 2nl and a - 2nl, so the sum is exactly even
+    (deriv 0, 2) or odd (deriv 1) in a.
+    """
+    n_max = int(math.ceil(0.5 * _REACH * math.sqrt(np.max(delta / (l * l)))))
+    # a trailing axis runs over the images
+    two_delta = 2.0 * np.asarray(delta)[..., None]
+    rate = -0.5 / two_delta
+
+    def image(x):
+        # the d-th derivative of exp(-x^2 / (4 delta)) without its factor
+        # (-2 delta)^-d, which is applied once to the total
+        x2 = x * x
+        g = np.exp(rate * x2)
+        if deriv == 1:
+            return x * g
+        if deriv == 2:
+            return (x2 - two_delta) * g
+        return g
+
+    a = np.asarray(a)[..., None]
+    shift = 2.0 * np.multiply.outer(l, np.arange(1, n_max + 1))
+    total = image(a)[..., 0] + (image(a + shift) + image(a - shift)).sum(axis=-1)
+    return total / ((-2.0 * delta) ** deriv * np.sqrt(np.pi * delta))
+
+
+def _theta_sum(delta, a, l, deriv):
+    """Theta-series form of the d-th a-derivative of K.
+
+    (1/l) [1 + 2 sum_k q^(k^2) cos(k w a)] with w = pi / l, q = exp(-w^2 delta),
+    differentiated term by term.
+    """
+    w = np.pi / l
+    decay = w * w * delta
+    k = np.arange(1, int(math.ceil(math.sqrt(_DECAY / np.min(decay)))) + 1)
+    weight = 2.0 * np.exp(-np.multiply.outer(decay, k * k))
+    kw = np.multiply.outer(w, k)
+    phase = kw * np.asarray(a)[..., None]
+    if deriv == 0:
+        total = 1.0 + (weight * np.cos(phase)).sum(axis=-1)
+    elif deriv == 1:
+        total = -(weight * kw * np.sin(phase)).sum(axis=-1)
+    else:
+        total = -(weight * kw * kw * np.cos(phase)).sum(axis=-1)
+    return total / l
+
+
+def folded_kernel(delta, a, l, deriv=0):
+    """The reflected heat kernel K(delta, a, l) or its a-derivative of order ``deriv``.
+
+    K(delta, a, l) = sum_n exp(-(a + 2 n l)^2 / (4 delta)) / sqrt(pi delta),
+    of period 2l in a.  ``a`` is folded into [-l, l]; each element then
+    uses the image sum when delta / l^2 < 1/pi (nome above exp(-pi)) and
+    the theta series otherwise, so both need only a handful of terms.
+    All arguments broadcast; delta may be +inf (the l -> 0 limit 1/l).
+
+    Returns a float when every argument is a scalar, else an ndarray.
+    """
+    if deriv not in (0, 1, 2):
+        raise ValueError(f"deriv must be 0, 1 or 2, got {deriv!r}")
+    delta, a, l = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta, a, l)))
+    if not np.all(delta > 0.0):
+        raise ValueError("time lag delta must be positive")
+    a = a - 2.0 * l * np.round(a / (2.0 * l))
+    image = delta < l * l / math.pi
+    if image.all():
+        out = _image_sum(delta, a, l, deriv)
+    elif not image.any():
+        out = _theta_sum(delta, a, l, deriv)
+    else:
+        out = np.empty(delta.shape)
+        out[image] = _image_sum(delta[image], a[image], l[image], deriv)
+        theta = ~image
+        out[theta] = _theta_sum(delta[theta], a[theta], l[theta], deriv)
+    return float(out) if out.ndim == 0 else out
+
+
+def _theta3_deriv(z, q, deriv):
+    # theta3(z, q) = l K(delta, z, l) with l = pi/2 and q = exp(-4 delta)
+    z, q = _check_args(z, q)
+    with np.errstate(divide="ignore"):
+        delta = -np.log(q) / 4.0
+    half_pi = 0.5 * math.pi
+    return half_pi * folded_kernel(delta, z, half_pi, deriv)
 
 
 def theta3(z, q):
@@ -57,70 +142,17 @@ def theta3(z, q):
     -------
     float or ndarray
     """
-    z, q = _check_args(z, q)
-    qmax = float(np.max(q, initial=0.0))
-    total = np.ones(np.broadcast_shapes(z.shape, q.shape))
-    if qmax > 0.0:
-        for n in range(1, MAX_TERMS + 1):
-            total = total + 2.0 * q ** (n * n) * np.cos(2.0 * n * z)
-            # the next term is bounded by 2 q^((n+1)^2)
-            if 2.0 * qmax ** ((n + 1) ** 2) < REL_TOL * np.max(np.abs(total)):
-                break
-    return _scalar_or_array(total, z, q)
+    return _theta3_deriv(z, q, 0)
 
 
 def theta3_dz(z, q):
     """d/dz of theta3: -4 sum_{n>=1} n q^(n^2) sin(2 n z)."""
-    z, q = _check_args(z, q)
-    qmax = float(np.max(q, initial=0.0))
-    total = np.zeros(np.broadcast_shapes(z.shape, q.shape))
-    if qmax > 0.0:
-        scale = 1.0
-        for n in range(1, MAX_TERMS + 1):
-            total = total - 4.0 * n * q ** (n * n) * np.sin(2.0 * n * z)
-            scale = max(scale, np.max(np.abs(total)))
-            if 4.0 * (n + 1) * qmax ** ((n + 1) ** 2) < REL_TOL * scale:
-                break
-    return _scalar_or_array(total, z, q)
+    return _theta3_deriv(z, q, 1)
 
 
 def theta3_dzz(z, q):
     """d^2/dz^2 of theta3: -8 sum_{n>=1} n^2 q^(n^2) cos(2 n z)."""
-    z, q = _check_args(z, q)
-    qmax = float(np.max(q, initial=0.0))
-    total = np.zeros(np.broadcast_shapes(z.shape, q.shape))
-    if qmax > 0.0:
-        scale = 1.0
-        for n in range(1, MAX_TERMS + 1):
-            total = total - 8.0 * n * n * q ** (n * n) * np.cos(2.0 * n * z)
-            scale = max(scale, np.max(np.abs(total)))
-            if 8.0 * (n + 1) ** 2 * qmax ** ((n + 1) ** 2) < REL_TOL * scale:
-                break
-    return _scalar_or_array(total, z, q)
-
-
-def _eta_image(dt, l, sigma, parity):
-    # sum of Gaussian images: (sigma sqrt(pi dt))^-1 sum_n exp(-(k l)^2 / (4 sigma^2 dt))
-    # with k = 2n (even) or k = 2n+1 (odd).
-    pref = 1.0 / (sigma * math.sqrt(math.pi * dt))
-    denom = 4.0 * sigma * sigma * dt
-    if parity == "even":
-        total = 1.0  # n = 0 image
-        for n in range(1, MAX_TERMS + 1):
-            term = 2.0 * math.exp(-(2.0 * n * l) ** 2 / denom)
-            total += term
-            if term < REL_TOL * total:
-                break
-    else:
-        total = 0.0
-        for n in range(0, MAX_TERMS + 1):
-            term = 2.0 * math.exp(-((2.0 * n + 1.0) * l) ** 2 / denom)
-            total += term
-            if term != 0.0 and term < REL_TOL * abs(total):
-                break
-            if term == 0.0:
-                break
-    return pref * total
+    return _theta3_deriv(z, q, 2)
 
 
 def eta_kernel(dt, l, sigma, parity):
@@ -129,9 +161,8 @@ def eta_kernel(dt, l, sigma, parity):
     eta_even(dt) = (sigma sqrt(pi dt))^-1 sum_n exp(-(2 n l)^2 / (4 sigma^2 dt))
     eta_odd(dt)  = same with images at (2n+1) l.
 
-    Evaluated via the image series for small ``dt`` and via the equivalent
-    theta-series form ``theta3(0 or pi/2, q) / l`` with
-    q = exp(-pi^2 sigma^2 dt / l^2) for large ``dt``.
+    This is K(sigma^2 dt, a, l) with a = 0 (even) or a = l (odd); see
+    ``folded_kernel``.
     """
     if parity not in ("even", "odd"):
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
@@ -141,10 +172,4 @@ def eta_kernel(dt, l, sigma, parity):
         raise ValueError(f"layer width l must be positive, got {l}")
     if not (np.isfinite(sigma) and sigma > 0.0):
         raise ValueError(f"sigma must be positive, got {sigma}")
-
-    q = math.exp(-math.pi ** 2 * sigma ** 2 * dt / l ** 2)
-    if q > NOME_SWITCH:
-        # nome close to 1 (small dt): the Gaussian image series converges fast
-        return _eta_image(dt, l, sigma, parity)
-    z = 0.0 if parity == "even" else math.pi / 2.0
-    return theta3(z, q) / l
+    return folded_kernel(sigma * sigma * dt, 0.0 if parity == "even" else l, l)

@@ -18,11 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .special_functions import NOME_SWITCH, theta3, theta3_dz
+from .special_functions import folded_kernel
 
 _SQRT_PI = math.sqrt(math.pi)
-# e^{-(13^2/4)} ~ 4e-19: images beyond this range are negligible
-_IMAGE_RANGE = 13.0
 
 
 def _as_callable(f):
@@ -53,83 +51,8 @@ def _derivative(f, t, scale):
 
 
 # ----------------------------------------------------------------------
-# dual-series kernels
+# kernels (the image/theta sums are ``folded_kernel``)
 # ----------------------------------------------------------------------
-
-def _eta_series(delta, a, l, force=None, n_cap=None):
-    """sum_n exp(-(a + 2 n l)^2 / (4 delta)) / sqrt(pi delta).
-
-    Evaluated by the image sum for small delta and by the equivalent
-    theta-series form theta3(pi a / (2 l), omega) / l, omega =
-    exp(-pi^2 delta / l^2), for large delta.  ``force`` pins the branch
-    ('image' or 'theta') for cross-checks.
-    """
-    delta, a = np.broadcast_arrays(np.asarray(delta, dtype=float), np.asarray(a, dtype=float))
-    if np.any(delta <= 0.0):
-        raise ConfigError("time lag must be positive")
-    om = np.exp(-np.pi**2 * delta / l**2)
-    if force == "theta":
-        use_theta = np.ones(delta.shape, dtype=bool)
-    elif force == "image":
-        use_theta = np.zeros(delta.shape, dtype=bool)
-    else:
-        use_theta = om <= NOME_SWITCH
-    out = np.empty(delta.shape)
-    if np.any(use_theta):
-        out[use_theta] = theta3(np.pi * a[use_theta] / (2.0 * l), om[use_theta]) / l
-    img = ~use_theta
-    if np.any(img):
-        d = delta[img]
-        aa = a[img]
-        nmax = int(np.ceil((_IMAGE_RANGE * np.sqrt(d.max()) + np.abs(aa).max()) / (2.0 * l))) + 1
-        if n_cap is not None:
-            nmax = min(nmax, int(n_cap))
-        s = np.zeros_like(d)
-        for n in range(-nmax, nmax + 1):
-            s += np.exp(-((aa + 2.0 * n * l) ** 2) / (4.0 * d))
-        out[img] = s / np.sqrt(np.pi * d)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def _ups_series(delta, a, l, force=None, n_cap=None):
-    """-sum_n (a + 2 n l) / (2 sqrt(pi delta^3)) exp(-(a + 2 n l)^2 / (4 delta)).
-
-    This is d/da of `_eta_series`; the theta form is
-    (pi / (2 l^2)) theta3'(pi a / (2 l), omega).
-    """
-    delta, a = np.broadcast_arrays(np.asarray(delta, dtype=float), np.asarray(a, dtype=float))
-    if np.any(delta <= 0.0):
-        raise ConfigError("time lag must be positive")
-    om = np.exp(-np.pi**2 * delta / l**2)
-    if force == "theta":
-        use_theta = np.ones(delta.shape, dtype=bool)
-    elif force == "image":
-        use_theta = np.zeros(delta.shape, dtype=bool)
-    else:
-        use_theta = om <= NOME_SWITCH
-    out = np.empty(delta.shape)
-    if np.any(use_theta):
-        out[use_theta] = (np.pi / (2.0 * l * l)) * theta3_dz(
-            np.pi * a[use_theta] / (2.0 * l), om[use_theta]
-        )
-    img = ~use_theta
-    if np.any(img):
-        d = delta[img]
-        aa = a[img]
-        nmax = int(np.ceil((_IMAGE_RANGE * np.sqrt(d.max()) + np.abs(aa).max()) / (2.0 * l))) + 1
-        if n_cap is not None:
-            nmax = min(nmax, int(n_cap))
-        s = np.zeros_like(d)
-        for n in range(-nmax, nmax + 1):
-            arg = aa + 2.0 * n * l
-            s -= arg * np.exp(-(arg * arg) / (4.0 * d))
-        out[img] = s / (2.0 * np.sqrt(np.pi * d) * d)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
 
 def _self_peak(delta, dy):
     """dy / (2 sqrt(pi delta^3)) * exp(-dy^2 / (4 delta)) (the n = 0 image)."""
@@ -280,12 +203,11 @@ def build_internal_boundaries(chi_minus, chi_plus, N, degree, T):
     return PolynomialBoundarySet(coeffs=coeffs, degree=degree, horizon=float(T))
 
 
-def git_kernel_set(tau, s, y_minus, y_plus, xi, n_trunc=None):
+def git_kernel_set(tau, s, y_minus, y_plus, xi):
     """The six boundary-potential kernels at time pair (tau, s) and point xi.
 
     The image series is used for small tau - s and the theta series for
-    large, switching at the equal-convergence nome.  ``n_trunc`` caps the
-    image range (default: adaptive).
+    large, switching at the equal-convergence nome (see ``folded_kernel``).
     """
     if not s < tau:
         raise ConfigError(f"need s < tau, got s={s}, tau={tau}")
@@ -304,12 +226,12 @@ def git_kernel_set(tau, s, y_minus, y_plus, xi, n_trunc=None):
     delta_minus = 1.0 / np.sqrt(np.pi * delta) if xi == yms else 0.0
     delta_plus = 1.0 / np.sqrt(np.pi * delta) if xi == yps else 0.0
 
-    eta_m = -delta_minus + _eta_series(delta, ymt - xi, l, n_cap=n_trunc)
-    eta_p = -delta_plus + _eta_series(delta, ymt - xi + l, l, n_cap=n_trunc)
-    ups_m = _ups_series(delta, ymt - xi, l, n_cap=n_trunc)
-    ups_p = _ups_series(delta, ymt - xi + l, l, n_cap=n_trunc)
-    ups0_m = _ups_series(delta, ymt - yms, l, n_cap=n_trunc) + _self_peak(delta, ymt - yms)
-    ups0_p = _ups_series(delta, ymt - yps + l, l, n_cap=n_trunc) + _self_peak(delta, ypt - yps)
+    eta_m = -delta_minus + folded_kernel(delta, ymt - xi, l)
+    eta_p = -delta_plus + folded_kernel(delta, ymt - xi + l, l)
+    ups_m = folded_kernel(delta, ymt - xi, l, 1)
+    ups_p = folded_kernel(delta, ymt - xi + l, l, 1)
+    ups0_m = folded_kernel(delta, ymt - yms, l, 1) + _self_peak(delta, ymt - yms)
+    ups0_p = folded_kernel(delta, ymt - yps + l, l, 1) + _self_peak(delta, ypt - yps)
     return GitKernels(float(eta_m), float(eta_p), float(ups_m), float(ups_p),
                       float(ups0_m), float(ups0_p))
 
@@ -371,8 +293,8 @@ def _rhs_pair(ym, yp, cm, cp, xi, u0v, tau, ts, om, th):
     cp_n = _vec(cp, ts)
 
     # initial-data terms
-    i0_m = np.trapezoid(u0v * _ups_series(tau, ymt - xi, l), xi)
-    i0_p = np.trapezoid(u0v * _ups_series(tau, ymt - xi + l, l), xi)
+    i0_m = np.trapezoid(u0v * folded_kernel(tau, ymt - xi, l, 1), xi)
+    i0_p = np.trapezoid(u0v * folded_kernel(tau, ymt - xi + l, l, 1), xi)
 
     # boundary-datum singular terms and weakly singular differences
     b_m = -cm_n[-1] / math.sqrt(math.pi * tau)
@@ -384,30 +306,30 @@ def _rhs_pair(ym, yp, cm, cp, xi, u0v, tau, ts, om, th):
     # active only when the evaluation point rides its own boundary)
     spike_m = 1.0 / np.sqrt(np.pi * dm)
     spike_0 = 1.0 / math.sqrt(math.pi * tau)
-    em_self = -spike_m + _eta_series(dm, ymt - ym_m, l)
-    em_self0 = -spike_0 + _eta_series(tau, ymt - ym_h[0], l)
-    em_cross = _eta_series(dm, ymt - yp_m, l)
-    em_cross0 = _eta_series(tau, ymt - yp_h[0], l)
-    ep_atm = _eta_series(dm, ymt - ym_m + l, l)
-    ep_atm0 = _eta_series(tau, ymt - ym_h[0] + l, l)
-    ep_self = -spike_m + _eta_series(dm, ymt - yp_m + l, l)
-    ep_self0 = -spike_0 + _eta_series(tau, ymt - yp_h[0] + l, l)
+    em_self = -spike_m + folded_kernel(dm, ymt - ym_m, l)
+    em_self0 = -spike_0 + folded_kernel(tau, ymt - ym_h[0], l)
+    em_cross = folded_kernel(dm, ymt - yp_m, l)
+    em_cross0 = folded_kernel(tau, ymt - yp_h[0], l)
+    ep_atm = folded_kernel(dm, ymt - ym_m + l, l)
+    ep_atm0 = folded_kernel(tau, ymt - ym_h[0] + l, l)
+    ep_self = -spike_m + folded_kernel(dm, ymt - yp_m + l, l)
+    ep_self0 = -spike_0 + folded_kernel(tau, ymt - yp_h[0] + l, l)
     s_m = _stieltjes(em_self, em_self0, cm_n) - _stieltjes(em_cross, em_cross0, cp_n)
     s_p = _stieltjes(ep_atm, ep_atm0, cm_n) - _stieltjes(ep_self, ep_self0, cp_n)
 
     # moving-boundary memory terms: kernel = smooth * (tau-s)^{-1/2},
     # integrated with exact sqrt weights and left-endpoint values
     wts = 2.0 * (np.sqrt(tau - ts[:-1]) - np.sqrt(tau - ts[1:]))
-    gm = (ymt - ym_h) / (2.0 * np.sqrt(np.pi * dh) * dh) * np.exp(-((ymt - ym_h) ** 2) / (4.0 * dh))
-    gp = (ypt - yp_h) / (2.0 * np.sqrt(np.pi * dh) * dh) * np.exp(-((ypt - yp_h) ** 2) / (4.0 * dh))
+    gm = _self_peak(dh, ymt - ym_h)
+    gp = _self_peak(dh, ypt - yp_h)
     m_m = float(np.dot(om, gm * np.sqrt(dh) * wts))
     m_p = float(np.dot(th, gp * np.sqrt(dh) * wts))
 
     # regular coupling terms; the kernels vanish at s = tau
-    ups0_m = _ups_series(dh, ymt - ym_h, l) + _self_peak(dh, ymt - ym_h)
-    ups0_p = _ups_series(dh, ymt - yp_h + l, l) + _self_peak(dh, ypt - yp_h)
-    f_m = th * _ups_series(dh, ymt - yp_h, l) + om * ups0_m
-    f_p = th * ups0_p + om * _ups_series(dh, ymt - ym_h + l, l)
+    ups0_m = folded_kernel(dh, ymt - ym_h, l, 1) + _self_peak(dh, ymt - ym_h)
+    ups0_p = folded_kernel(dh, ymt - yp_h + l, l, 1) + _self_peak(dh, ypt - yp_h)
+    f_m = th * folded_kernel(dh, ymt - yp_h, l, 1) + om * ups0_m
+    f_p = th * ups0_p + om * folded_kernel(dh, ymt - ym_h + l, l, 1)
     c_m = np.trapezoid(np.append(f_m, 0.0), ts)
     c_p = np.trapezoid(np.append(f_p, 0.0), ts)
 
@@ -547,12 +469,12 @@ def git_field_single_layer(problem, gradients, x, tau):
     dyp_h = _derivative(yp, hist, problem.T)
 
     def upsilon_sum(delta, xi_arr):
-        return 0.5 * (_eta_series(delta, x - xi_arr, l)
-                      - _eta_series(delta, x + xi_arr - 2.0 * ymt, l))
+        return 0.5 * (folded_kernel(delta, x - xi_arr, l)
+                      - folded_kernel(delta, x + xi_arr - 2.0 * ymt, l))
 
     def lambda_sum(delta, xi_arr):
-        return -0.5 * (_ups_series(delta, x - xi_arr, l)
-                       + _ups_series(delta, x + xi_arr - 2.0 * ymt, l))
+        return -0.5 * (folded_kernel(delta, x - xi_arr, l, 1)
+                       + folded_kernel(delta, x + xi_arr - 2.0 * ymt, l, 1))
 
     ym0 = float(_vec(ym, 0.0))
     yp0 = float(_vec(yp, 0.0))

@@ -16,11 +16,11 @@ from mlheat.analytic import StripProblem, strip_green
 from mlheat.fd import FdGrid, fd_solve
 from mlheat.laplace import forward_laplace_numeric, invert_laplace, stehfest_weights
 from mlheat.layered import GreensProblem, LayeredMedium, greens_function
-from mlheat.special_functions import eta_kernel
+from mlheat.special_functions import _image_sum, _theta_sum, eta_kernel
 from mlheat.transforms import (TermStructure, bk_affine_zcb, dupire_to_heat,
                                nondivergent_to_divergent, verhulst_chart)
-from mlheat.volterra import (GitLayerProblem, _eta_series, _gradient_residual,
-                             _ups_series, solve_volterra_single_layer)
+from mlheat.volterra import (GitLayerProblem, _gradient_residual,
+                             solve_volterra_single_layer)
 
 
 import conftest
@@ -181,11 +181,11 @@ def test_criterion_7_dual_series_equivalence():
     worst = 0.0
     for delta in np.geomspace(5e-3, 5.0, 50):
         for a in (0.0, 0.3, -0.7, 1.0):
-            ei = _eta_series(delta, a, l, force="image")
-            et = _eta_series(delta, a, l, force="theta")
+            ei = _image_sum(delta, a, l, 0)
+            et = _theta_sum(delta, a, l, 0)
             worst = max(worst, abs(ei - et) / max(1.0, abs(ei)))
-            ui = _ups_series(delta, a, l, force="image")
-            ut = _ups_series(delta, a, l, force="theta")
+            ui = _image_sum(delta, a, l, 1)
+            ut = _theta_sum(delta, a, l, 1)
             worst = max(worst, abs(ui - ut) / max(1.0, abs(ui)))
     ok = worst <= 1e-10
     line = report(7, ok, f"worst rel diff {worst:.1e} vs 1e-10 over 50 samples")

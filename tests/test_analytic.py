@@ -1,7 +1,11 @@
 """Tests for the closed-form constant-coefficient strip Green's function."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlheat.analytic import StripProblem, strip_green
 from mlheat.fd import FdGrid, fd_solve
@@ -43,6 +47,32 @@ class TestStripGreen:
             StripProblem(y0=-1.0, yN=1.0, sigma=-0.5, x0=0.0, T=1.0)
         with pytest.raises(ValueError):
             StripProblem(y0=-1.0, yN=1.0, sigma=0.5, x0=0.0, T=0.0)
+
+
+class TestShortTime:
+    @settings(max_examples=100, deadline=None)
+    @given(x0=st.floats(-0.9, 0.9), offset=st.floats(-4.0, 4.0))
+    def test_free_space_gaussian_limit(self, x0, offset):
+        # at T = 1e-6 the walls are ~1000 widths away: u is the free Gaussian
+        sigma, T = 0.5, 1e-6
+        width = sigma * math.sqrt(2.0 * T)
+        x = x0 + offset * width
+        u = strip_green(StripProblem(y0=-1.0, yN=1.0, sigma=sigma, x0=x0, T=T), x)
+        free = math.exp(-((x - x0) ** 2) / (4.0 * sigma**2 * T)) / math.sqrt(4.0 * math.pi * sigma**2 * T)
+        assert u == pytest.approx(free, rel=1e-12)
+
+    def test_matches_sine_series(self):
+        # u = (2/l) sum_n exp(-sigma^2 k_n^2 T) sin(k_n (x0 - y0)) sin(k_n (x - y0)),
+        # k_n = n pi / l, independent of the image/theta forms
+        y0, yN, sigma, x0 = -1.0, 1.0, 0.5, 0.1
+        xs = np.linspace(y0, yN, 801)
+        for T in (1e-3, 5e-3, 1e-2):
+            l = yN - y0
+            k = np.arange(1, 801) * math.pi / l
+            w = np.exp(-(sigma**2 * T) * k * k) * np.sin(k * (x0 - y0))
+            exact = (2.0 / l) * (np.sin(np.outer(xs - y0, k)) @ w)
+            u = strip_green(StripProblem(y0=y0, yN=yN, sigma=sigma, x0=x0, T=T), xs)
+            assert np.max(np.abs(u - exact)) <= 1e-12 * np.max(exact)
 
 
 class TestAgainstFineFd:

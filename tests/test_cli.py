@@ -35,7 +35,7 @@ class TestGreen:
         out = tmp_path / "green.csv"
         rc = main(["green", "--config", cfg, "--out", str(out)])
         assert rc == 0
-        timing = capsys.readouterr().out
+        timing = capsys.readouterr().err
         assert "precompute_ms=" in timing and "solve_ms=" in timing
 
         header, rows = read_csv(out)
@@ -44,6 +44,17 @@ class TestGreen:
         assert rows[0, 0] == -1.0 and rows[-1, 0] == 4.0
         # the solution peaks near the source
         assert abs(rows[np.argmax(rows[:, 1]), 0] - 0.05) <= 0.1
+
+    def test_stdout_holds_only_csv(self, tmp_path, capsys):
+        # without --out the CSV goes to stdout, so `> out.csv` must get a
+        # clean table; timings go to stderr
+        cfg = write_config(tmp_path, "green.json", GREEN_CFG)
+        assert main(["green", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "x,u"
+        assert len(lines) == 102
+        assert "precompute_ms=" in captured.err
 
     def test_single_point_grid_at_left_end(self, tmp_path):
         payload = dict(GREEN_CFG, eval={"grid": 1})
@@ -86,7 +97,7 @@ class TestCompare:
         out = tmp_path / "cmp.csv"
         rc = main(["compare", "--config", cfg, "--out", str(out)])
         assert rc == 0
-        assert "ml_ms=" in capsys.readouterr().out
+        assert "ml_ms=" in capsys.readouterr().err
         header, rows = read_csv(out)
         assert header == ["x", "u_ml", "u_fd", "u_analytic", "rel_diff_pct"]
         assert rows.shape == (41, 5)

@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mlheat.special_functions import eta_kernel, theta3, theta3_dz, theta3_dzz
+from mlheat.special_functions import (_image_sum, _theta_sum, eta_kernel, folded_kernel,
+                                      theta3, theta3_dz, theta3_dzz)
 
 
 def _theta3_image(z, q):
@@ -18,6 +21,17 @@ def _theta3_image(z, q):
     for n in range(-200, 201):
         total += math.exp(-((a + 2.0 * n) ** 2) / (4.0 * s))
     return total / math.sqrt(math.pi * s)
+
+
+def _theta3_image_derivs(z, q):
+    # theta3 and its first two z-derivatives from the image form above,
+    # with Sum |term| as the scale of each sum's rounding error
+    s = -math.log(q) / math.pi**2
+    x = 2.0 * z / math.pi + 2.0 * np.arange(-200, 201)
+    g = np.exp(-(x * x) / (4.0 * s)) / math.sqrt(math.pi * s)
+    terms = (g, (2.0 / math.pi) * (-x / (2.0 * s)) * g,
+             (2.0 / math.pi) ** 2 * (x * x / (4.0 * s * s) - 1.0 / (2.0 * s)) * g)
+    return [(float(np.sum(t)), float(np.sum(np.abs(t)))) for t in terms]
 
 
 class TestTheta3:
@@ -145,3 +159,54 @@ class TestEtaKernel:
             eta_kernel(1.0, 1.0, 0.0, "even")
         with pytest.raises(ValueError):
             eta_kernel(1.0, 1.0, 0.5, "mixed")
+
+
+class TestFoldedKernel:
+    """Properties of the shared image/theta evaluator."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ratio=st.floats(5e-3, 5.0), l=st.floats(0.05, 20.0), frac=st.floats(-1.0, 1.0),
+           deriv=st.sampled_from([0, 1, 2]))
+    def test_branches_agree(self, ratio, l, frac, deriv):
+        # either series alone converges across the switch at delta / l^2 = 1/pi;
+        # K_d(delta, a, l) = l^-(d+1) K_d(delta / l^2, a / l, 1) sets the scale
+        delta, a = ratio * l * l, frac * l
+        img = _image_sum(delta, a, l, deriv)
+        tht = _theta_sum(delta, a, l, deriv)
+        assert abs(img - tht) <= 1e-10 * max(abs(img), l ** -(deriv + 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ratio=st.floats(1e-3, 10.0), l=st.floats(0.05, 20.0), frac=st.floats(-5.0, 5.0),
+           deriv=st.sampled_from([0, 1, 2]))
+    def test_period_and_parity(self, ratio, l, frac, deriv):
+        delta, a = ratio * l * l, frac * l
+        v = folded_kernel(delta, a, l, deriv)
+        scale = max(abs(v), l ** -(deriv + 1))
+        assert abs(folded_kernel(delta, a + 2.0 * l, l, deriv) - v) <= 1e-9 * scale
+        sign = -1.0 if deriv == 1 else 1.0
+        assert abs(folded_kernel(delta, -a, l, deriv) - sign * v) <= 1e-12 * scale
+
+    @settings(max_examples=100, deadline=None)
+    @given(z=st.floats(-4.0, 4.0), q=st.sampled_from([0.995, 0.9999]))
+    def test_derivatives_match_image_oracle_near_unit_nome(self, z, q):
+        oracle = _theta3_image_derivs(z, q)
+        for f, (ref, scale) in zip((theta3, theta3_dz, theta3_dzz), oracle):
+            assert abs(f(z, q) - ref) <= 1e-12 * max(1.0, scale)
+
+    def test_array_matches_scalar_across_branches(self):
+        deltas = np.geomspace(1e-3, 3.0, 17)[:, None]
+        a = np.linspace(-2.5, 2.5, 11)[None, :]
+        for deriv in (0, 1, 2):
+            v = folded_kernel(deltas, a, 1.3, deriv)
+            assert v.shape == (17, 11)
+            for i, j in ((0, 3), (8, 5), (16, 10)):
+                ref = folded_kernel(float(deltas[i, 0]), float(a[0, j]), 1.3, deriv)
+                assert v[i, j] == pytest.approx(ref, rel=1e-13, abs=1e-300)
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            folded_kernel(0.0, 0.1, 1.0)
+        with pytest.raises(ValueError):
+            folded_kernel(float("nan"), 0.1, 1.0)
+        with pytest.raises(ValueError):
+            folded_kernel(0.1, 0.1, 1.0, deriv=3)

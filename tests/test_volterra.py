@@ -7,12 +7,10 @@ import pytest
 
 from mlheat.analytic import StripProblem, strip_green
 from mlheat.errors import ConfigError, NumericalError
-from mlheat.special_functions import theta3_dz
+from mlheat.special_functions import _image_sum, _theta_sum, folded_kernel, theta3_dz
 from mlheat.volterra import (
     GitLayerProblem,
-    _eta_series,
     _gradient_residual,
-    _ups_series,
     build_internal_boundaries,
     check_refinement,
     git_field_single_layer,
@@ -81,15 +79,15 @@ class TestKernels:
             git_kernel_set(0.3, 0.5, 0.0, 1.0, 0.3)
 
     def test_dual_series_agreement(self):
-        # image form vs theta form, forced on both sides of the switch
+        # image form vs theta form, each called on both sides of the switch
         l = 1.0
         for delta in np.geomspace(5e-3, 5.0, 50):
             for a in (0.0, 0.3, -0.7, 1.0):
-                ei = _eta_series(delta, a, l, force="image")
-                et = _eta_series(delta, a, l, force="theta")
+                ei = _image_sum(delta, a, l, 0)
+                et = _theta_sum(delta, a, l, 0)
                 assert abs(ei - et) <= 1e-10 * max(1.0, abs(ei))
-                ui = _ups_series(delta, a, l, force="image")
-                ut = _ups_series(delta, a, l, force="theta")
+                ui = _image_sum(delta, a, l, 1)
+                ut = _theta_sum(delta, a, l, 1)
                 assert abs(ui - ut) <= 1e-10 * max(1.0, abs(ui))
 
     def test_theta_form_matches_theta_derivative(self):
@@ -97,7 +95,7 @@ class TestKernels:
         l, delta, a = 1.3, 0.9, 0.4
         q = math.exp(-math.pi**2 * delta / l**2)
         expected = (math.pi / (2.0 * l * l)) * theta3_dz(math.pi * a / (2.0 * l), q)
-        assert _ups_series(delta, a, l) == pytest.approx(expected, rel=1e-12)
+        assert folded_kernel(delta, a, l, deriv=1) == pytest.approx(expected, rel=1e-12)
 
     def test_constant_boundary_self_kernels(self):
         # for constant boundaries ups0 coincides with ups at the boundary
@@ -105,9 +103,9 @@ class TestKernels:
         # cross-coupling kernel vanishes by odd-image cancellation
         k = git_kernel_set(0.7, 0.2, 0.0, 1.0, 0.4)
         assert k.ups0_minus == pytest.approx(
-            _ups_series(0.5, 0.0, 1.0), abs=1e-300
+            folded_kernel(0.5, 0.0, 1.0, deriv=1), abs=1e-300
         )
-        assert _ups_series(0.5, -1.0, 1.0) == pytest.approx(0.0, abs=1e-14)
+        assert folded_kernel(0.5, -1.0, 1.0, deriv=1) == pytest.approx(0.0, abs=1e-14)
         assert k.ups0_minus == 0.0
         assert k.ups0_plus == 0.0
 
