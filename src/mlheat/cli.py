@@ -279,7 +279,7 @@ def cmd_boundaries(args):
         # numerical outcome (crossing boundaries), not a config problem
         raise NumericalError(str(exc)) from exc
     for i, coeffs in enumerate(bset.coeffs):
-        print(f"boundary_{i + 1}_coeffs=" + ",".join(_fmt(c) for c in coeffs))
+        print(f"boundary_{i + 1}_coeffs=" + ",".join(_fmt(c) for c in coeffs), file=sys.stderr)
     grid = np.linspace(0.0, T, 200)
     header = ["t"] + [f"y_{i + 1}" for i in range(bset.n_interior)]
     rows = []

@@ -8,6 +8,7 @@ with combinatorial weights St_k depending only on the (even) order m.  A
 numerical forward transform is provided as a test oracle.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +35,9 @@ class StehfestScheme:
 
     def __post_init__(self):
         # cached by the hot solver paths
-        object.__setattr__(self, "_sqrt_ks", np.sqrt(np.arange(1.0, self.m + 1)))
+        sqrt_ks = np.sqrt(np.arange(1.0, self.m + 1))
+        sqrt_ks.flags.writeable = False
+        object.__setattr__(self, "_sqrt_ks", sqrt_ks)
 
     def nodes(self, T):
         """Laplace abscissas k*ln2/T, k = 1..m."""
@@ -42,11 +45,12 @@ class StehfestScheme:
 
 
 def stehfest_weights(m=DEFAULT_ORDER):
-    """Build a StehfestScheme of even order ``m``.
+    """The StehfestScheme of even order ``m``.
 
     The weights are accumulated in exact rational arithmetic and rounded
     once, so the classical identities sum(St_k) = 0 and sum(St_k / k) = 1
-    hold to the last bit.
+    hold to the last bit.  Each order is built once per process; the
+    weights are read-only, since every caller shares them.
     """
     if m != int(m) or m < 2 or m % 2 != 0:
         raise ValueError(f"Stehfest order must be a positive even integer, got {m}")
@@ -55,6 +59,11 @@ def stehfest_weights(m=DEFAULT_ORDER):
         raise ValueError(
             f"Stehfest order {m} exceeds the double-precision limit {_MAX_ORDER}"
         )
+    return _stehfest_scheme(m)
+
+
+@functools.cache
+def _stehfest_scheme(m):
     half = m // 2
     exact = []
     for k in range(1, m + 1):
@@ -76,6 +85,7 @@ def stehfest_weights(m=DEFAULT_ORDER):
     if sum(exact) != 0 or sum(w / k for k, w in enumerate(exact, 1)) != 1:
         raise NumericalError(f"Stehfest weight identities violated at m={m}")
     weights = np.array([float(w) for w in exact])
+    weights.flags.writeable = False
     return StehfestScheme(m=m, weights=weights)
 
 

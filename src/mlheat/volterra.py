@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .special_functions import folded_kernel
+from .special_functions import _DECAY, folded_kernel
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -236,106 +236,180 @@ def git_kernel_set(tau, s, y_minus, y_plus, xi):
                       float(ups0_m), float(ups0_p))
 
 
-def _weak_singular(chi_nodes, ts):
-    """integral over [ts[0], tau] of (chi(s) - chi(tau)) / (2 sqrt(pi (tau-s)^3)) ds.
+# ----------------------------------------------------------------------
+# the gradient equations as kernel tables
+# ----------------------------------------------------------------------
 
-    chi is taken piecewise linear through (ts, chi_nodes) with
-    tau = ts[-1]; each sub-interval is integrated in closed form, so the
-    integrable endpoint singularity costs no accuracy.
-    """
-    tau = ts[-1]
-    chi_tau = chi_nodes[-1]
-    total = 0.0
-    for ta, tb, ca, cb in zip(ts[:-1], ts[1:], chi_nodes[:-1], chi_nodes[1:]):
-        h = tb - ta
-        m = (cb - ca) / h
-        ua = tau - ta
-        ub = tau - tb
-        if ub <= 0.0:
-            # final interval: the linear part hits chi(tau) exactly at s = tau
-            total += -2.0 * m * math.sqrt(ua)
-        else:
-            p = ca + m * ua - chi_tau
-            total += -2.0 * p * (1.0 / math.sqrt(ua) - 1.0 / math.sqrt(ub))
-            total += -2.0 * m * (math.sqrt(ua) - math.sqrt(ub))
-    return total / (2.0 * _SQRT_PI)
+# (row, node) entries per block of kernel tables.  A batched kernel call
+# holds a few dozen doubles per entry, so a block's temporaries stay near
+# a quarter of a megabyte (a block holds at least one row, so they grow
+# with M beyond M = 1024).
+_BLOCK = 1024
 
 
-def _stieltjes(eta_mid, eta_0, chi_nodes):
-    """integral chi d(eta) by parts; eta vanishes at s = tau.
+@dataclass(frozen=True)
+class _Sampled:
+    """A problem sampled for the march: its curves on the time grid t and
+    at the interval midpoints, u0 on the quadrature nodes xi."""
 
-    = -chi(0) eta(0) - sum eta(mid_i) * (chi_{i+1} - chi_i).
-    """
-    return -chi_nodes[0] * eta_0 - float(np.dot(eta_mid, np.diff(chi_nodes)))
+    t: np.ndarray
+    # rows: the minus and the plus boundary
+    y: np.ndarray
+    y_mid: np.ndarray
+    chi: np.ndarray
+    # trapezoid weights of t; an integrand vanishing at the row's own time
+    # t_k gives node j < k the full-grid weight q[j]
+    q: np.ndarray
+    xi: np.ndarray
+    # u0 at xi times the trapezoid weights of xi
+    u0w: np.ndarray
 
 
-def _rhs_pair(ym, yp, cm, cp, xi, u0v, tau, ts, om, th):
-    """Right-hand sides of the two gradient equations at time tau.
+def _trapezoid_weights(x):
+    """Weights w with w @ f(x) the trapezoid rule for f on the nodes x."""
+    half = 0.5 * np.diff(x)
+    w = np.zeros(len(x))
+    w[:-1] += half
+    w[1:] += half
+    return w
 
-    ts is an increasing grid with ts[-1] = tau; om, th hold the gradient
-    history at ts[:-1].  Every integrand carries zero weight at s = tau,
-    so the pair is explicit in the unknowns at tau.
-    """
-    ymt = float(_vec(ym, tau))
-    ypt = float(_vec(yp, tau))
-    l = ypt - ymt
-    if l <= 0.0:
+
+def _sample(problem, t):
+    """``problem`` sampled on the time grid t, which starts at 0."""
+    ym = _as_callable(problem.y_minus)
+    yp = _as_callable(problem.y_plus)
+    ym0 = float(_vec(ym, 0.0))
+    yp0 = float(_vec(yp, 0.0))
+    if yp0 <= ym0:
+        raise ConfigError("boundaries cross at t = 0")
+    y = np.stack([_vec(ym, t), _vec(yp, t)])
+    if np.any(y[1] <= y[0]):
         raise ConfigError("boundaries cross inside the horizon")
-    hist = ts[:-1]
-    dh = tau - hist
-    mids = 0.5 * (ts[:-1] + ts[1:])
-    dm = tau - mids
-    ym_h = _vec(ym, hist)
-    yp_h = _vec(yp, hist)
-    ym_m = _vec(ym, mids)
-    yp_m = _vec(yp, mids)
-    cm_n = _vec(cm, ts)
-    cp_n = _vec(cp, ts)
+    mids = 0.5 * (t[:-1] + t[1:])
+    chi = [_as_callable(problem.chi_minus), _as_callable(problem.chi_plus)]
+    xi = np.linspace(ym0, yp0, problem.n_xi)
+    return _Sampled(t=t, y=y, y_mid=np.stack([_vec(ym, mids), _vec(yp, mids)]),
+                    chi=np.stack([_vec(c, t) for c in chi]), q=_trapezoid_weights(t),
+                    xi=xi, u0w=_vec(problem.u0, xi) * _trapezoid_weights(xi))
 
-    # initial-data terms
-    i0_m = np.trapezoid(u0v * folded_kernel(tau, ymt - xi, l, 1), xi)
-    i0_p = np.trapezoid(u0v * folded_kernel(tau, ymt - xi + l, l, 1), xi)
 
-    # boundary-datum singular terms and weakly singular differences
-    b_m = -cm_n[-1] / math.sqrt(math.pi * tau)
-    b_p = cp_n[-1] / math.sqrt(math.pi * tau)
-    w_m = _weak_singular(cm_n, ts)
-    w_p = _weak_singular(cp_n, ts)
+def _initial_terms(s, tau, ymt, l):
+    """u0 against dK/da at a = ymt - xi (omega) and ymt - xi + l (theta).
 
-    # Stieltjes terms against the eta kernels (the Kronecker spike is
-    # active only when the evaluation point rides its own boundary)
-    spike_m = 1.0 / np.sqrt(np.pi * dm)
-    spike_0 = 1.0 / math.sqrt(math.pi * tau)
-    em_self = -spike_m + folded_kernel(dm, ymt - ym_m, l)
-    em_self0 = -spike_0 + folded_kernel(tau, ymt - ym_h[0], l)
-    em_cross = folded_kernel(dm, ymt - yp_m, l)
-    em_cross0 = folded_kernel(tau, ymt - yp_h[0], l)
-    ep_atm = folded_kernel(dm, ymt - ym_m + l, l)
-    ep_atm0 = folded_kernel(tau, ymt - ym_h[0] + l, l)
-    ep_self = -spike_m + folded_kernel(dm, ymt - yp_m + l, l)
-    ep_self0 = -spike_0 + folded_kernel(tau, ymt - yp_h[0] + l, l)
-    s_m = _stieltjes(em_self, em_self0, cm_n) - _stieltjes(em_cross, em_cross0, cp_n)
-    s_p = _stieltjes(ep_atm, ep_atm0, cm_n) - _stieltjes(ep_self, ep_self0, cp_n)
+    Rows on the image branch of ``folded_kernel`` call it.  On the theta
+    branch the integrand separates in xi,
+    sin(kw (ymt - xi)) = sin(kw ymt) cos(kw xi) - cos(kw ymt) sin(kw xi),
+    the harmonics follow from cos(w xi), sin(w xi) by angle addition, and
+    the +l side differs only by (-1)^k, so one pass over xi gives both.
+    """
+    i0 = np.empty((2, len(tau)))
+    step = max(1, _BLOCK // len(s.xi))
+    image = tau < l * l / math.pi  # folded_kernel's switch
+    rows = np.flatnonzero(image)
+    for lo in range(0, len(rows), step):
+        r = rows[lo:lo + step, None]
+        a = ymt[r] - s.xi
+        i0[:, r[:, 0]] = folded_kernel(tau[r], np.stack([a, a + l[r]]), l[r], 1) @ s.u0w
+    rows = np.flatnonzero(~image)
+    for lo in range(0, len(rows), step):
+        r = rows[lo:lo + step]
+        w = np.pi / l[r]
+        decay = w * w * tau[r]
+        c1 = np.cos(np.multiply.outer(w, s.xi))
+        s1 = np.sin(np.multiply.outer(w, s.xi))
+        ck, sk = c1, s1
+        total = np.zeros((2, len(r)))
+        for k in range(1, int(math.ceil(math.sqrt(_DECAY / decay.min()))) + 1):
+            kw = k * w
+            # d/da of 2 q^(k^2) cos(kw a), integrated against u0
+            term = -2.0 * np.exp(-decay * k * k) * kw * (
+                np.sin(kw * ymt[r]) * (ck @ s.u0w) - np.cos(kw * ymt[r]) * (sk @ s.u0w))
+            total[0] += term
+            total[1] += term if k % 2 == 0 else -term
+            ck, sk = ck * c1 - sk * s1, sk * c1 + ck * s1
+        i0[:, r] = total / l[r]
+    return i0
 
-    # moving-boundary memory terms: kernel = smooth * (tau-s)^{-1/2},
-    # integrated with exact sqrt weights and left-endpoint values
-    wts = 2.0 * (np.sqrt(tau - ts[:-1]) - np.sqrt(tau - ts[1:]))
-    gm = _self_peak(dh, ymt - ym_h)
-    gp = _self_peak(dh, ypt - yp_h)
-    m_m = float(np.dot(om, gm * np.sqrt(dh) * wts))
-    m_p = float(np.dot(th, gp * np.sqrt(dh) * wts))
 
-    # regular coupling terms; the kernels vanish at s = tau
-    ups0_m = folded_kernel(dh, ymt - ym_h, l, 1) + _self_peak(dh, ymt - ym_h)
-    ups0_p = folded_kernel(dh, ymt - yp_h + l, l, 1) + _self_peak(dh, ypt - yp_h)
-    f_m = th * folded_kernel(dh, ymt - yp_h, l, 1) + om * ups0_m
-    f_p = th * ups0_p + om * folded_kernel(dh, ymt - ym_h + l, l, 1)
-    c_m = np.trapezoid(np.append(f_m, 0.0), ts)
-    c_p = np.trapezoid(np.append(f_p, 0.0), ts)
+def _march_rows(s, k0, k1):
+    """Rows k0 <= k < k1 of the gradient equations on the grid s.t.
 
-    rhs_omega = -(i0_m + b_m + w_m + s_m - m_m + c_m)
-    rhs_theta = i0_p + b_p - w_p + s_p - m_p + c_p
-    return rhs_omega, rhs_theta
+    Row k reads
+        omega_k = d[0] + sum_{j<k} (K[0, 0, j] omega_j + K[0, 1, j] theta_j)
+        theta_k = d[1] + sum_{j<k} (K[1, 0, j] omega_j + K[1, 1, j] theta_j)
+    with t_k = tau: every kernel carries zero weight at s = tau, so the
+    sums stop short of k and the march is one forward substitution.
+    Returns d, shape (2, R), and K, shape (2, 2, R, k1 - 1), zero where
+    j >= k; R = k1 - k0.
+    """
+    t = s.t
+    k = np.arange(k0, k1)
+    tau = t[k]
+    ymt, ypt = s.y[:, k]
+    l = ypt - ymt
+    chi = s.chi
+    # the history pairs (row r, node j < k0 + r)
+    r, j = np.nonzero(np.arange(k1 - 1) < k[:, None])
+    tau_r, ymt_r, l_r = tau[r], ymt[r], l[r]
+    ua = tau_r - t[j]
+    ub = tau_r - t[j + 1]
+    sqrt_ua = np.sqrt(ua)
+    sqrt_ub = np.sqrt(ub)
+
+    def table(values):
+        out = np.zeros(values.shape[:-1] + (len(k), k1 - 1))
+        out[..., r, j] = values
+        return out
+
+    # initial-data terms and the boundary-datum singular terms
+    i0 = _initial_terms(s, tau, ymt, l)
+    b = np.array([-1.0, 1.0])[:, None] * chi[:, k] / np.sqrt(np.pi * tau)
+
+    # weakly singular differences: the integral of
+    # (chi(s) - chi(tau)) / (2 sqrt(pi (tau-s)^3)) with chi piecewise
+    # linear, each interval in closed form, linear in chi; on the final
+    # interval chi(s) - chi(tau) is its slope times (s - tau)
+    with np.errstate(divide="ignore"):
+        alpha = np.where(j + 1 == k[r], 0.0, 1.0 / sqrt_ua - 1.0 / sqrt_ub)
+    gamma = alpha * ua + sqrt_ua - sqrt_ub
+    slope = np.diff(chi)[:, j] / (t[j + 1] - t[j])
+    weak = table(-(alpha * (chi[:, j] - chi[:, k][:, r]) + gamma * slope) / _SQRT_PI).sum(axis=-1)
+
+    # Stieltjes terms: integral of chi d(eta) by parts, eta vanishing at
+    # s = tau, -chi(0) eta(0) - sum_j eta(mid_j) (chi_{j+1} - chi_j), for
+    # the eta of each equation against each boundary's data; the self
+    # kernels drop the Kronecker spike of the point riding its own boundary
+    dm = tau_r - 0.5 * (t[j] + t[j + 1])
+    a = ymt_r - s.y_mid[:, j]
+    eta = folded_kernel(dm, np.concatenate([a, a + l_r]), l_r).reshape(2, 2, -1)
+    spike = 1.0 / np.sqrt(np.pi * dm)
+    eta[0, 0] -= spike
+    eta[1, 1] -= spike
+    a = ymt - s.y[:, :1]
+    eta0 = folded_kernel(tau, np.concatenate([a, a + l]), l).reshape(2, 2, -1)
+    spike0 = 1.0 / np.sqrt(np.pi * tau)
+    eta0[0, 0] -= spike0
+    eta0[1, 1] -= spike0
+    parts = chi[:, 0, None] * eta0 + (table(eta) * np.diff(chi)[:, None, :k1 - 1]).sum(axis=-1)
+    stieltjes = parts[:, 1] - parts[:, 0]
+
+    # moving-boundary memory: kernel = smooth * (tau-s)^(-1/2), integrated
+    # with exact sqrt weights and left-endpoint values; regular coupling
+    # by the trapezoid rule, the kernels vanishing at s = tau
+    a = ymt_r - s.y[:, j]
+    ups = folded_kernel(ua, np.concatenate([a, a + l_r]), l_r, 1)
+    peak_m = _self_peak(ua, a[0])
+    peak_p = _self_peak(ua, ypt[r] - s.y[1, j])
+    memory = 2.0 * sqrt_ua * (sqrt_ua - sqrt_ub)
+    q = s.q[j]
+    K = table(np.stack([
+        [peak_m * memory - q * (ups[0] + peak_m), -q * ups[1]],
+        [q * ups[2], q * (ups[3] + peak_p) - peak_p * memory],
+    ]))
+
+    d = np.stack([-(i0[0] + b[0] + weak[0] + stieltjes[0]),
+                  i0[1] + b[1] - weak[1] + stieltjes[1]])
+    return d, K
 
 
 def _one_sided_gradient(u0, x0, direction, span):
@@ -350,32 +424,31 @@ def _one_sided_gradient(u0, x0, direction, span):
 def solve_volterra_single_layer(problem):
     """March the coupled gradient equations forward on the uniform grid.
 
-    Every integral term is explicit (all kernels carry zero weight at
-    s = tau), so each step costs O(k) kernel evaluations and the whole
-    march costs O(M^2).
+    Every kernel carries zero weight at s = tau, so the equations read
+    omega = b + K_oo omega + K_ot theta and theta = c + K_to omega + K_tt theta
+    with strictly lower-triangular K: one forward substitution.  The
+    tables are built in blocks of rows (``_march_rows``), so the march
+    costs O(M^2) kernel evaluations in a few batched calls per block, plus
+    O(M n_xi) for the initial data.
     """
-    ym = _as_callable(problem.y_minus)
-    yp = _as_callable(problem.y_plus)
-    cm = _as_callable(problem.chi_minus)
-    cp = _as_callable(problem.chi_plus)
     M = problem.M
     t = np.linspace(0.0, problem.T, M + 1)
-    ym0 = float(_vec(ym, 0.0))
-    yp0 = float(_vec(yp, 0.0))
-    if yp0 <= ym0:
-        raise ConfigError("boundaries cross at t = 0")
-    xi = np.linspace(ym0, yp0, problem.n_xi)
-    u0v = _vec(problem.u0, xi)
-
+    s = _sample(problem, t)
+    ym0, yp0 = s.xi[0], s.xi[-1]
     omega = np.empty(M + 1)
     theta = np.empty(M + 1)
-    span = yp0 - ym0
-    omega[0] = -_one_sided_gradient(problem.u0, ym0, +1.0, span)
-    theta[0] = _one_sided_gradient(problem.u0, yp0, -1.0, span)
-    for k in range(1, M + 1):
-        omega[k], theta[k] = _rhs_pair(
-            ym, yp, cm, cp, xi, u0v, t[k], t[: k + 1], omega[:k], theta[:k]
-        )
+    omega[0] = -_one_sided_gradient(problem.u0, ym0, +1.0, yp0 - ym0)
+    theta[0] = _one_sided_gradient(problem.u0, yp0, -1.0, yp0 - ym0)
+    k0 = 1
+    while k0 <= M:
+        # R rows hold about R (k0 + R) <= _BLOCK table entries
+        k1 = min(M + 1, k0 + max(1, (math.isqrt(k0 * k0 + 4 * _BLOCK) - k0) // 2))
+        d, K = _march_rows(s, k0, k1)
+        for r, k in enumerate(range(k0, k1)):
+            om, th = omega[:k], theta[:k]
+            omega[k] = d[0, r] + K[0, 0, r, :k] @ om + K[0, 1, r, :k] @ th
+            theta[k] = d[1, r] + K[1, 0, r, :k] @ om + K[1, 1, r, :k] @ th
+        k0 = k1
     if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(theta))):
         raise NumericalError("gradient march produced non-finite values")
     return GradientPair(omega=omega, theta=theta, grid=t)
@@ -407,22 +480,17 @@ def check_refinement(problem, rel_tol=0.10):
 def _gradient_residual(problem, gradients, refine=2):
     """Self-consistency residual of a solved gradient pair at tau = T.
 
-    Re-evaluates the right-hand sides on a grid ``refine`` times finer,
-    interpolating the stored gradients, and returns the max mismatch.
+    Evaluates the last row of the march's tables on a grid ``refine``
+    times finer against the interpolated gradients, and returns the max
+    mismatch.
     """
-    ym = _as_callable(problem.y_minus)
-    yp = _as_callable(problem.y_plus)
-    cm = _as_callable(problem.chi_minus)
-    cp = _as_callable(problem.chi_plus)
-    ym0 = float(_vec(ym, 0.0))
-    yp0 = float(_vec(yp, 0.0))
-    xi = np.linspace(ym0, yp0, problem.n_xi)
-    u0v = _vec(problem.u0, xi)
     ts = np.linspace(0.0, problem.T, refine * problem.M + 1)
+    n = len(ts) - 1
+    d, K = _march_rows(_sample(problem, ts), n, n + 1)
     om = np.interp(ts[:-1], gradients.grid, gradients.omega)
     th = np.interp(ts[:-1], gradients.grid, gradients.theta)
-    rhs_om, rhs_th = _rhs_pair(ym, yp, cm, cp, xi, u0v, problem.T, ts, om, th)
-    return max(abs(gradients.omega[-1] - rhs_om), abs(gradients.theta[-1] - rhs_th))
+    rhs = d[:, 0] + K[:, 0, 0] @ om + K[:, 1, 0] @ th
+    return max(abs(gradients.omega[-1] - rhs[0]), abs(gradients.theta[-1] - rhs[1]))
 
 
 def git_field_single_layer(problem, gradients, x, tau):
@@ -483,9 +551,11 @@ def git_field_single_layer(problem, gradients, x, tau):
     t0 = np.trapezoid(u0v * upsilon_sum(tau, xi), xi)
 
     # boundary-history integrals; every kernel vanishes at s = tau for
-    # interior x, so the final trapezoid node carries a zero integrand
-    f1 = (om + cp_h * dyp_h) * upsilon_sum(dh, yp_h)
-    f2 = (th - cm_h * dym_h) * upsilon_sum(dh, ym_h)
+    # interior x, so the final trapezoid node carries a zero integrand.
+    # Green's identity on the moving strip: the flux through y+ is
+    # (theta + chi+ y+') G(y+) and through y- is (omega - chi- y-') G(y-)
+    f1 = (th + cp_h * dyp_h) * upsilon_sum(dh, yp_h)
+    f2 = (om - cm_h * dym_h) * upsilon_sum(dh, ym_h)
     f3 = cm_h * lambda_sum(dh, ym_h) - cp_h * lambda_sum(dh, yp_h)
     t1 = np.trapezoid(np.append(f1, 0.0), ts)
     t2 = np.trapezoid(np.append(f2, 0.0), ts)

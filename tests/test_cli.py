@@ -166,7 +166,7 @@ class TestBoundaries:
         out = tmp_path / "bnd.csv"
         rc = main(["boundaries", "--config", cfg, "--out", str(out)])
         assert rc == 0
-        lines = [l for l in capsys.readouterr().out.splitlines()
+        lines = [l for l in capsys.readouterr().err.splitlines()
                  if l.startswith("boundary_")]
         assert len(lines) == 3
         header, rows = read_csv(out)
@@ -176,6 +176,17 @@ class TestBoundaries:
         assert np.allclose(rows[:, 1], -0.5, atol=1e-12)
         assert np.allclose(rows[:, 2], 0.0, atol=1e-12)
         assert np.allclose(rows[:, 3], 0.5, atol=1e-12)
+
+    def test_stdout_holds_only_csv(self, tmp_path, capsys):
+        # without --out the CSV goes to stdout; the coefficients go to stderr
+        payload = {"chi_minus": -1.0, "chi_plus": 1.0, "N": 3, "degree": 1, "T": 1.0}
+        cfg = write_config(tmp_path, "bnd.json", payload)
+        assert main(["boundaries", "--config", cfg]) == 0
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[0] == "t,y_1,y_2"
+        assert len(lines) == 201
+        assert "boundary_1_coeffs=" in captured.err
 
     def test_crossing_externals_is_numerical_failure(self, tmp_path, capsys):
         # chi_minus overtakes chi_plus inside [0, T]

@@ -43,6 +43,15 @@ class TestWeights:
         with pytest.raises(ValueError):
             stehfest_weights(20)
 
+    def test_cached_weights_are_shared_and_read_only(self):
+        first = stehfest_weights(12)
+        again = stehfest_weights(12.0)
+        assert again.weights is first.weights
+        assert np.array_equal(again.weights, first.weights)
+        with pytest.raises(ValueError):
+            first.weights[0] = 0.0
+        assert stehfest_weights(12).weights[0] == again.weights[0]
+
     def test_nodes(self):
         sch = stehfest_weights(8)
         nodes = sch.nodes(2.0)

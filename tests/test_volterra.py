@@ -11,6 +11,7 @@ from mlheat.special_functions import _image_sum, _theta_sum, folded_kernel, thet
 from mlheat.volterra import (
     GitLayerProblem,
     _gradient_residual,
+    _self_peak,
     build_internal_boundaries,
     check_refinement,
     git_field_single_layer,
@@ -31,6 +32,86 @@ def moving_problem(M=50):
         T=0.8,
         M=M,
     )
+
+
+def caloric(c, x, t):
+    """u = c0 + c1 x + c2 (x^2 + 2t) + c3 (x^3 + 6xt), a solution of u_t = u_xx."""
+    x = np.asarray(x, dtype=float)
+    return c[0] + c[1] * x + c[2] * (x * x + 2.0 * t) + c[3] * (x ** 3 + 6.0 * x * t)
+
+
+def caloric_dx(c, x, t):
+    return c[1] + 2.0 * c[2] * x + c[3] * (3.0 * x * x + 6.0 * t)
+
+
+def caloric_problem(c, y0, v_lo, v_hi, T, M):
+    # the strip [y0 + v_lo t, y0 + 1 + v_hi t] with u itself as the
+    # initial and Dirichlet data, so every history term of the march works
+    def lo(t):
+        return y0 + v_lo * np.asarray(t, dtype=float)
+
+    def hi(t):
+        return y0 + 1.0 + v_hi * np.asarray(t, dtype=float)
+
+    return GitLayerProblem(
+        y_minus=lo, y_plus=hi,
+        chi_minus=lambda t: caloric(c, lo(t), t),
+        chi_plus=lambda t: caloric(c, hi(t), t),
+        u0=lambda x: caloric(c, x, 0.0), T=T, M=M,
+    )
+
+
+def stepwise_rhs(problem, ts, om, th):
+    """Right-hand sides of the two gradient equations at tau = ts[-1].
+
+    The step-by-step reference for the march's tables: each term on its
+    own, the weakly singular one interval by interval in closed form.
+    om, th hold the gradient history at ts[:-1].
+    """
+    ym, yp = problem.y_minus, problem.y_plus
+    tau = ts[-1]
+    ymt, ypt = float(ym(tau)), float(yp(tau))
+    l = ypt - ymt
+    hist, mids = ts[:-1], 0.5 * (ts[:-1] + ts[1:])
+    dh, dm = tau - hist, tau - mids
+    cm, cp = problem.chi_minus(ts), problem.chi_plus(ts)
+    xi = np.linspace(float(ym(0.0)), float(yp(0.0)), problem.n_xi)
+    i0 = [np.trapezoid(problem.u0(xi) * folded_kernel(tau, ymt - xi + shift, l, 1), xi)
+          for shift in (0.0, l)]
+    b = np.array([-cm[-1], cp[-1]]) / math.sqrt(math.pi * tau)
+
+    def weak(chi):
+        total = 0.0
+        for ta, tb, ca, cb in zip(ts[:-1], ts[1:], chi[:-1], chi[1:]):
+            m = (cb - ca) / (tb - ta)
+            ua, ub = tau - ta, tau - tb
+            total -= 2.0 * m * (math.sqrt(ua) - math.sqrt(ub))
+            if ub > 0.0:
+                total -= 2.0 * (ca + m * ua - chi[-1]) * (1.0 / math.sqrt(ua) - 1.0 / math.sqrt(ub))
+        return total / (2.0 * math.sqrt(math.pi))
+
+    def stieltjes(a, chi, spiked):
+        # integral of chi d(eta) by parts; eta(s) = K(tau - s, a(s), l)
+        # less the Kronecker spike on a self kernel, zero at s = tau
+        def eta(delta, s):
+            return folded_kernel(delta, a(s), l) - spiked / np.sqrt(np.pi * delta)
+        return -chi[0] * eta(tau, 0.0) - np.dot(eta(dm, mids), np.diff(chi))
+
+    s_m = (stieltjes(lambda s: ymt - ym(s), cm, True)
+           - stieltjes(lambda s: ymt - yp(s), cp, False))
+    s_p = (stieltjes(lambda s: ymt - ym(s) + l, cm, False)
+           - stieltjes(lambda s: ymt - yp(s) + l, cp, True))
+    wts = 2.0 * np.sqrt(dh) * (np.sqrt(tau - ts[:-1]) - np.sqrt(tau - ts[1:]))
+    gm = _self_peak(dh, ymt - ym(hist))
+    gp = _self_peak(dh, ypt - yp(hist))
+    k_cross_m = folded_kernel(dh, ymt - yp(hist), l, 1)
+    k_cross_p = folded_kernel(dh, ymt - ym(hist) + l, l, 1)
+    f_m = th * k_cross_m + om * (folded_kernel(dh, ymt - ym(hist), l, 1) + gm)
+    f_p = th * (folded_kernel(dh, ymt - yp(hist) + l, l, 1) + gp) + om * k_cross_p
+    c_m = np.trapezoid(np.append(f_m, 0.0), ts)
+    c_p = np.trapezoid(np.append(f_p, 0.0), ts)
+    return (-(i0[0] + b[0] + weak(cm) + s_m - om @ (gm * wts) + c_m),
+            i0[1] + b[1] - weak(cp) + s_p - th @ (gp * wts) + c_p)
 
 
 class TestBuildInternalBoundaries:
@@ -187,6 +268,35 @@ class TestSolver:
         order = math.log2(abs(g1 - g2) / abs(g2 - g3))
         assert order >= 0.9
 
+    @pytest.mark.parametrize("c, y0, v_lo, v_hi, T", [
+        ((0.5, 0.3, 1.0, -0.7), 0.0, 0.0, 0.0, 0.7),
+        ((1.0, -0.4, 0.5, 0.8), -0.5, 0.0, 0.0, 0.4),
+        ((0.0, 0.0, 0.0, 1.0), 0.2, -0.2, 0.3, 0.7),
+        ((1.0, 0.0, 0.5, 0.5), 0.0, 0.2, 0.1, 0.5),
+    ], ids=["fixed", "fixed-shifted", "moving-widening", "moving-drifting"])
+    def test_caloric_polynomial_end_gradients(self, c, y0, v_lo, v_hi, T):
+        # fixed and moving strips with nonzero boundary data: the
+        # weakly singular, Stieltjes, memory and coupling terms all act.
+        # The errors are at most 2e-4; scaling the weakly singular term
+        # by 1.01 moves them to 2.5e-3 - 6e-3, so 5e-3 would not see it
+        g = solve_volterra_single_layer(caloric_problem(c, y0, v_lo, v_hi, T, 200))
+        left = caloric_dx(c, y0 + v_lo * T, T)
+        right = caloric_dx(c, y0 + 1.0 + v_hi * T, T)
+        err = max(abs(g.omega[-1] + left), abs(g.theta[-1] - right))
+        assert err <= 1e-3 * max(abs(left), abs(right))
+
+    def test_march_satisfies_stepwise_equations(self):
+        # a moving strip whose rows take both kernel branches, over
+        # several blocks of the tables: each solved gradient equals the
+        # step-by-step right-hand side of its own history
+        prob = caloric_problem((0.5, 0.3, 1.0, -0.7), 0.2, -0.2, 0.3, 0.7, 60)
+        g = solve_volterra_single_layer(prob)
+        scale = max(np.max(np.abs(g.omega)), np.max(np.abs(g.theta)))
+        for k in range(1, prob.M + 1):
+            om, th = stepwise_rhs(prob, g.grid[:k + 1], g.omega[:k], g.theta[:k])
+            assert abs(g.omega[k] - om) <= 1e-13 * scale
+            assert abs(g.theta[k] - th) <= 1e-13 * scale
+
     def test_check_refinement(self):
         check_refinement(moving_problem(50))
         with pytest.raises(NumericalError):
@@ -230,6 +340,22 @@ class TestField:
         v = git_field_single_layer(prob, g, 0.45, T - t0)
         exact = u_exact(0.45, T)
         assert v == pytest.approx(exact, rel=1e-2)
+
+    def test_moving_caloric_field_converges(self):
+        # the boundary fluxes pair theta with y_plus and omega with
+        # y_minus; swapped, the error here stalls near 1.7e-2
+        c, y0, v_lo, v_hi, T = (0.0, 0.0, 0.0, 1.0), 0.0, 0.1, -0.2, 0.3
+        lo, hi = y0 + v_lo * T, y0 + 1.0 + v_hi * T
+        xs = lo + np.array([0.25, 0.5, 0.75]) * (hi - lo)
+        exact = caloric(c, xs, T)
+        errs = []
+        for M in (50, 100, 200):
+            prob = caloric_problem(c, y0, v_lo, v_hi, T, M)
+            g = solve_volterra_single_layer(prob)
+            v = np.array([git_field_single_layer(prob, g, x, T) for x in xs])
+            errs.append(np.max(np.abs(v - exact)) / np.max(np.abs(exact)))
+        assert errs[0] > errs[1] > errs[2]
+        assert errs[2] <= 1e-3
 
     def test_outside_strip_rejected(self):
         prob = moving_problem(20)
