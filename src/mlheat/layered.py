@@ -1,14 +1,25 @@
 """Green's function of the heat equation with piecewise-constant diffusion.
 
 The strip [y_0, y_N] is split into N layers with constant diffusion sigma_i
-on (y_{i-1}, y_i].  In Laplace space the unknown internal-boundary values
-g_i(lambda) solve a symmetric, strictly diagonally dominant tridiagonal
-system; the field inside each layer is a sinh interpolation of the two
-bounding values plus a particular term in the source layer.  Time-domain
-values come from Gaver-Stehfest inversion (one tridiagonal solve per node).
+on (y_{i-1}, y_i].  In Laplace space the field in a layer is a sinh
+interpolation of its two end values.  The source x0 splits its layer in
+two, so the values at the internal boundaries and at x0 solve one
+symmetric tridiagonal M-matrix system: flux continuity at each boundary
+and a unit flux jump at x0.  Time-domain values come from Gaver-Stehfest
+inversion; one solve covers all Stehfest nodes.
 
-All the hyperbolic ratios are computed in exponentially scaled form so that
-arguments up to ~1e4 neither overflow nor lose precision.
+There is one path, in one numerical form.  The system is held in
+excess/coupling form (Grassmann-Taksar-Heyman): a segment with
+a = sqrt(lambda) width / sigma couples its end nodes by sigma csch(a) and
+adds sigma tanh(a/2) to the excess of each.  Both are finite for every a,
+so there is no overflow switch.  The diagonal sigma_i coth a_i +
+sigma_{i+1} coth a_{i+1}, a sum of large numbers whose small excess
+Gaussian elimination would recover by subtraction, is never formed.
+Instead a vectorized odd-even (cyclic) reduction combines only
+non-negative terms, so the Laplace-domain values keep their relative
+accuracy however thin the layers, and the accuracy after inversion stays
+flat as N grows (3.4e-5 of the peak on the uniform strip from N = 20 to
+N = 20000).
 """
 
 import math
@@ -18,7 +29,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv as _dgtsv
 
 from .errors import NumericalError
-from .laplace import StehfestScheme, stehfest_weights
+from .laplace import stehfest_weights
 
 
 @dataclass(frozen=True)
@@ -120,78 +131,165 @@ class SolutionField:
     flux_jumps: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-# -- exponentially scaled hyperbolic ratios (all arguments > 0) --------------
+# -- the node system in excess/coupling form --------------------------------
 
 
-def _coth(a):
-    e = np.exp(-2.0 * a)
-    return (1.0 + e) / (1.0 - e)
+def _sinh_ratios(p, q):
+    """sinh(p)/sinh(p+q) and sinh(q)/sinh(p+q) for p, q >= 0, p + q > 0.
+
+    Every factor is scaled by exp(-p-q) and has one sign, so no argument
+    overflows and nothing cancels.
+    """
+    tp = np.expm1(-2.0 * p)  # -2 exp(-p) sinh(p)
+    tq = np.expm1(-2.0 * q)
+    den = tp + (tp + 1.0) * tq  # -2 exp(-p-q) sinh(p+q)
+    return np.exp(-q) * tp / den, np.exp(-p) * tq / den
 
 
-def _csch(a):
-    return 2.0 * np.exp(-a) / (1.0 - np.exp(-2.0 * a))
+def _sqrt_lam(lam):
+    if not (np.isfinite(lam) and lam > 0.0):
+        raise ValueError("Laplace variable must be positive and finite")
+    return np.array([math.sqrt(lam)])
 
 
-def _sinh_ratio(p, a):
-    # sinh(p)/sinh(a) for 0 <= p <= a, scaled to avoid overflow
-    return np.exp(p - a) * (-np.expm1(-2.0 * p)) / (-np.expm1(-2.0 * a))
+def _excess_couplings(sigmas, omegas, sq):
+    """Excess and couplings of the nodes joining a chain of segments.
+
+    A segment with omega = width / sigma and a = sq omega couples its two
+    end nodes by beta = sigma csch(a) and adds tau = sigma tanh(a/2) to
+    the excess of each, so a node's diagonal sigma coth(a) + ... is its
+    excess plus its couplings.  The walls hold zero, so a wall segment's
+    coupling adds to the excess of its node.  Both terms are finite and
+    accurate for every a.  Returns an (n, m) excess and (n+1, m)
+    couplings whose row i couples nodes i-1 and i (the end rows are
+    zero); n = len(sigmas) - 1 and m = len(sq).
+    """
+    na = omegas[:, None] * -sq
+    e = np.exp(na)
+    u = np.expm1(na)  # exp(-a) - 1
+    d = e + 1.0
+    tau = (-sigmas)[:, None] * u
+    tau /= d
+    u *= d
+    beta = (-2.0 * sigmas)[:, None] * e
+    beta /= u
+    excess = tau[:-1] + tau[1:]
+    excess[0] += beta[0]
+    excess[-1] += beta[-1]
+    beta[0] = beta[-1] = 0.0
+    return excess, beta
 
 
-# beyond this argument plain sinh/cosh approach overflow and the scaled
-# forms take over
-_DIRECT_HYP_MAX = 300.0
+def _reduce(excess, coupling, p, r):
+    """Solve a batch of excess/coupling systems with rhs r at node p.
+
+    Odd-even (cyclic) reduction that keeps node p: it eliminates the
+    nodes of the other parity, which leaves a system of the same form on
+    the kept ones, with c = s + couplings,
+
+        s'_k = s_k + b_{k-1,k} s_{k-1} / c_{k-1} + b_{k,k+1} s_{k+1} / c_{k+1},
+        b'_{k,k+2} = b_{k,k+1} b_{k+1,k+2} / c_{k+1},
+
+    until p alone is left; the eliminated nodes, whose rhs is zero, then
+    follow from their kept neighbours.  Every step adds, multiplies or
+    divides non-negative numbers, so nothing cancels however thin the
+    layers.  Shapes: excess (n, m), couplings (n+1, m) as returned by
+    ``_excess_couplings``, r (m,); returns the solution with the zero
+    wall values at both ends, shape (n+2, m).
+    """
+    n = len(excess)
+    out = np.empty((n + 2,) + excess.shape[1:])
+    out[0] = out[-1] = 0.0
+    if n == 1:
+        out[1] = r / excess[0]
+        return out
+    # kept node u is node q + 2u; eliminated node t is node 1 - q + 2t,
+    # between kept nodes t - q and t + 1 - q (a wall where out of range)
+    q = p % 2
+    kept = excess[q::2]
+    gone = excess[1 - q :: 2]
+    left = coupling[1 - q : n : 2]  # couplings of the eliminated nodes
+    right = coupling[2 - q :: 2]
+    nk = len(kept)
+    ne = n - nk
+    c = gone + left
+    c += right
+    to_left = left / c
+    to_right = right / c
+    joined = np.zeros((nk + 1,) + excess.shape[1:])
+    np.multiply(left, to_right, out=joined[1 - q : 1 - q + ne])
+    kept = kept.copy()
+    kept[1 - q :] += (gone * to_right)[: nk - 1 + q]
+    kept[: ne - q] += (gone * to_left)[q:]
+    sol = _reduce(kept, joined, p // 2, r)
+    out[1 + q : 1 + q + 2 * nk : 2] = sol[1:-1]
+    x = out[2 - q : 2 - q + 2 * ne : 2]
+    np.multiply(to_left, sol[1 - q : 1 - q + ne], out=x)
+    x += to_right * sol[2 - q : 2 - q + ne]
+    return out
 
 
-def _assemble_batch(problem, lams):
-    """Diagonals, off-diagonals and right-hand sides for many lambda at once.
+def _system(problem, sq):
+    """The node system at sqrt(lambda) = sq, shape (m,).
 
-    Returns arrays of shape (m, N-1), (m, N-2), (m, N-1).
+    The nodes are the internal boundaries and the source x0, which splits
+    its layer in two; its flux jump makes the rhs 1/sq at the source and
+    zero elsewhere.  The field in every segment between two nodes (or a
+    node and a wall) is then a sinh interpolation of the values at its
+    ends.  Returns the N+2 node positions with the walls, the N+1
+    segment sigmas, and the excess and couplings of the N nodes; the
+    source is node j-1.
     """
     med = problem.medium
-    N = med.n_layers
-    if N < 2:
-        raise ValueError("assembly needs at least one internal boundary (N >= 2)")
-    lams = np.asarray(lams, dtype=float)
-    if lams.min() <= 0.0 or not np.isfinite(lams.max()):
-        raise ValueError("Laplace variable must be positive and finite")
-    sq = np.sqrt(lams)[:, None]  # (m, 1)
-    a = sq * med._omegas[None, :]  # (m, N)
-    amax = a.max()
-    if not np.isfinite(amax):
-        raise NumericalError("overflow guard failure in hyperbolic arguments")
-    sig = med.sigmas[None, :]
-    if amax < _DIRECT_HYP_MAX:
-        coth = 1.0 / np.tanh(a)
-        offdiag = -sig[:, 1:-1] / np.sinh(a[:, 1:-1])
-    else:
-        coth = _coth(a)
-        offdiag = -sig[:, 1:-1] * _csch(a[:, 1:-1])
-    diag = sig[:, :-1] * coth[:, :-1] + sig[:, 1:] * coth[:, 1:]
+    j = problem.source_layer
+    b = med.boundaries
+    nodes = np.concatenate((b[:j], [problem.x0], b[j:]))
+    sigmas = np.concatenate((med.sigmas[:j], med.sigmas[j - 1 :]))
+    excess, coupling = _excess_couplings(sigmas, np.diff(nodes) / sigmas, sq)
+    return nodes, sigmas, excess, coupling
 
-    j = problem.source_layer  # 1-based
-    yj = med.boundaries[j]
-    yjm1 = med.boundaries[j - 1]
-    lj = yj - yjm1
-    gamma1 = (yj - problem.x0) / lj
-    gamma2 = (problem.x0 - yjm1) / lj
-    aj = a[:, j - 1]
-    rhs = np.zeros(diag.shape)
-    inv_sq = 1.0 / sq[:, 0]
-    if j - 1 >= 1:  # unknown index j-1 exists
-        rhs[:, j - 2] += inv_sq * _sinh_ratio(gamma1 * aj, aj)
-    if j <= N - 1:
-        rhs[:, j - 1] += inv_sq * _sinh_ratio(gamma2 * aj, aj)
-    return diag, offdiag, rhs
+
+def _field(nodes, sigmas, sq, g, xs):
+    """Laplace-domain field at ``xs`` from the node values g, shape (len(xs), m)."""
+    if xs.min() < nodes[0] or xs.max() > nodes[-1]:
+        raise ValueError("evaluation point outside the strip")
+    hi = np.clip(np.searchsorted(nodes, xs, side="left"), 1, len(nodes) - 1)
+    lo = hi - 1
+    sig = sigmas[lo]
+    to_hi, to_lo = _sinh_ratios(((xs - nodes[lo]) / sig)[:, None] * sq,
+                                ((nodes[hi] - xs) / sig)[:, None] * sq)
+    return g[lo] * to_lo + g[hi] * to_hi
 
 
 def assemble_system(problem, lam):
-    """Assemble the Laplace-domain tridiagonal system at a single lambda."""
-    diag, offdiag, rhs = _assemble_batch(problem, [lam])
-    return TridiagonalSystem(diag=diag[0], offdiag=offdiag[0], rhs=rhs[0], lam=float(lam))
+    """Assemble the Laplace-domain tridiagonal system at a single lambda.
+
+    The unknowns are the internal-boundary values,
+    M = tridiag(-couplings, excess + couplings, -couplings), and the
+    source layer's sinh ratios form the right-hand side.
+    """
+    med = problem.medium
+    if med.n_layers < 2:
+        raise ValueError("assembly needs at least one internal boundary (N >= 2)")
+    sq = _sqrt_lam(lam)
+    excess, coupling = _excess_couplings(med.sigmas, med._omegas, sq)
+    b = med.boundaries
+    j = problem.source_layer
+    scale = sq[0] / med.sigmas[j - 1]
+    to_hi, to_lo = _sinh_ratios(scale * (problem.x0 - b[j - 1]), scale * (b[j] - problem.x0))
+    rhs = np.zeros(med.n_layers + 1)  # one entry per boundary, walls included
+    rhs[j - 1] = to_lo / sq[0]
+    rhs[j] = to_hi / sq[0]
+    return TridiagonalSystem(
+        diag=excess[:, 0] + coupling[:-1, 0] + coupling[1:, 0],
+        offdiag=-coupling[1:-1, 0],
+        rhs=rhs[1:-1],
+        lam=float(lam),
+    )
 
 
 def solve_tridiagonal(sys):
-    """Solve M g = rhs by Thomas elimination (no pivoting needed)."""
+    """Solve M g = rhs with LAPACK ``dgtsv`` after a dominance check."""
     d = np.asarray(sys.diag, dtype=float)
     e = np.asarray(sys.offdiag, dtype=float)
     r = np.asarray(sys.rhs, dtype=float)
@@ -201,270 +299,94 @@ def solve_tridiagonal(sys):
     pad = np.concatenate(([0.0], np.abs(e), [0.0]))
     if np.any(d - pad[:-1] - pad[1:] <= 0.0):
         raise NumericalError("tridiagonal system is not diagonally dominant")
-    c = np.empty(n)
-    g = np.empty(n)
-    c[0] = d[0]
-    g[0] = r[0]
-    for i in range(1, n):
-        w = e[i - 1] / c[i - 1]
-        c[i] = d[i] - w * e[i - 1]
-        g[i] = r[i] - w * g[i - 1]
-    g[-1] /= c[-1]
-    for i in range(n - 2, -1, -1):
-        g[i] = (g[i] - e[i] * g[i + 1]) / c[i]
-    return g
-
-
-def _solve_batch(diag, offdiag, rhs):
-    """Solve the m independent tridiagonal systems in one LAPACK call.
-
-    The systems are laid out block-diagonally in a single tridiagonal
-    matrix (zero couplings at the block joints), so a lone ``dgtsv``
-    factorization covers every Stehfest node.
-    """
-    m, n = diag.shape
-    if n == 1:
-        return rhs / diag
-    off = np.zeros((m, n))
-    off[:, :-1] = offdiag
-    du = off.ravel()[:-1]
-    # the dl/du scratch buffers are freshly built, but diag and rhs belong
-    # to the caller and must survive the call
-    _, _, _, sol, info = _dgtsv(
-        du.copy(),
-        diag.ravel(),
-        du,
-        rhs.ravel(),
-        overwrite_dl=True,
-        overwrite_d=False,
-        overwrite_du=True,
-        overwrite_b=False,
-    )
+    # the LAPACK wrapper wants one (unused) off-diagonal entry at n = 1
+    off = e if n > 1 else np.zeros(1)
+    _, _, _, g, info = _dgtsv(off, d, off, r)
     if info != 0:
         raise NumericalError(f"tridiagonal factorization failed (info={info})")
-    return sol.reshape(m, n)
-
-
-def _field_batch(problem, lams, g, xs):
-    """Laplace-domain field values, shape (m, len(xs))."""
-    med = problem.medium
-    b = med.boundaries
-    N = med.n_layers
-    xs = np.asarray(xs, dtype=float)
-    if xs.min() < b[0] or xs.max() > b[-1]:
-        raise ValueError("evaluation point outside the strip")
-    lams = np.asarray(lams, dtype=float)
-    m = len(lams)
-    sq = np.sqrt(lams)[:, None]
-
-    # pad with the zero Dirichlet values g_0 = g_N = 0
-    G = np.zeros((m, N + 1))
-    if g is not None and g.size:
-        G[:, 1:N] = g
-
-    idx = np.clip(np.searchsorted(b, xs, side="left"), 1, N)  # layer per x
-    lo = b[idx - 1]
-    hi = b[idx]
-    wid = hi - lo
-    sig = med.sigmas[idx - 1]
-    af = sq * (wid / sig)[None, :]  # (m, nx)
-    gam_lo = (xs - lo) / wid
-    gam_hi = (hi - xs) / wid
-    direct = af.max() < _DIRECT_HYP_MAX
-    if direct:
-        inv_sinh = 1.0 / np.sinh(af)
-        vals = (
-            G[:, idx - 1] * np.sinh(gam_hi * af) + G[:, idx] * np.sinh(gam_lo * af)
-        ) * inv_sinh
-    else:
-        vals = G[:, idx - 1] * _sinh_ratio(gam_hi * af, af) + G[:, idx] * _sinh_ratio(
-            gam_lo * af, af
-        )
-
-    j = problem.source_layer
-    in_src = idx == j
-    if in_src.any():
-        a = b[j - 1]
-        c = b[j]
-        sj = med.sigmas[j - 1]
-        xsrc = xs[in_src]
-        x_lo = np.minimum(xsrc, problem.x0)
-        x_hi = np.maximum(xsrc, problem.x0)
-        p = sq * ((x_lo - a) / sj)[None, :]
-        q = sq * ((c - x_hi) / sj)[None, :]
-        aj = sq * ((c - a) / sj)
-        if direct:
-            H = np.sinh(p) * np.sinh(q) / np.sinh(aj)
-        else:
-            # sinh(p) sinh(q) / sinh(aj), scaled (p + q <= aj)
-            H = (
-                0.5
-                * np.exp(p + q - aj)
-                * np.expm1(-2.0 * p)
-                * np.expm1(-2.0 * q)
-                / (-np.expm1(-2.0 * aj))
-            )
-        vals[:, in_src] += H / (sj * sq)
-    return vals
+    return g
 
 
 def laplace_field(problem, lam, g_hat, x):
     """Laplace-domain field at a single (lambda, x).
 
     ``g_hat`` is the internal-boundary vector at this lambda (the outer
-    Dirichlet values are implied zeros).
+    Dirichlet values are implied zeros); the value at the source follows
+    from its flux balance.
     """
-    g = np.atleast_2d(np.asarray(g_hat, dtype=float)) if np.size(g_hat) else None
-    out = _field_batch(problem, [lam], g, np.atleast_1d(float(x)))
-    return float(out[0, 0])
-
-
-def _flux_residual(diag, offdiag, rhs, g, lams):
-    """Flux-jump residual sqrt(lam)*(M g - rhs), shape (m, N-1)."""
-    res = diag * g - rhs
-    if g.shape[1] > 1:
-        res[:, 1:] += offdiag * g[:, :-1]
-        res[:, :-1] += offdiag * g[:, 1:]
-    return np.sqrt(np.asarray(lams, dtype=float))[:, None] * res
-
-
-def _green_fast(problem, scheme, xs, lam0):
-    """Fused assembly/solve/field/flux pass for moderate sinh arguments.
-
-    Identical mathematics to the modular routines, with shared
-    intermediates and plain (unscaled) hyperbolics; returns None when any
-    argument is large enough to need the scaled forms.
-    """
-    med = problem.medium
-    b = med.boundaries
-    N = med.n_layers
-    m = scheme.m
-    sq = math.sqrt(lam0) * scheme._sqrt_ks[:, None]
-    a = sq * med._omegas[None, :]
-    if a.max() >= _DIRECT_HYP_MAX:
-        return None
-    sig = med.sigmas[None, :]
-    sinh_a = np.sinh(a)
-    coth = np.cosh(a) / sinh_a
-    diag = sig[:, :-1] * coth[:, :-1] + sig[:, 1:] * coth[:, 1:]
-    off = -sig[:, 1:-1] / sinh_a[:, 1:-1]
-
+    sq = _sqrt_lam(lam)
+    nodes, sigmas, excess, coupling = _system(problem, sq)
     j = problem.source_layer
-    yj, yjm1 = b[j], b[j - 1]
-    aj = a[:, j - 1]
-    saj = sinh_a[:, j - 1]
-    gamma1 = (yj - problem.x0) / (yj - yjm1)
-    gamma2 = (problem.x0 - yjm1) / (yj - yjm1)
-    scale = 1.0 / (sq[:, 0] * saj)
-    src = np.sinh(np.concatenate([gamma1 * aj, gamma2 * aj]))
-    rhs = np.zeros(diag.shape)
-    if j >= 2:
-        rhs[:, j - 2] = scale * src[:m]
-    if j <= N - 1:
-        rhs[:, j - 1] = scale * src[m:]
+    gh = np.asarray(g_hat, dtype=float).ravel()
+    g = np.concatenate(([0.0], gh[: j - 1], [0.0], gh[j - 1 :], [0.0]))
+    left, right = coupling[j - 1, 0], coupling[j, 0]
+    g[j] = (1.0 / sq[0] + left * g[j - 1] + right * g[j + 1]) / (excess[j - 1, 0] + left + right)
+    return float(_field(nodes, sigmas, sq, g[:, None], np.atleast_1d(float(x)))[0, 0])
 
-    g = _solve_batch(diag, off, rhs)
 
-    res = diag * g - rhs
-    if N > 2:
-        res[:, 1:] += off * g[:, :-1]
-        res[:, :-1] += off * g[:, 1:]
+def _flux_residual(excess, coupling, sq, g, j):
+    """Flux balance M g of the nodes, from g with its walls, shape (n, m).
 
-    if len(xs) == N + 1 and np.array_equal(xs, b):
-        # the sinh interpolation is exact at layer ends (and the source
-        # term vanishes there), so the field at the boundary nodes is the
-        # boundary-value vector itself with the Dirichlet zeros appended
-        res *= sq
-        wl = lam0 * scheme.weights
-        out = wl @ np.concatenate([g, res], axis=1)
-        fv = out[: N - 1]
-        vals = np.zeros(N + 1)
-        vals[1:N] = fv
-        return vals, fv, out[N - 1 :]
+    Off the source (node j-1, whose row is not a flux jump) the rhs is
+    zero, so this is the flux jump over sqrt(lambda).  The two segments
+    at the source take the flux through the source layer as a whole (the
+    rows of ``assemble_system``): with x0 close to a boundary their own
+    coupling is large and the difference it multiplies is rounding.
+    """
+    flux = coupling * (g[:-1] - g[1:])
+    left, right, s = coupling[j - 1], coupling[j], excess[j - 1]
+    across = left * right * (g[j - 1] - g[j + 1])
+    c = s + left + right
+    flux[j - 1] = (left * (s * g[j - 1] - 1.0 / sq) + across) / c
+    flux[j] = (right * (1.0 / sq - s * g[j + 1]) + across) / c
+    res = excess * g[1:-1]
+    res -= flux[:-1]
+    res += flux[1:]
+    return res
 
-    idx = np.clip(np.searchsorted(b, xs, side="left"), 1, N)
-    lo = b[idx - 1]
-    hi = b[idx]
-    sgx = med.sigmas[idx - 1]
-    nx = len(xs)
-    args = np.empty((3 * m, nx))
-    np.multiply(sq, ((xs - lo) / sgx)[None, :], out=args[:m])
-    np.multiply(sq, ((hi - xs) / sgx)[None, :], out=args[m : 2 * m])
-    np.add(args[:m], args[m : 2 * m], out=args[2 * m :])
-    big = np.sinh(args)
-    G = np.zeros((m, N + 1))
-    G[:, 1:N] = g
-    vals = (G[:, idx] * big[:m] + G[:, idx - 1] * big[m : 2 * m]) / big[2 * m :]
-    in_src = idx == j
-    if in_src.any():
-        sj = med.sigmas[j - 1]
-        xsrc = xs[in_src]
-        k = len(xsrc)
-        pq = np.sinh(
-            sq
-            * np.concatenate(
-                [
-                    (np.minimum(xsrc, problem.x0) - yjm1) / sj,
-                    (yj - np.maximum(xsrc, problem.x0)) / sj,
-                ]
-            )[None, :]
-        )
-        # scale = 1/(sq*saj) from the rhs assembly is reused here
-        vals[:, in_src] += pq[:, :k] * pq[:, k:] * (scale / sj)[:, None]
 
-    res *= sq
-    wl = lam0 * scheme.weights
-    out = wl @ np.concatenate([vals, g, res], axis=1)
-    nx = len(xs)
-    return out[:nx], out[nx : nx + N - 1], out[nx + N - 1 :]
+def _node_values(problem, scheme):
+    """The node system at the Stehfest nodes and its solution.
+
+    Returns sqrt(lambda), shape (m,), the ``_system`` arrays and the node
+    values with the walls, shape (N+2, m); row j is the source.
+    """
+    sq = math.sqrt(math.log(2.0) / problem.T) * scheme._sqrt_ks
+    nodes, sigmas, excess, coupling = _system(problem, sq)
+    g = _reduce(excess, coupling, problem.source_layer - 1, 1.0 / sq)
+    return sq, nodes, sigmas, excess, coupling, g
 
 
 def boundary_values(problem, scheme=None):
     """Time-domain internal-boundary values f_i(T), i = 1..N-1."""
     if scheme is None:
         scheme = stehfest_weights()
-    if problem.medium.n_layers < 2:
-        return np.empty(0)
-    lam0 = math.log(2.0) / problem.T
-    lams = lam0 * np.arange(1, scheme.m + 1)
-    diag, offdiag, rhs = _assemble_batch(problem, lams)
-    g = _solve_batch(diag, offdiag, rhs)
-    if not np.all(np.isfinite(g)):
+    g = _node_values(problem, scheme)[-1]
+    f = g @ ((math.log(2.0) / problem.T) * scheme.weights)
+    if not np.all(np.isfinite(f)):
         raise NumericalError("non-finite Laplace-domain boundary values")
-    return lam0 * (scheme.weights @ g)
+    j = problem.source_layer  # drop the walls and the source
+    return np.concatenate((f[1:j], f[j + 1 : -1]))
 
 
 def greens_function(problem, scheme=None, xs=None):
     """Time-domain Green's function on the abscissas ``xs``.
 
-    One batched tridiagonal solve covers all Stehfest nodes; the field,
-    boundary values and flux-jump diagnostics are inverted together.
+    One batched solve covers all Stehfest nodes; the field, boundary
+    values and flux-jump diagnostics are inverted together.
     """
     if scheme is None:
         scheme = stehfest_weights()
-    if xs is None:
-        xs = np.linspace(problem.medium.boundaries[0], problem.medium.boundaries[-1], 101)
-    xs = np.asarray(xs, dtype=float)
     b = problem.medium.boundaries
-    if xs.min() < b[0] or xs.max() > b[-1]:
-        raise ValueError("evaluation point outside the strip")
-    lam0 = math.log(2.0) / problem.T
-    N = problem.medium.n_layers
-    fast = _green_fast(problem, scheme, xs, lam0) if N >= 2 else None
-    if fast is not None:
-        vals, fvals, jumps = fast
-    elif N >= 2:
-        lams = lam0 * np.arange(1, scheme.m + 1)
-        diag, offdiag, rhs = _assemble_batch(problem, lams)
-        g = _solve_batch(diag, offdiag, rhs)
-        fvals = lam0 * (scheme.weights @ g)
-        jumps = lam0 * (scheme.weights @ _flux_residual(diag, offdiag, rhs, g, lams))
-        vals = lam0 * (scheme.weights @ _field_batch(problem, lams, g, xs))
-    else:
-        lams = lam0 * np.arange(1, scheme.m + 1)
-        fvals = np.empty(0)
-        jumps = np.empty(0)
-        vals = lam0 * (scheme.weights @ _field_batch(problem, lams, None, xs))
+    xs = np.linspace(b[0], b[-1], 101) if xs is None else np.asarray(xs, dtype=float)
+    sq, nodes, sigmas, excess, coupling, g = _node_values(problem, scheme)
+    w = (math.log(2.0) / problem.T) * scheme.weights
+    j = problem.source_layer
+    vals = _field(nodes, sigmas, sq, g, xs) @ w
+    f = g @ w
+    fvals = np.concatenate((f[1:j], f[j + 1 : -1]))
+    res = _flux_residual(excess, coupling, sq, g, j) @ (w * sq)
+    jumps = np.concatenate((res[: j - 1], res[j:]))
     # a single non-finite entry poisons these sums
     if not math.isfinite(float(vals.sum()) + float(fvals.sum()) + float(jumps.sum())):
         raise NumericalError("non-finite values after Laplace inversion")

@@ -223,6 +223,16 @@ class TestSolver:
         assert abs(g.omega[-1] + 1.0) <= 1e-8
         assert abs(g.theta[-1] - 1.0) <= 1e-8
 
+    def test_start_gradients_of_smooth_initial_data(self):
+        # u0 = sin(pi x) + 0.3 x: u0'(0) = pi + 0.3 and u0'(1) = 0.3 - pi
+        prob = GitLayerProblem(
+            y_minus=0.0, y_plus=1.0, chi_minus=0.0, chi_plus=0.3,
+            u0=lambda x: np.sin(np.pi * x) + 0.3 * x, T=0.1, M=4,
+        )
+        g = solve_volterra_single_layer(prob)
+        assert g.omega[0] == pytest.approx(-(math.pi + 0.3), rel=1e-11, abs=0.0)
+        assert g.theta[0] == pytest.approx(0.3 - math.pi, rel=1e-11, abs=0.0)
+
     def test_strip_green_gradients_match_analytic(self):
         # fixed strip with the analytic Green's function as the oracle:
         # start from its profile at t0 > 0 and march to T
