@@ -178,8 +178,7 @@ def _xi_from_params(spec):
         a = float(spec["a"])
         return lambda x: np.exp(-a * x / 2.0), a
     if kind == "constant":
-        c = float(spec["value"])
-        return lambda x: c + 0.0 * np.asarray(x, dtype=float), None
+        return float(spec["value"]), None
     if kind == "sampled":
         xs = np.asarray(spec["x"], dtype=float)
         vals = np.asarray(spec["values"], dtype=float)

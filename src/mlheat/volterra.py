@@ -12,42 +12,23 @@ Also provided: construction of polynomial internal boundaries that split a
 moving strip into uniform sub-strips.
 """
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .special_functions import _DECAY, folded_kernel
+from .transforms import _as_curve
 
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _as_callable(f):
-    """Wrap a constant into a vectorized function of t."""
-    if callable(f):
-        return f
-    c = float(f)
-    return lambda t: np.full_like(np.asarray(t, dtype=float), c)
-
-
-def _vec(f, t):
-    """Evaluate f at scalar-or-array t, tolerating non-vectorized callables."""
-    t = np.asarray(t, dtype=float)
-    try:
-        v = np.asarray(f(t), dtype=float)
-        if v.shape == t.shape:
-            return v
-    except (TypeError, ValueError):
-        pass
-    flat = np.array([float(f(s)) for s in np.atleast_1d(t)])
-    return flat.reshape(t.shape)
-
-
 def _derivative(f, t, scale):
-    """Central-difference derivative of a boundary function."""
+    """Central-difference derivative of a boundary curve at the times t."""
     h = 1e-6 * max(scale, 1.0)
-    return (_vec(f, np.asarray(t, dtype=float) + h) - _vec(f, np.asarray(t, dtype=float) - h)) / (2.0 * h)
+    return (f(t + h) - f(t - h)) / (2.0 * h)
 
 
 # ----------------------------------------------------------------------
@@ -83,8 +64,7 @@ class PolynomialBoundarySet:
 
     def curve(self, i):
         """Interior boundary i as a callable of time."""
-        c = self.coeffs[i]
-        return lambda t: np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), c)
+        return lambda t: self.evaluate(i, t)
 
     @property
     def n_interior(self):
@@ -95,10 +75,12 @@ class PolynomialBoundarySet:
 class GitLayerProblem:
     """Heat problem on a single (possibly moving) strip, unit diffusivity.
 
-    y_minus, y_plus: boundary positions (constants or callables of t);
-    chi_minus, chi_plus: Dirichlet data (constants or callables);
-    u0: initial data, callable of x; T: horizon; M: uniform time steps;
+    y_minus, y_plus: boundary positions, functions of t;
+    chi_minus, chi_plus: Dirichlet data, functions of t;
+    u0: initial data, a function of x; T: horizon; M: uniform time steps;
     n_xi: quadrature nodes for integrals against the initial data.
+    Each function may be a constant, a Curve or a callable, scalar-only
+    callables included; it is stored as a curve (``transforms._as_curve``).
     """
 
     y_minus: object
@@ -117,6 +99,8 @@ class GitLayerProblem:
             raise ConfigError(f"need at least 2 time steps, got M={self.M}")
         if self.n_xi < 3:
             raise ConfigError(f"need at least 3 quadrature nodes, got n_xi={self.n_xi}")
+        for name in ("y_minus", "y_plus", "chi_minus", "chi_plus", "u0"):
+            object.__setattr__(self, name, _as_curve(getattr(self, name)))
 
 
 @dataclass
@@ -160,11 +144,9 @@ def build_internal_boundaries(chi_minus, chi_plus, N, degree, T):
         raise ConfigError(f"degree must be 1, 2 or 3, got {degree}")
     if N < 2:
         raise ConfigError(f"need at least 2 layers, got N={N}")
-    cm = _as_callable(chi_minus)
-    cp = _as_callable(chi_plus)
+    cm, cp = _as_curve(chi_minus), _as_curve(chi_plus)
     grid = np.linspace(0.0, T, 200)
-    cm_g = _vec(cm, grid)
-    cp_g = _vec(cp, grid)
+    cm_g, cp_g = cm(grid), cp(grid)
     if np.any(cp_g - cm_g <= 0.0):
         raise ConfigError("external boundaries cross: chi_minus < chi_plus required on [0, T]")
 
@@ -183,8 +165,7 @@ def build_internal_boundaries(chi_minus, chi_plus, N, degree, T):
             samples.append(c)
     ts = np.sort(np.array(samples))
     vander = np.vander(ts, degree + 1, increasing=True)
-    cm_s = _vec(cm, ts)
-    cp_s = _vec(cp, ts)
+    cm_s, cp_s = cm(ts), cp(ts)
     coeffs = np.empty((N - 1, degree + 1))
     for i in range(1, N):
         targets = cm_s + (i / N) * (cp_s - cm_s)
@@ -211,12 +192,8 @@ def git_kernel_set(tau, s, y_minus, y_plus, xi):
     """
     if not s < tau:
         raise ConfigError(f"need s < tau, got s={s}, tau={tau}")
-    ym = _as_callable(y_minus)
-    yp = _as_callable(y_plus)
-    ymt = float(_vec(ym, tau))
-    ypt = float(_vec(yp, tau))
-    yms = float(_vec(ym, s))
-    yps = float(_vec(yp, s))
+    ym, yp = _as_curve(y_minus), _as_curve(y_plus)
+    ymt, ypt, yms, yps = float(ym(tau)), float(yp(tau)), float(ym(s)), float(yp(s))
     l = ypt - ymt
     if l <= 0.0:
         raise ConfigError("boundaries cross: y_minus(tau) < y_plus(tau) required")
@@ -276,21 +253,17 @@ def _trapezoid_weights(x):
 
 def _sample(problem, t):
     """``problem`` sampled on the time grid t, which starts at 0."""
-    ym = _as_callable(problem.y_minus)
-    yp = _as_callable(problem.y_plus)
-    ym0 = float(_vec(ym, 0.0))
-    yp0 = float(_vec(yp, 0.0))
-    if yp0 <= ym0:
+    y = np.stack([problem.y_minus(t), problem.y_plus(t)])
+    if y[1, 0] <= y[0, 0]:
         raise ConfigError("boundaries cross at t = 0")
-    y = np.stack([_vec(ym, t), _vec(yp, t)])
     if np.any(y[1] <= y[0]):
         raise ConfigError("boundaries cross inside the horizon")
     mids = 0.5 * (t[:-1] + t[1:])
-    chi = [_as_callable(problem.chi_minus), _as_callable(problem.chi_plus)]
-    xi = np.linspace(ym0, yp0, problem.n_xi)
-    return _Sampled(t=t, y=y, y_mid=np.stack([_vec(ym, mids), _vec(yp, mids)]),
-                    chi=np.stack([_vec(c, t) for c in chi]), q=_trapezoid_weights(t),
-                    xi=xi, u0w=_vec(problem.u0, xi) * _trapezoid_weights(xi))
+    xi = np.linspace(y[0, 0], y[1, 0], problem.n_xi)
+    return _Sampled(t=t, y=y, y_mid=np.stack([problem.y_minus(mids), problem.y_plus(mids)]),
+                    chi=np.stack([problem.chi_minus(t), problem.chi_plus(t)]),
+                    q=_trapezoid_weights(t), xi=xi,
+                    u0w=problem.u0(xi) * _trapezoid_weights(xi))
 
 
 def _initial_terms(s, tau, ymt, l):
@@ -463,12 +436,7 @@ def check_refinement(problem, rel_tol=0.10):
     the terminal gradients move by more than rel_tol between the grids.
     """
     coarse = solve_volterra_single_layer(problem)
-    fine_problem = GitLayerProblem(
-        y_minus=problem.y_minus, y_plus=problem.y_plus,
-        chi_minus=problem.chi_minus, chi_plus=problem.chi_plus,
-        u0=problem.u0, T=problem.T, M=2 * problem.M, n_xi=problem.n_xi,
-    )
-    fine = solve_volterra_single_layer(fine_problem)
+    fine = solve_volterra_single_layer(dataclasses.replace(problem, M=2 * problem.M))
     scale = max(np.max(np.abs(fine.omega)), np.max(np.abs(fine.theta)), 1e-30)
     drift = max(abs(coarse.omega[-1] - fine.omega[-1]), abs(coarse.theta[-1] - fine.theta[-1]))
     if drift > rel_tol * scale:
@@ -502,41 +470,35 @@ def git_field_single_layer(problem, gradients, x, tau):
     boundaries themselves the representation is taken by continuity,
     returning the boundary datum.
     """
-    ym = _as_callable(problem.y_minus)
-    yp = _as_callable(problem.y_plus)
-    cm = _as_callable(problem.chi_minus)
-    cp = _as_callable(problem.chi_plus)
     x = float(x)
     tau = float(tau)
     if tau < 0.0 or tau > problem.T + 1e-12 * max(problem.T, 1.0):
         raise ConfigError(f"time {tau} outside the horizon [0, {problem.T}]")
-    ymt = float(_vec(ym, tau))
-    ypt = float(_vec(yp, tau))
+    grid = gradients.grid
+    if tau > grid[-1] + 1e-12 * max(problem.T, 1.0):
+        raise ConfigError("gradient grid does not cover the requested time")
+    # the history nodes and tau, sampled like the march's grid
+    s = _sample(problem, np.append(grid[grid < tau * (1.0 - 1e-15)], tau))
+    ymt, ypt = s.y[:, -1]
     l = ypt - ymt
     tol = 1e-12 * max(l, 1.0)
     if x < ymt - tol or x > ypt + tol:
         raise ConfigError(f"point x={x} outside the strip [{ymt}, {ypt}] at tau={tau}")
     if abs(x - ymt) <= tol:
-        return float(_vec(cm, tau))
+        return float(s.chi[0, -1])
     if abs(x - ypt) <= tol:
-        return float(_vec(cp, tau))
+        return float(s.chi[1, -1])
     if tau == 0.0:
         return float(problem.u0(x))
 
-    grid = gradients.grid
-    if tau > grid[-1] + 1e-12 * max(problem.T, 1.0):
-        raise ConfigError("gradient grid does not cover the requested time")
-    ts = np.append(grid[grid < tau * (1.0 - 1e-15)], tau)
-    hist = ts[:-1]
+    hist = s.t[:-1]
     dh = tau - hist
     om = np.interp(hist, grid, gradients.omega)
     th = np.interp(hist, grid, gradients.theta)
-    ym_h = _vec(ym, hist)
-    yp_h = _vec(yp, hist)
-    cm_h = _vec(cm, hist)
-    cp_h = _vec(cp, hist)
-    dym_h = _derivative(ym, hist, problem.T)
-    dyp_h = _derivative(yp, hist, problem.T)
+    ym_h, yp_h = s.y[:, :-1]
+    cm_h, cp_h = s.chi[:, :-1]
+    dym_h = _derivative(problem.y_minus, hist, problem.T)
+    dyp_h = _derivative(problem.y_plus, hist, problem.T)
 
     def upsilon_sum(delta, xi_arr):
         return 0.5 * (folded_kernel(delta, x - xi_arr, l)
@@ -546,20 +508,13 @@ def git_field_single_layer(problem, gradients, x, tau):
         return -0.5 * (folded_kernel(delta, x - xi_arr, l, 1)
                        + folded_kernel(delta, x + xi_arr - 2.0 * ymt, l, 1))
 
-    ym0 = float(_vec(ym, 0.0))
-    yp0 = float(_vec(yp, 0.0))
-    xi = np.linspace(ym0, yp0, problem.n_xi)
-    u0v = _vec(problem.u0, xi)
-    t0 = np.trapezoid(u0v * upsilon_sum(tau, xi), xi)
+    t0 = upsilon_sum(tau, s.xi) @ s.u0w
 
-    # boundary-history integrals; every kernel vanishes at s = tau for
-    # interior x, so the final trapezoid node carries a zero integrand.
+    # boundary-history integrals by the trapezoid rule; every kernel
+    # vanishes at s = tau for interior x, so only the history nodes count.
     # Green's identity on the moving strip: the flux through y+ is
     # (theta + chi+ y+') G(y+) and through y- is (omega - chi- y-') G(y-)
     f1 = (th + cp_h * dyp_h) * upsilon_sum(dh, yp_h)
     f2 = (om - cm_h * dym_h) * upsilon_sum(dh, ym_h)
     f3 = cm_h * lambda_sum(dh, ym_h) - cp_h * lambda_sum(dh, yp_h)
-    t1 = np.trapezoid(np.append(f1, 0.0), ts)
-    t2 = np.trapezoid(np.append(f2, 0.0), ts)
-    t3 = np.trapezoid(np.append(f3, 0.0), ts)
-    return float(t0 + t1 + t2 + t3)
+    return float(t0 + (f1 + f2 + f3) @ s.q[:-1])

@@ -8,7 +8,10 @@ import os
 import subprocess
 import sys
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 # deprecations raised from mlheat's own modules at import time become
 # errors, so an API that numpy or scipy is about to remove shows up here
@@ -30,3 +33,12 @@ def test_fresh_interpreter_imports_package_and_cli():
     assert proc.returncode == 0, proc.stderr
     where = os.path.realpath(proc.stdout.strip())
     assert where.startswith(os.path.realpath(SRC) + os.sep), where
+
+
+def test_version_has_one_source():
+    # the build reads mlheat.__version__ instead of repeating it
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as f:
+        cfg = tomllib.load(f)
+    assert "version" not in cfg["project"] and "version" in cfg["project"]["dynamic"]
+    assert cfg["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "mlheat.__version__"}

@@ -10,6 +10,7 @@ from mlheat.errors import ConfigError
 from mlheat.transforms import (
     Curve,
     TermStructure,
+    _as_curve,
     bk_affine_zcb,
     bk_layer_chart,
     dupire_to_heat,
@@ -38,6 +39,22 @@ class TestCurve:
             Curve(times=[0.0, 0.0], values=[1.0, 2.0])
         with pytest.raises(ConfigError):
             Curve(times=[0.0, 1.0], values=[1.0, 2.0, 3.0])
+
+    def test_as_curve_contract(self):
+        const, sampled = Curve(constant=0.7), Curve(times=[0.0, 1.0], values=[1.0, 2.0])
+        assert _as_curve(const) is const and _as_curve(sampled) is sampled
+        c = _as_curve(0.7)
+        assert isinstance(c, Curve) and c(2.0) == 0.7
+        # a scalar-only callable: a scalar is a direct call, an array is
+        # filled element by element in its own shape
+        f = _as_curve(math.sqrt)
+        assert _as_curve(f) is f
+        assert type(f(4.0)) is float and f(4.0) == 2.0
+        t = np.array([[1.0, 4.0], [9.0, 16.0]])
+        assert f(t).dtype == float and np.array_equal(f(t), np.sqrt(t))
+        assert f([1.0, 4.0]).tolist() == [1.0, 2.0]
+        # a callable that ignores the shape of its argument
+        assert np.array_equal(_as_curve(lambda x: 0.5)(np.ones(3)), np.full(3, 0.5))
 
 
 class TestDupire:
@@ -83,6 +100,18 @@ class TestDupire:
             dupire_to_heat(self.TS, 0.0, 1.0)
         with pytest.raises(ConfigError):
             dupire_to_heat(self.TS, Curve(times=[0.0, 1.0], values=[0.04, -0.01]), 1.0)
+        with pytest.raises(ConfigError):
+            dupire_to_heat(self.TS, lambda t: 0.04 - 0.05 * math.sqrt(t), 1.0)
+
+    def test_scalar_only_variance_matches_vectorized_twin(self):
+        # sqrt rounds alike in math and numpy, so the two curves are equal
+        charts = [dupire_to_heat(self.TS, lambda t, f=f: 0.04 * f(1.0 + t), 1.0)
+                  for f in (math.sqrt, np.sqrt)]
+        for t in (0.2, 0.5, 1.0):
+            a, b = [(c.tau_of_t(t), c.x_of_state(t, 95.0), c.multiplier(t)) for c in charts]
+            assert a == b
+        tau = charts[0].tau_of_t(0.7)
+        assert charts[0].t_of_tau(tau) == charts[1].t_of_tau(tau)
 
 
 class TestBkChart:
@@ -182,6 +211,9 @@ class TestVerhulst:
             verhulst_chart(self.TS, R=0.02, i=-1, N=4, L=1.0, horizon=2.0)
         with pytest.raises(ConfigError):
             verhulst_chart(self.TS, R=0.02, i=0, N=4, L=-1.0, horizon=2.0)
+        with pytest.raises(ConfigError):
+            verhulst_chart(self.TS, R=0.02, i=0, N=4, L=lambda t: 1.0 - math.sqrt(t),
+                           horizon=2.0)
 
 
 class TestDivergentChart:
@@ -211,6 +243,15 @@ class TestDivergentChart:
         for x in np.linspace(-1.8, 2.8, 100):
             z = chart.z_of_x(x)
             assert abs(chart.x_of_z(z) - x) <= 1e-12
+
+    def test_scalar_only_coefficient_matches_vectorized_twin(self):
+        charts = [nondivergent_to_divergent(lambda x, f=f: f(1.0 + x * x), 1.1, 0.3)
+                  for f in (math.sqrt, np.sqrt)]
+        for x in (-1.2, 0.0, 0.7):
+            z = charts[0].z_of_x(x)
+            assert z == charts[1].z_of_x(x)
+            assert charts[0].x_of_z(z) == charts[1].x_of_z(z)
+            assert charts[0].sigma_sq_of_z(z) == charts[1].sigma_sq_of_z(z)
 
     def test_boundary_images(self):
         chart = nondivergent_to_divergent(lambda x: 1.0, 2.0, 1.0,

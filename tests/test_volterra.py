@@ -1,5 +1,6 @@
 """Tests for the moving-boundary (single-layer) Volterra machinery."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,10 @@ import pytest
 from mlheat.analytic import StripProblem, strip_green
 from mlheat.errors import ConfigError, NumericalError
 from mlheat.special_functions import _image_sum, _theta_sum, folded_kernel, theta3_dz
+from mlheat.transforms import Curve, _as_curve
 from mlheat.volterra import (
     GitLayerProblem,
+    GradientPair,
     _gradient_residual,
     _self_peak,
     build_internal_boundaries,
@@ -58,6 +61,19 @@ def caloric_problem(c, y0, v_lo, v_hi, T, M):
         chi_minus=lambda t: caloric(c, lo(t), t),
         chi_plus=lambda t: caloric(c, hi(t), t),
         u0=lambda x: caloric(c, x, 0.0), T=T, M=M,
+    )
+
+
+def sqrt_problem(sqrt, M=40):
+    # a moving strip whose curves are built from sqrt alone: math.sqrt
+    # (scalar-only) and np.sqrt (vectorized) round alike, so the two
+    # problems are equal and must give equal results
+    return GitLayerProblem(
+        y_minus=lambda t: 0.1 * sqrt(1.0 + t) - 0.1,
+        y_plus=lambda t: 0.8 + 0.2 * sqrt(1.0 + t),
+        chi_minus=lambda t: sqrt(1.0 + t),
+        chi_plus=lambda t: 2.0 * sqrt(1.0 + 0.5 * t),
+        u0=lambda x: sqrt(1.0 + 3.0 * x), T=0.6, M=M,
     )
 
 
@@ -311,6 +327,56 @@ class TestSolver:
         check_refinement(moving_problem(50))
         with pytest.raises(NumericalError):
             check_refinement(moving_problem(10), rel_tol=1e-12)
+
+    @pytest.mark.parametrize("y_minus, y_plus, where", [
+        (1.0, lambda t: 0.5 + t, "at t = 0"),
+        (0.0, lambda t: 1.0 - 6.0 * t * (1.0 - t), "inside the horizon"),
+    ], ids=["at-start", "inside"])
+    def test_crossing_boundaries_rejected(self, y_minus, y_plus, where):
+        # both strips are proper again at T, so the field at T must find
+        # the crossing in its history
+        prob = GitLayerProblem(y_minus=y_minus, y_plus=y_plus, chi_minus=0.0,
+                               chi_plus=0.0, u0=lambda x: 0.0, T=1.0, M=20)
+        with pytest.raises(ConfigError, match=where):
+            solve_volterra_single_layer(prob)
+        zeros = np.zeros(prob.M + 1)
+        g = GradientPair(omega=zeros, theta=zeros, grid=np.linspace(0.0, prob.T, prob.M + 1))
+        x = 0.5 * (y_minus + float(y_plus(prob.T)))
+        with pytest.raises(ConfigError, match=where):
+            git_field_single_layer(prob, g, x, prob.T)
+
+
+class TestCurveContract:
+    def test_scalar_only_callables_match_vectorized_twins(self):
+        a, b = sqrt_problem(math.sqrt), sqrt_problem(np.sqrt)
+        ga, gb = solve_volterra_single_layer(a), solve_volterra_single_layer(b)
+        assert np.array_equal(ga.omega, gb.omega) and np.array_equal(ga.theta, gb.theta)
+        tau = 0.37 * a.T  # off the grid
+        for f in (0.2, 0.5, 0.8):
+            x = float(a.y_minus(tau)) + f * float(a.y_plus(tau) - a.y_minus(tau))
+            assert git_field_single_layer(a, ga, x, tau) == git_field_single_layer(b, gb, x, tau)
+
+    def test_curves_normalized_once(self):
+        prob = moving_problem(20)
+        for name in ("y_minus", "y_plus", "chi_minus", "chi_plus", "u0"):
+            c = getattr(prob, name)
+            assert isinstance(c, Curve) and _as_curve(c) is c
+            assert getattr(dataclasses.replace(prob, M=40), name) is c
+
+    def test_sampled_curve_boundary(self):
+        # the linear right end of the moving caloric strip as two samples
+        c, T = (0.5, 0.3, 1.0, -0.7), 0.7
+        ref = caloric_problem(c, 0.2, -0.2, 0.3, T, 60)
+        prob = dataclasses.replace(ref, y_plus=Curve(times=[0.0, T], values=[1.2, 1.2 + 0.3 * T]))
+        g, g_ref = solve_volterra_single_layer(prob), solve_volterra_single_layer(ref)
+        scale = max(np.max(np.abs(g_ref.omega)), np.max(np.abs(g_ref.theta)))
+        assert np.max(np.abs(g.omega - g_ref.omega)) <= 1e-12 * scale
+        assert np.max(np.abs(g.theta - g_ref.theta)) <= 1e-12 * scale
+        # the field's central-difference y' reads half the slope at t = 0,
+        # where the sampled curve is flat to the left: 7e-5 apart here
+        x = 0.5 * (float(prob.y_minus(T)) + float(prob.y_plus(T)))
+        assert git_field_single_layer(prob, g, x, T) == pytest.approx(
+            git_field_single_layer(ref, g_ref, x, T), rel=1e-3)
 
 
 class TestField:
