@@ -20,7 +20,7 @@ from .errors import ConfigError, NumericalError
 from .fd import FdGrid, fd_solve
 from .laplace import DEFAULT_ORDER, stehfest_weights
 from .layered import GreensProblem, LayeredMedium, greens_function
-from .transforms import (TermStructure, bk_affine_zcb, bk_layer_chart,
+from .transforms import (Curve, TermStructure, bk_affine_zcb, bk_layer_chart,
                          dupire_to_heat, nondivergent_to_divergent,
                          verhulst_chart)
 from .volterra import build_internal_boundaries
@@ -176,13 +176,11 @@ def _xi_from_params(spec):
     kind = spec.get("kind")
     if kind == "exp":
         a = float(spec["a"])
-        return lambda x: np.exp(-a * x / 2.0), a
+        return lambda x: np.exp(-a * x / 2.0)
     if kind == "constant":
-        return float(spec["value"]), None
+        return float(spec["value"])
     if kind == "sampled":
-        xs = np.asarray(spec["x"], dtype=float)
-        vals = np.asarray(spec["values"], dtype=float)
-        return lambda x: np.interp(x, xs, vals), None
+        return Curve(spec["x"], spec["values"])
     raise ConfigError(f"unknown xi kind {kind!r} (expected exp, constant or sampled)")
 
 
@@ -197,11 +195,9 @@ def cmd_transform(args):
         T = float(params["T"])
         chart = dupire_to_heat(_term_structure(params), params["v"], T)
         state = float(params.get("state", 1.0))
-        rows = []
-        for t in np.linspace(0.0, T, samples):
-            rows.append((float(t), chart.tau_of_t(t),
-                         chart.x_of_state(t, state), chart.multiplier(t, state)))
-        _write_csv(out, ["t", "tau", "x", "multiplier"], rows)
+        t = np.linspace(0.0, T, samples)
+        columns = {"t": t, "tau": chart.tau_of_t(t), "x": chart.x_of_state(t, state),
+                   "multiplier": chart.multiplier(t, state)}
     elif kind == "bk":
         _check_keys(params, ("kappa", "theta", "sigma", "s", "a", "b", "S", "z", "R"),
                     "bk params")
@@ -212,11 +208,10 @@ def cmd_transform(args):
         a_i = params.get("a", 0.0)
         b_i = params.get("b", 0.0)
         chart = bk_layer_chart(ts, a_i, b_i, S)
-        rows = []
-        for t in np.linspace(0.0, S, samples):
-            rows.append((float(t), chart.tau_of_t(t), chart.x_of_state(t, z),
-                         chart.multiplier(t, z), bk_affine_zcb(ts, a_i, b_i, t, S, z, R)))
-        _write_csv(out, ["t", "tau", "x", "multiplier", "F"], rows)
+        t = np.linspace(0.0, S, samples)
+        columns = {"t": t, "tau": chart.tau_of_t(t), "x": chart.x_of_state(t, z),
+                   "multiplier": chart.multiplier(t, z),
+                   "F": bk_affine_zcb(ts, a_i, b_i, t, S, z, R)}
     elif kind == "verhulst":
         _check_keys(params, ("kappa", "theta", "sigma", "s", "R", "i", "N", "L",
                              "horizon", "state"), "verhulst params")
@@ -225,24 +220,21 @@ def cmd_transform(args):
                                int(params["i"]), int(params["N"]),
                                params.get("L", 1.0), horizon)
         state = float(params.get("state", 0.5))
-        rows = []
-        for t in np.linspace(0.0, horizon, samples):
-            rows.append((float(t), chart.tau_of_t(t), chart.x_of_state(t, state),
-                         chart.multiplier(t, state), chart.nu(t)))
-        _write_csv(out, ["t", "tau", "x", "multiplier", "nu"], rows)
+        t = np.linspace(0.0, horizon, samples)
+        columns = {"t": t, "tau": chart.tau_of_t(t), "x": chart.x_of_state(t, state),
+                   "multiplier": chart.multiplier(t, state), "nu": chart.nu(t)}
     elif kind == "divergent":
         _check_keys(params, ("xi", "c1", "c2", "z_min", "z_max"), "divergent params")
-        xi, _ = _xi_from_params(params.get("xi", {}))
+        xi = _xi_from_params(params.get("xi", {}))
         chart = nondivergent_to_divergent(xi, float(params["c1"]),
                                           float(params.get("c2", 0.0)))
-        z_lo = float(params.get("z_min", 0.0))
-        z_hi = float(params.get("z_max", 1.0))
-        rows = []
-        for z in np.linspace(z_lo, z_hi, samples):
-            rows.append((float(z), chart.x_of_z(z), chart.sigma_sq_of_z(z)))
-        _write_csv(out, ["z", "x_of_z", "sigma_sq"], rows)
+        z = np.linspace(float(params.get("z_min", 0.0)), float(params.get("z_max", 1.0)),
+                        samples)
+        columns = {"z": z, "x_of_z": [chart.x_of_z(v) for v in z],
+                   "sigma_sq": [chart.sigma_sq_of_z(v) for v in z]}
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown transform kind {kind!r}")
+    _write_csv(out, list(columns), zip(*columns.values()))
     return 0
 
 

@@ -25,10 +25,11 @@ from .transforms import _as_curve
 _SQRT_PI = math.sqrt(math.pi)
 
 
-def _derivative(f, t, scale):
-    """Central-difference derivative of a boundary curve at the times t."""
-    h = 1e-6 * max(scale, 1.0)
-    return (f(t + h) - f(t - h)) / (2.0 * h)
+def _derivative(f, t, T):
+    """Derivative of a boundary curve at times t in [0, T], one-sided at the ends."""
+    h = 1e-6 * max(T, 1.0)
+    lo, hi = np.maximum(t - h, 0.0), np.minimum(t + h, T)
+    return (f(hi) - f(lo)) / (hi - lo)
 
 
 # ----------------------------------------------------------------------

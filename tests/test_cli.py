@@ -153,6 +153,14 @@ class TestTransform:
         for z, x in zip(rows[:, 0], rows[:, 1]):
             assert x == pytest.approx(math.log1p(0.8 * z / 1.3) / 0.8, abs=1e-10)
 
+    def test_unsorted_sampled_xi_is_config_error(self, tmp_path, capsys):
+        payload = {"xi": {"kind": "sampled", "x": [1.0, 0.0, 2.0], "values": [1.0, 1.2, 0.9]},
+                   "c1": 1.0, "samples": 3}
+        cfg = write_config(tmp_path, "div.json", payload)
+        assert main(["transform", "divergent", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "strictly increasing" in captured.err
+
     def test_unknown_param_key_is_config_error(self, tmp_path):
         payload = {"r": 0.02, "q": 0.01, "v": 0.04, "T": 1.0, "K": 100.0}
         cfg = write_config(tmp_path, "dup.json", payload)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mlheat.analytic import StripProblem, strip_green
@@ -314,18 +314,22 @@ class TestThinLayers:
         assert np.max(np.abs(sol.boundary_values - exact_b)) <= 1e-4 * peak
 
 
-@st.composite
-def random_problems(draw):
-    """2 to 2000 layers of random width on [-1, 1], sigma in [0.1, 2],
-    a random source and a horizon T in [0.005, 0.5]."""
-    n = draw(st.integers(2, 2000))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def random_medium(n, seed):
+    """n layers of random width on [-1, 1] with sigma in [0.1, 2]."""
+    rng = np.random.default_rng(seed)
     edges = np.cumsum(rng.uniform(0.1, 1.0, n))
     boundaries = np.concatenate(([-1.0], 2.0 * edges / edges[-1] - 1.0))
     boundaries[-1] = 1.0
-    medium = LayeredMedium(boundaries, rng.uniform(0.1, 2.0, n))
+    return LayeredMedium(boundaries, rng.uniform(0.1, 2.0, n))
+
+
+@st.composite
+def random_problems(draw):
+    """A random medium of 2 to 2000 layers, a random source and a horizon
+    T in [0.005, 0.5]."""
+    medium = random_medium(draw(st.integers(2, 2000)), draw(st.integers(0, 2**32 - 1)))
     x0 = draw(st.floats(-0.95, 0.95))
-    assume(x0 not in boundaries)
+    assume(x0 not in medium.boundaries)
     T = 10.0 ** draw(st.floats(np.log10(0.005), np.log10(0.5)))
     return medium, x0, T
 
@@ -377,6 +381,9 @@ class TestRandomMedia:
 
     @settings(max_examples=25, deadline=None)
     @given(random_problems(), st.floats(0.0, 1.0))
+    # the x0 profile has decayed to 0.0105 while the two compared peak at
+    # 0.866 and differ by 2^-20 (Stehfest rounding)
+    @example((random_medium(12, 0), -0.875, 10.0 ** -0.5), 0.5)
     def test_continuity_at_internal_boundaries(self, problem, pick):
         medium, x0, T = problem
         b = medium.boundaries
@@ -387,10 +394,10 @@ class TestRandomMedia:
         # in x, across the boundary
         near = profile(medium, x0, T, np.array([y - eps, y, y + eps]))
         assert np.max(np.abs(near - near[1])) <= 1e-4 * peak
-        # in x0: a source on either side of the boundary
+        # in x0: a source on either side of the boundary, against their own peak
         left = profile(medium, y - eps, T, FINE)
         right = profile(medium, y + eps, T, FINE)
-        assert np.max(np.abs(left - right)) <= 1e-4 * peak
+        assert np.max(np.abs(left - right)) <= 1e-4 * max(np.max(left), np.max(right))
 
     @settings(max_examples=25, deadline=None)
     @given(random_problems())

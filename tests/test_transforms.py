@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from mlheat.errors import ConfigError
+from mlheat.errors import ConfigError, NumericalError
 from mlheat.transforms import (
     Curve,
     TermStructure,
@@ -17,6 +17,47 @@ from mlheat.transforms import (
     nondivergent_to_divergent,
     verhulst_chart,
 )
+
+
+# a kinked curve: linear between knots that no halving of [0, 2] reaches
+KNOTS, KINKED = [0.0, 0.4, 1.1, 2.0], [0.03, 0.07, 0.02, 0.05]
+
+
+def piecewise_integrals(t, S, c):
+    """For b linear between (KNOTS, KINKED): int_0^t b(u) e^(c u) du, and
+    B(t) = int_S^t b with int_S^t B and int_S^t B^2, by exact polynomial
+    antiderivatives on each piece."""
+    P = np.polynomial.Polynomial
+    exp_int, ends = 0.0, [0.0, 0.0, 0.0]
+    pieces = list(zip(KNOTS, KNOTS[1:], KINKED, KINKED[1:]))
+    for t0, t1, v0, v1 in pieces:
+        slope = (v1 - v0) / (t1 - t0)
+        # d/du e^(c u) ((b(u) - slope / c) / c) = e^(c u) b(u)
+        prim = lambda u: math.exp(c * u) * (v0 + slope * (u - t0) - slope / c) / c
+        exp_int += prim(min(t, t1)) - prim(t0) if t > t0 else 0.0
+    for t0, t1, v0, v1 in reversed(pieces):
+        b = P([v0 - t0 * (v1 - v0) / (t1 - t0), (v1 - v0) / (t1 - t0)])
+        B = b.integ(lbnd=t1) + ends[0]
+        polys = (B, B.integ(lbnd=t1) + ends[1], (B * B).integ(lbnd=t1) + ends[2])
+        if t >= t0:
+            return exp_int, *(float(q(t)) for q in polys)
+        ends = [float(q(t0)) for q in polys]
+
+
+def assert_fields_vectorize(chart, ts, state):
+    """Every field called on an array equals the field called on each scalar."""
+    fields = {"tau_of_t": lambda t: chart.tau_of_t(t),
+              "x_of_state": lambda t: chart.x_of_state(t, state),
+              "state_of_x": lambda t: chart.state_of_x(t, state),
+              "multiplier": lambda t: chart.multiplier(t, state)}
+    if chart.nu is not None:
+        fields["nu"] = chart.nu
+    for name, fn in fields.items():
+        scalars = [fn(t) for t in ts]
+        assert all(type(v) in (float, np.float64) for v in scalars), name
+        assert np.array_equal(fn(ts), scalars), name
+    taus = chart.tau_of_t(ts[1:-1])
+    assert np.array_equal(chart.t_of_tau(taus), [chart.t_of_tau(x) for x in taus])
 
 
 class TestCurve:
@@ -74,7 +115,7 @@ class TestDupire:
 
     def test_inverse_maps_roundtrip(self):
         chart = dupire_to_heat(self.TS, 0.04, 1.0)
-        for t in (0.1, 0.5, 0.9):
+        for t in (0.0, 1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-9, 1.0):
             tau = chart.tau_of_t(t)
             assert chart.t_of_tau(tau) == pytest.approx(t, abs=1e-10)
             x = chart.x_of_state(t, 95.0)
@@ -94,6 +135,29 @@ class TestDupire:
         var_fwd, _ = quad(lambda s: v0 * math.exp(2.0 * (r - q) * (T - s)), 0.0, T)
         value_ref = math.exp(-r * T) * math.sqrt(var_fwd / (2.0 * math.pi))
         assert value_chart == pytest.approx(value_ref, rel=1e-10)
+
+    def test_kinked_variance_matches_piecewise_closed_form(self):
+        # r, q constant: tau = 1/2 int_0^t v e^(-2 (r - q) u) du in closed form
+        # on each piece; the knots of v must be panel edges of the tables
+        r, q = 0.3, 0.05
+        chart = dupire_to_heat(TermStructure(r=r, q=q), Curve(KNOTS, KINKED), 2.0)
+        assert set(KNOTS) <= set(chart.tau_of_t._edges)
+        for t in (0.0, 0.2, 0.4, 0.75, 1.1, 1.6, 2.0):
+            ref = 0.5 * piecewise_integrals(t, 2.0, -2.0 * (r - q))[0]
+            assert chart.tau_of_t(t) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_unresolvable_variance_is_numerical_error(self):
+        # noise far above rounding keeps every panel's tail large: the
+        # table stops halving at its panel cap instead of growing without end
+        rng = np.random.default_rng(0)
+        noisy = lambda t: 0.04 * (1.0 + 1e-9 * rng.standard_normal(np.shape(t)))
+        with pytest.raises(NumericalError):
+            dupire_to_heat(self.TS, noisy, 1.0)
+
+    def test_fields_vectorize(self):
+        ts = TermStructure(r=Curve([0.0, 0.5, 2.0], [0.01, 0.05, 0.02]), q=0.01)
+        chart = dupire_to_heat(ts, Curve(KNOTS, KINKED), 2.0)
+        assert_fields_vectorize(chart, np.linspace(0.0, 2.0, 17), 95.0)
 
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(ConfigError):
@@ -129,14 +193,42 @@ class TestBkChart:
         chart = bk_layer_chart(self.TS, 0.0, 1.0, self.S)
         taus = [chart.tau_of_t(t) for t in (0.0, 0.7, 1.4, self.S)]
         assert all(a > b for a, b in zip(taus, taus[1:]))
-        for t in (0.3, 1.1, 1.9):
+        for t in (0.0, 1e-9, 0.3, 1.1, 1.9, self.S - 1e-9, self.S):
             assert chart.t_of_tau(chart.tau_of_t(t)) == pytest.approx(t, abs=1e-10)
+        for tau in (-1e-3, chart.tau_of_t(0.0) * 1.01):
+            with pytest.raises(ConfigError):
+                chart.t_of_tau(tau)
 
     def test_spatial_map_roundtrip(self):
         chart = bk_layer_chart(self.TS, 0.1, 0.8, self.S)
         for t in (0.0, 1.0, self.S):
             x = chart.x_of_state(t, -0.4)
             assert chart.state_of_x(t, x) == pytest.approx(-0.4, rel=1e-12)
+
+    def test_kinked_rate_map_matches_piecewise_closed_form(self):
+        # kappa = 0: psi = 1, alpha = B = int_S^t b, rho = -sigma^2 int_S^t B,
+        # beta = (s + a)(t - S) - sigma^2/2 int_S^t B^2, all piecewise polynomial
+        sigma, s, a, z, R = 0.2, 0.01, 0.005, 0.3, 0.04
+        ts = TermStructure(theta=0.05, sigma=sigma, s=s)
+        b = Curve(KNOTS, KINKED)
+        chart = bk_layer_chart(ts, a, b, self.S)
+        for t in (0.0, 0.2, 0.4, 0.75, 1.1, 1.6, self.S):
+            _, big_b, int_b, int_b2 = piecewise_integrals(t, self.S, 1.0)
+            beta = (s + a) * (t - self.S) - 0.5 * sigma**2 * int_b2
+            assert chart.x_of_state(t, z) == pytest.approx(z - sigma**2 * int_b, rel=1e-12)
+            assert chart.multiplier(t, z) == pytest.approx(math.exp(big_b * z + beta), rel=1e-12)
+            assert bk_affine_zcb(ts, a, b, t, self.S, z, R) == pytest.approx(
+                math.exp(beta) * math.exp(big_b * R * math.exp(z)), rel=1e-12)
+
+    def test_fields_vectorize(self):
+        ts = TermStructure(kappa=Curve([0.0, 1.0, 2.0], [0.2, 0.6, 0.4]), theta=0.03,
+                           sigma=lambda t: 0.2 + 0.05 * math.sin(t), s=0.01)
+        chart = bk_layer_chart(ts, 0.01, Curve(KNOTS, KINKED), self.S,
+                               constants=(1.3, 0.2, 0.1, 0.05, 0.3))
+        t = np.linspace(0.0, self.S, 17)
+        assert_fields_vectorize(chart, t, 0.4)
+        zcb = [bk_affine_zcb(ts, 0.01, 0.9, s, self.S, 0.2, 0.03) for s in t]
+        assert np.array_equal(bk_affine_zcb(ts, 0.01, 0.9, t, self.S, 0.2, 0.03), zcb)
 
     def test_nonpositive_scale_constant_rejected(self):
         with pytest.raises(ConfigError):
@@ -201,8 +293,14 @@ class TestVerhulst:
         for t in (0.3, 1.2):
             x = chart.x_of_state(t, 0.8)
             assert chart.state_of_x(t, x) == pytest.approx(0.8, rel=1e-12)
+        for t in (0.0, 1e-9, 0.3, 1.2, 2.0 - 1e-9, 2.0):
             assert chart.t_of_tau(chart.tau_of_t(t)) == pytest.approx(t, abs=1e-10)
         assert chart.layer_clock is True
+
+    def test_fields_vectorize(self):
+        chart = verhulst_chart(self.TS, R=0.02, i=2, N=4, horizon=2.0,
+                               L=Curve([0.0, 0.7, 2.0], [1.0, 1.3, 0.9]))
+        assert_fields_vectorize(chart, np.linspace(0.0, 2.0, 17), 0.6)
 
     def test_validation(self):
         with pytest.raises(ConfigError):

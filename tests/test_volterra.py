@@ -372,11 +372,9 @@ class TestCurveContract:
         scale = max(np.max(np.abs(g_ref.omega)), np.max(np.abs(g_ref.theta)))
         assert np.max(np.abs(g.omega - g_ref.omega)) <= 1e-12 * scale
         assert np.max(np.abs(g.theta - g_ref.theta)) <= 1e-12 * scale
-        # the field's central-difference y' reads half the slope at t = 0,
-        # where the sampled curve is flat to the left: 7e-5 apart here
         x = 0.5 * (float(prob.y_minus(T)) + float(prob.y_plus(T)))
         assert git_field_single_layer(prob, g, x, T) == pytest.approx(
-            git_field_single_layer(ref, g_ref, x, T), rel=1e-3)
+            git_field_single_layer(ref, g_ref, x, T), rel=1e-12)
 
 
 class TestField:
