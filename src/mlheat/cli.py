@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -20,9 +21,8 @@ from .errors import ConfigError, NumericalError
 from .fd import FdGrid, fd_solve
 from .laplace import DEFAULT_ORDER, stehfest_weights
 from .layered import GreensProblem, LayeredMedium, greens_function
-from .transforms import (Curve, TermStructure, bk_affine_zcb, bk_layer_chart,
-                         dupire_to_heat, nondivergent_to_divergent,
-                         verhulst_chart)
+from .transforms import (Curve, TermStructure, _as_curve, bk_layer_chart, dupire_to_heat,
+                         nondivergent_to_divergent, verhulst_chart)
 from .volterra import build_internal_boundaries
 
 
@@ -47,6 +47,12 @@ def _check_keys(block, allowed, where):
     unknown = set(block) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+
+
+def _require_keys(block, required, where):
+    for key in required:
+        if key not in block:
+            raise ConfigError(f"{where} need {key!r}")
 
 
 def _load_config(path):
@@ -175,11 +181,14 @@ def _xi_from_params(spec):
     _check_keys(spec, ("kind", "a", "value", "x", "values"), "xi")
     kind = spec.get("kind")
     if kind == "exp":
+        _require_keys(spec, ("a",), "exp xi")
         a = float(spec["a"])
         return lambda x: np.exp(-a * x / 2.0)
     if kind == "constant":
+        _require_keys(spec, ("value",), "constant xi")
         return float(spec["value"])
     if kind == "sampled":
+        _require_keys(spec, ("x", "values"), "sampled xi")
         return Curve(spec["x"], spec["values"])
     raise ConfigError(f"unknown xi kind {kind!r} (expected exp, constant or sampled)")
 
@@ -192,6 +201,7 @@ def cmd_transform(args):
 
     if kind == "dupire":
         _check_keys(params, ("r", "q", "v", "T", "state"), "dupire params")
+        _require_keys(params, ("T", "v"), "dupire params")
         T = float(params["T"])
         chart = dupire_to_heat(_term_structure(params), params["v"], T)
         state = float(params.get("state", 1.0))
@@ -201,20 +211,21 @@ def cmd_transform(args):
     elif kind == "bk":
         _check_keys(params, ("kappa", "theta", "sigma", "s", "a", "b", "S", "z", "R"),
                     "bk params")
+        _require_keys(params, ("S",), "bk params")
         S = float(params["S"])
         z = float(params.get("z", 0.0))
         R = float(params.get("R", 1.0))
-        ts = _term_structure(params)
-        a_i = params.get("a", 0.0)
-        b_i = params.get("b", 0.0)
-        chart = bk_layer_chart(ts, a_i, b_i, S)
+        chart = bk_layer_chart(_term_structure(params), params.get("a", 0.0),
+                               params.get("b", 0.0), S)
         t = np.linspace(0.0, S, samples)
+        # the bond value is the chart's multiplier at the state R e^z (bk_affine_zcb)
         columns = {"t": t, "tau": chart.tau_of_t(t), "x": chart.x_of_state(t, z),
                    "multiplier": chart.multiplier(t, z),
-                   "F": bk_affine_zcb(ts, a_i, b_i, t, S, z, R)}
+                   "F": chart.multiplier(t, R * math.exp(z))}
     elif kind == "verhulst":
         _check_keys(params, ("kappa", "theta", "sigma", "s", "R", "i", "N", "L",
                              "horizon", "state"), "verhulst params")
+        _require_keys(params, ("horizon", "i", "N"), "verhulst params")
         horizon = float(params["horizon"])
         chart = verhulst_chart(_term_structure(params), float(params.get("R", 1.0)),
                                int(params["i"]), int(params["N"]),
@@ -225,13 +236,15 @@ def cmd_transform(args):
                    "multiplier": chart.multiplier(t, state), "nu": chart.nu(t)}
     elif kind == "divergent":
         _check_keys(params, ("xi", "c1", "c2", "z_min", "z_max"), "divergent params")
-        xi = _xi_from_params(params.get("xi", {}))
-        chart = nondivergent_to_divergent(xi, float(params["c1"]),
-                                          float(params.get("c2", 0.0)))
+        _require_keys(params, ("c1",), "divergent params")
+        xi = _as_curve(_xi_from_params(params.get("xi", {})))
+        c1 = float(params["c1"])
+        chart = nondivergent_to_divergent(xi, c1, float(params.get("c2", 0.0)))
         z = np.linspace(float(params.get("z_min", 0.0)), float(params.get("z_max", 1.0)),
                         samples)
-        columns = {"z": z, "x_of_z": [chart.x_of_z(v) for v in z],
-                   "sigma_sq": [chart.sigma_sq_of_z(v) for v in z]}
+        x = [chart.x_of_z(v) for v in z]
+        # sigma^2 = c1^2 / Xi(x)^2 at the inverted samples (sigma_sq_of_z inverts again)
+        columns = {"z": z, "x_of_z": x, "sigma_sq": [c1 * c1 / (v * v) for v in map(xi, x)]}
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown transform kind {kind!r}")
     _write_csv(out, list(columns), zip(*columns.values()))
@@ -242,9 +255,7 @@ def cmd_boundaries(args):
     params = _load_config(args.config)
     _check_keys(params, ("chi_minus", "chi_plus", "N", "degree", "T", "output"),
                 "boundaries params")
-    for key in ("chi_minus", "chi_plus", "N", "degree", "T"):
-        if key not in params:
-            raise ConfigError(f"boundaries params need {key!r}")
+    _require_keys(params, ("chi_minus", "chi_plus", "N", "degree", "T"), "boundaries params")
 
     def curve(spec):
         if isinstance(spec, (int, float)):

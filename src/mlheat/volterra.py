@@ -13,14 +13,15 @@ moving strip into uniform sub-strips.
 """
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .special_functions import _DECAY, folded_kernel
-from .transforms import _as_curve
+from .special_functions import _DECAY, _REACH, folded_kernel
+from .transforms import _CHEB, _TAIL, _as_curve
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -224,6 +225,10 @@ def git_kernel_set(tau, s, y_minus, y_plus, xi):
 # with M beyond M = 1024).
 _BLOCK = 1024
 
+# degrees of the initial data's Fourier table: the first tried and the
+# largest, which resolves strips that narrow about 350-fold
+_FOURIER_START, _FOURIER_MAX = 16, 8192
+
 
 @dataclass(frozen=True)
 class _Sampled:
@@ -241,6 +246,15 @@ class _Sampled:
     xi: np.ndarray
     # u0 at xi times the trapezoid weights of xi
     u0w: np.ndarray
+
+    @functools.cached_property
+    def fourier(self):
+        """The Fourier table of u0w, built on first use.  Its top frequency
+        bounds k pi / l on every theta-series row of ``_initial_terms``,
+        whose at most 27 terms give 27 pi <= sqrt(_DECAY) _REACH + pi."""
+        l_min = np.min(self.y[1] - self.y[0])
+        return _FourierTable(self.xi, self.u0w,
+                             (math.sqrt(_DECAY) * _REACH + 2.0 * math.pi) / l_min)
 
 
 def _trapezoid_weights(x):
@@ -267,41 +281,103 @@ def _sample(problem, t):
                     u0w=problem.u0(xi) * _trapezoid_weights(xi))
 
 
+class _FourierTable:
+    """w -> sum_j u0w_j exp(i w (xi_j - mid)) on [0, top], for uniform nodes
+    xi with middle mid, as one Chebyshev series in w.
+
+    The series is sampled on Chebyshev points of the second kind, whose
+    set at degree n holds the set at n/2, so doubling the degree samples
+    only the new points; it doubles until the last two coefficients are
+    at rounding level (``transforms._TAIL``) of sum_j |u0w_j|, which
+    bounds the sum, and the negligible tail is dropped.
+    """
+
+    def __init__(self, xi, u0w, top):
+        self.mid, self.top = 0.5 * (xi[0] + xi[-1]), top
+        floor = _TAIL * np.sum(np.abs(u0w))
+        # node j = m width + f lies at xi_0 + h m width + h f, so its
+        # exponential is a coarse one times a fine one: a point takes
+        # about 2 sqrt(n_xi) exponentials, not n_xi
+        n_xi = len(xi)
+        width = math.isqrt(n_xi - 1) + 1
+        h = (xi[-1] - xi[0]) / (n_xi - 1)
+        u = np.zeros(-(-n_xi // width) * width)
+        u[:n_xi] = u0w
+        u = u.reshape(-1, width)
+        coarse = xi[0] - self.mid + h * width * np.arange(len(u))
+        fine = h * np.arange(width)
+        step = max(1, _BLOCK // width)
+
+        def sums(w):
+            out = np.empty(len(w), dtype=complex)
+            for lo in range(0, len(w), step):
+                wc = w[lo:lo + step, None]
+                out[lo:lo + step] = ((np.exp(1j * wc * coarse) @ u)
+                                     * np.exp(1j * wc * fine)).sum(axis=1)
+            return out
+
+        def points(n, i):
+            return 0.5 * top * (1.0 - np.cos(np.pi * i / n))
+
+        n = _FOURIER_START
+        v = sums(points(n, np.arange(n + 1)))
+        while True:
+            # Chebyshev coefficients from the values by the FFT of their even extension
+            coef = np.fft.fft(np.concatenate([v, v[-2:0:-1]]))[:n + 1] / n
+            coef[[0, n]] *= 0.5
+            if np.max(np.abs(coef[-2:])) <= floor:
+                break
+            if n >= _FOURIER_MAX:
+                raise NumericalError("initial data's Fourier table not resolved: "
+                                     "the strip narrows too far")
+            v = np.insert(v, np.arange(1, n + 1), sums(points(2 * n, np.arange(1, 2 * n, 2))))
+            n *= 2
+        self.coef = coef[:np.flatnonzero(np.abs(coef) > floor).max(initial=0) + 1]
+
+    def __call__(self, w):
+        return _CHEB.chebval(1.0 - 2.0 * w / self.top, self.coef)
+
+
 def _initial_terms(s, tau, ymt, l):
     """u0 against dK/da at a = ymt - xi (omega) and ymt - xi + l (theta).
 
-    Rows on the image branch of ``folded_kernel`` call it.  On the theta
-    branch the integrand separates in xi,
-    sin(kw (ymt - xi)) = sin(kw ymt) cos(kw xi) - cos(kw ymt) sin(kw xi),
-    the harmonics follow from cos(w xi), sin(w xi) by angle addition, and
-    the +l side differs only by (-1)^k, so one pass over xi gives both.
+    Rows split at tau = (l / _REACH)^2, where the image window
+    _REACH sqrt(tau) reaches the strip width.  Rows below it call
+    ``folded_kernel`` on the nodes within (_REACH + 1) sqrt(tau) of a wall
+    only.  At and above it the theta series needs at most 27 terms and
+    separates in xi:
+    sin(kw (ymt - xi)) = Im(exp(i kw (ymt - mid)) conj(exp(i kw (xi - mid)))),
+    so every term reads the grid's one Fourier table of u0 (``s.fourier``),
+    and the +l side differs only by (-1)^k.  The cost is one table per
+    grid plus O(K) per row, K <= 27, against O(n_xi) for a kernel row.
     """
-    i0 = np.empty((2, len(tau)))
-    step = max(1, _BLOCK // len(s.xi))
-    image = tau < l * l / math.pi  # folded_kernel's switch
+    i0 = np.zeros((2, len(tau)))
+    image = tau < (l / _REACH) ** 2
     rows = np.flatnonzero(image)
-    for lo in range(0, len(rows), step):
-        r = rows[lo:lo + step, None]
-        a = ymt[r] - s.xi
-        i0[:, r[:, 0]] = folded_kernel(tau[r], np.stack([a, a + l[r]]), l[r], 1) @ s.u0w
-    rows = np.flatnonzero(~image)
+    step = max(1, _BLOCK // len(s.xi))
     for lo in range(0, len(rows), step):
         r = rows[lo:lo + step]
-        w = np.pi / l[r]
-        decay = w * w * tau[r]
-        c1 = np.cos(np.multiply.outer(w, s.xi))
-        s1 = np.sin(np.multiply.outer(w, s.xi))
-        ck, sk = c1, s1
-        total = np.zeros((2, len(r)))
-        for k in range(1, int(math.ceil(math.sqrt(_DECAY / decay.min()))) + 1):
-            kw = k * w
-            # d/da of 2 q^(k^2) cos(kw a), integrated against u0
-            term = -2.0 * np.exp(-decay * k * k) * kw * (
-                np.sin(kw * ymt[r]) * (ck @ s.u0w) - np.cos(kw * ymt[r]) * (sk @ s.u0w))
-            total[0] += term
-            total[1] += term if k % 2 == 0 else -term
-            ck, sk = ck * c1 - sk * s1, sk * c1 + ck * s1
-        i0[:, r] = total / l[r]
+        a, lr = ymt[r, None] - s.xi, l[r, None]
+        # farther than _REACH sqrt(tau) from every multiple of l, the
+        # kernels at a and a + l are below exp(-_REACH^2 / 4) of their peak
+        reach = (_REACH + 1.0) * np.sqrt(tau[r, None])
+        i, j = np.nonzero(np.abs(a - lr * np.round(a / lr)) <= reach)
+        if len(i):
+            kernel = np.zeros((2,) + a.shape)
+            a, ri = a[i, j], r[i]
+            kernel[:, i, j] = folded_kernel(tau[ri], np.stack([a, a + l[ri]]), l[ri], 1)
+            i0[:, r] = kernel @ s.u0w
+    rows = np.flatnonzero(~image)
+    if len(rows):
+        w = np.pi / l[rows]
+        decay = w * w * tau[rows]
+        k = np.arange(1, int(math.ceil(math.sqrt(_DECAY / decay.min()))) + 1)
+        kw = np.multiply.outer(w, k)
+        # d/da of 2 q^(k^2) cos(kw a) at a = ymt - xi, integrated against u0
+        phase = np.exp(1j * kw * (ymt[rows] - s.fourier.mid)[:, None])
+        term = -2.0 * np.exp(-np.multiply.outer(decay, k * k)) * kw * (
+            phase * np.conj(s.fourier(kw))).imag
+        i0[:, rows] = np.stack([term.sum(axis=1), term @ (-1.0) ** k]) / l[rows]
     return i0
 
 
@@ -404,8 +480,10 @@ def solve_volterra_single_layer(problem):
     omega = b + K_oo omega + K_ot theta and theta = c + K_to omega + K_tt theta
     with strictly lower-triangular K: one forward substitution.  The
     tables are built in blocks of rows (``_march_rows``), so the march
-    costs O(M^2) kernel evaluations in a few batched calls per block, plus
-    O(M n_xi) for the initial data.
+    costs O(M^2) kernel evaluations in a few batched calls per block.  The
+    initial data add one Fourier table of u0 per march plus O(K) per row,
+    K <= 27 theta terms (``_initial_terms``); only the few rows with
+    tau < (l / 13)^2 take kernel quadratures, over the nodes near the walls.
     """
     M = problem.M
     t = np.linspace(0.0, problem.T, M + 1)

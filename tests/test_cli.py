@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mlheat.cli import main
+from mlheat.transforms import TermStructure, bk_affine_zcb, nondivergent_to_divergent
 
 
 def write_config(tmp_path, name, payload):
@@ -160,6 +161,56 @@ class TestTransform:
         assert main(["transform", "divergent", "--config", cfg]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "strictly increasing" in captured.err
+
+    def test_bk_bond_column_is_affine_zcb(self, tmp_path):
+        ts = {"kappa": 0.3, "theta": 0.05, "sigma": 0.2, "s": 0.01}
+        payload = dict(ts, a=0.02, b=0.5, S=1.5, z=0.2, R=0.8, samples=11)
+        cfg = write_config(tmp_path, "bk.json", payload)
+        out = tmp_path / "bk.csv"
+        assert main(["transform", "bk", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        expected = bk_affine_zcb(TermStructure(**ts), 0.02, 0.5, rows[:, 0], 1.5, 0.2, 0.8)
+        assert np.array_equal(rows[:, 4], expected)
+
+    def test_divergent_columns_are_the_chart(self, tmp_path):
+        payload = {"xi": {"kind": "exp", "a": 0.8}, "c1": 1.3, "c2": 0.1,
+                   "z_min": -1.0, "z_max": 2.0, "samples": 7}
+        cfg = write_config(tmp_path, "div.json", payload)
+        out = tmp_path / "div.csv"
+        assert main(["transform", "divergent", "--config", cfg, "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        chart = nondivergent_to_divergent(lambda x: np.exp(-0.8 * x / 2.0), 1.3, 0.1)
+        assert list(rows[:, 1]) == [chart.x_of_z(z) for z in rows[:, 0]]
+        assert list(rows[:, 2]) == [chart.sigma_sq_of_z(z) for z in rows[:, 0]]
+
+    @pytest.mark.parametrize("kind, payload, missing", [
+        ("dupire", {"r": 0.02, "q": 0.01, "v": 0.04, "T": 1.0}, "T"),
+        ("dupire", {"r": 0.02, "q": 0.01, "v": 0.04, "T": 1.0}, "v"),
+        ("bk", {"kappa": 0.1, "S": 2.0}, "S"),
+        ("verhulst", {"horizon": 1.0, "i": 0, "N": 4}, "horizon"),
+        ("verhulst", {"horizon": 1.0, "i": 0, "N": 4}, "i"),
+        ("verhulst", {"horizon": 1.0, "i": 0, "N": 4}, "N"),
+        ("divergent", {"xi": {"kind": "constant", "value": 1.0}, "c1": 1.0}, "c1"),
+    ])
+    def test_missing_required_key_is_config_error(self, tmp_path, capsys, kind, payload,
+                                                   missing):
+        payload = {k: v for k, v in payload.items() if k != missing}
+        cfg = write_config(tmp_path, "p.json", payload)
+        assert main(["transform", kind, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "config error" in captured.err
+        assert repr(missing) in captured.err
+
+    @pytest.mark.parametrize("xi, missing", [
+        ({"kind": "exp", "a": 0.8}, "a"),
+        ({"kind": "constant", "value": 1.0}, "value"),
+        ({"kind": "sampled", "x": [0.0, 1.0], "values": [1.0, 2.0]}, "values"),
+    ])
+    def test_missing_xi_key_is_config_error(self, tmp_path, capsys, xi, missing):
+        xi = {k: v for k, v in xi.items() if k != missing}
+        cfg = write_config(tmp_path, "div.json", {"xi": xi, "c1": 1.0, "samples": 3})
+        assert main(["transform", "divergent", "--config", cfg]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_unknown_param_key_is_config_error(self, tmp_path):
         payload = {"r": 0.02, "q": 0.01, "v": 0.04, "T": 1.0, "K": 100.0}

@@ -8,12 +8,15 @@ import pytest
 
 from mlheat.analytic import StripProblem, strip_green
 from mlheat.errors import ConfigError, NumericalError
-from mlheat.special_functions import _image_sum, _theta_sum, folded_kernel, theta3_dz
+from mlheat import volterra
+from mlheat.special_functions import _REACH, _image_sum, _theta_sum, folded_kernel, theta3_dz
 from mlheat.transforms import Curve, _as_curve
 from mlheat.volterra import (
     GitLayerProblem,
     GradientPair,
     _gradient_residual,
+    _initial_terms,
+    _sample,
     _self_peak,
     build_internal_boundaries,
     check_refinement,
@@ -128,6 +131,62 @@ def stepwise_rhs(problem, ts, om, th):
     c_p = np.trapezoid(np.append(f_p, 0.0), ts)
     return (-(i0[0] + b[0] + weak(cm) + s_m - om @ (gm * wts) + c_m),
             i0[1] + b[1] - weak(cp) + s_p - th @ (gp * wts) + c_p)
+
+
+def brute_initial_terms(s, tau, ymt, l, images=40):
+    """``_initial_terms`` by the plain image sum: every node, |n| <= images."""
+    n = 2.0 * np.arange(-images, images + 1)
+    out = np.empty((2, len(tau)))
+    for r in range(len(tau)):
+        for e, shift in enumerate((0.0, l[r])):
+            x = (ymt[r] - s.xi + shift)[:, None] + n * l[r]
+            dk = -x / (2.0 * tau[r]) * np.exp(-x * x / (4.0 * tau[r])) / math.sqrt(math.pi * tau[r])
+            out[e, r] = dk.sum(axis=1) @ s.u0w
+    return out
+
+
+class TestInitialTerms:
+    # u0 is nonzero at both walls, so every row carries the wall peaks
+    @pytest.mark.parametrize("y_minus, y_plus, u0", [
+        (0.0, 1.0, lambda x: 0.3 + np.sin(2.0 * x) + x * x),
+        (lambda t: 0.3 + 0.5 * np.asarray(t), lambda t: 1.3 + 0.5 * np.asarray(t),
+         lambda x: 1.0 + x),
+        (lambda t: -0.2 * np.asarray(t), lambda t: 1.0 + 0.3 * np.asarray(t),
+         lambda x: np.cos(3.0 * x) + 0.5),
+        (-2.0, 3.0, lambda x: 1.0 + 0.1 * x + np.sin(x)),
+    ], ids=["fixed", "translating", "width-varying", "width-5"])
+    def test_rows_match_image_sum(self, y_minus, y_plus, u0):
+        prob = GitLayerProblem(y_minus=y_minus, y_plus=y_plus, chi_minus=0.0, chi_plus=0.0,
+                               u0=u0, T=1.0, M=12)
+        both_sides = False
+        for T in (1e-4, 1e-3, 1e-2, 0.1, 1.0):
+            s = _sample(prob, np.linspace(0.0, T, prob.M + 1))
+            tau, (ymt, ypt) = s.t[1:], s.y[:, 1:]
+            l = ypt - ymt
+            i0 = _initial_terms(s, tau, ymt, l)
+            ref = brute_initial_terms(s, tau, ymt, l)
+            assert np.all(np.abs(i0 - ref) <= 1e-13 * np.max(np.abs(ref), axis=0))
+            table_rows = tau >= (l / _REACH) ** 2
+            both_sides |= table_rows.any() and not table_rows.all()
+        # some march has rows on both sides of the kernel/table split
+        assert both_sides
+
+    def test_one_table_per_march(self, monkeypatch):
+        built = []
+        table = volterra._FourierTable
+        monkeypatch.setattr(volterra, "_FourierTable",
+                            lambda *args: built.append(args) or table(*args))
+        prob = moving_problem(120)
+        solve_volterra_single_layer(prob)  # several blocks of rows
+        assert len(built) == 1
+
+    def test_unresolvable_table_is_numerical_error(self):
+        # a strip that narrows 400-fold: its theta rows need frequencies the
+        # 2001 nodes on the initial width cannot carry
+        prob = GitLayerProblem(y_minus=0.0, y_plus=lambda t: 1.0 - 0.9975 * np.asarray(t),
+                               chi_minus=0.0, chi_plus=0.0, u0=lambda x: 1.0 + x, T=1.0, M=4)
+        with pytest.raises(NumericalError, match="Fourier table"):
+            solve_volterra_single_layer(prob)
 
 
 class TestBuildInternalBoundaries:
