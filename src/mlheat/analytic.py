@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .special_functions import folded_kernel
 
 
@@ -19,13 +20,13 @@ class StripProblem:
 
     def __post_init__(self):
         if not self.y0 < self.x0 < self.yN:
-            raise ValueError(
+            raise ConfigError(
                 f"source x0={self.x0} must lie strictly inside ({self.y0}, {self.yN})"
             )
         if not (np.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+            raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if not (np.isfinite(self.T) and self.T > 0.0):
-            raise ValueError(f"horizon T must be positive, got {self.T}")
+            raise ConfigError(f"horizon T must be positive, got {self.T}")
 
 
 def strip_green(problem, x):
@@ -37,8 +38,8 @@ def strip_green(problem, x):
     q = exp(-pi^2 sigma^2 T / l^2)).
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < problem.y0) or np.any(x > problem.yN):
-        raise ValueError("evaluation point outside the strip")
+    if not np.all((x >= problem.y0) & (x <= problem.yN)):
+        raise ConfigError("evaluation point outside the strip")
     l = problem.yN - problem.y0
     delta = problem.sigma ** 2 * problem.T
     direct = folded_kernel(delta, x - problem.x0, l)

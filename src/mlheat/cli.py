@@ -3,9 +3,11 @@
 Subcommands: ``green`` (layered Green's function on a grid), ``compare``
 (layered solve vs. finite differences, with the analytic reference when
 the medium is uniform), ``transform`` (sample a model-to-heat chart), and
-``boundaries`` (polynomial interior boundaries for a moving strip).
+``boundaries`` (polynomial interior boundaries for a moving strip).  Each
+takes ``--config`` and ``--out`` only: every setting comes from the config.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error (any ``ConfigError``), 3
+numerical failure (any ``NumericalError``).
 """
 
 import argparse
@@ -31,10 +33,11 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _write_csv(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
+def _write_csv(path, columns):
+    """Write a dict of equal-length named columns as CSV to ``path`` or stdout."""
+    lines = [",".join(columns)]
+    for row in zip(*columns.values()):
+        lines.append(",".join(map(_fmt, row)))
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -52,7 +55,7 @@ def _check_keys(block, allowed, where):
 def _require_keys(block, required, where):
     for key in required:
         if key not in block:
-            raise ConfigError(f"{where} need {key!r}")
+            raise ConfigError(f"missing {key!r} in {where}")
 
 
 def _load_config(path):
@@ -63,8 +66,8 @@ def _load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}")
 
 
-def _build_problem(cfg, args):
-    """LayeredMedium + GreensProblem from the config's problem/solver blocks."""
+def _build_problem(cfg):
+    """GreensProblem and Stehfest order from the config's problem/solver blocks."""
     _check_keys(cfg, ("problem", "solver", "fd", "eval", "output"), "config")
     prob = cfg.get("problem")
     if not isinstance(prob, dict):
@@ -73,7 +76,7 @@ def _build_problem(cfg, args):
     solver = cfg.get("solver", {})
     _check_keys(solver, ("m", "layers"), "solver")
 
-    layers = args.layers if args.layers is not None else solver.get("layers")
+    layers = solver.get("layers")
     if "boundaries" in prob:
         boundaries = np.asarray(prob["boundaries"], dtype=float)
         if layers is not None and layers != len(boundaries) - 1:
@@ -81,30 +84,21 @@ def _build_problem(cfg, args):
                 f"layers={layers} contradicts the {len(boundaries) - 1}-layer 'boundaries' list"
             )
     else:
-        if "y0" not in prob or "yN" not in prob:
-            raise ConfigError("problem needs either 'boundaries' or 'y0'/'yN' with layers")
-        if layers is None:
-            raise ConfigError("uniform split needs 'layers' (solver block or --layers)")
-        boundaries = np.linspace(float(prob["y0"]), float(prob["yN"]), int(layers) + 1)
+        _require_keys(prob, ("y0", "yN"), "problem without 'boundaries'")
+        _require_keys(solver, ("layers",), "solver for a uniform split")
+        boundaries = np.linspace(float(prob["y0"]), float(prob["yN"]), max(int(layers), 0) + 1)
 
-    n_layers = len(boundaries) - 1
     if "sigmas" in prob:
-        sigmas = np.asarray(prob["sigmas"], dtype=float)
-        if len(sigmas) != n_layers:
-            raise ConfigError(
-                f"sigmas has {len(sigmas)} entries but the medium has {n_layers} layers"
-            )
+        sigmas = prob["sigmas"]
     elif "sigma" in prob:
-        sigmas = np.full(n_layers, float(prob["sigma"]))
+        sigmas = np.full(max(len(boundaries) - 1, 0), float(prob["sigma"]))
     else:
         raise ConfigError("problem needs 'sigmas' (per layer) or a scalar 'sigma'")
-    if "x0" not in prob or "T" not in prob:
-        raise ConfigError("problem needs 'x0' and 'T'")
+    _require_keys(prob, ("x0", "T"), "problem")
 
     medium = LayeredMedium(boundaries=boundaries, sigmas=sigmas)
     green = GreensProblem(medium=medium, x0=float(prob["x0"]), T=float(prob["T"]))
-    m = args.stehfest if args.stehfest is not None else int(solver.get("m", DEFAULT_ORDER))
-    return green, m
+    return green, int(solver.get("m", DEFAULT_ORDER))
 
 
 def _eval_grid(cfg, medium):
@@ -115,14 +109,12 @@ def _eval_grid(cfg, medium):
     n = int(block.get("grid", 101))
     if n < 1:
         raise ConfigError(f"eval grid must have at least 1 point, got {n}")
-    if n == 1:
-        return np.array([medium.boundaries[0]])
     return np.linspace(medium.boundaries[0], medium.boundaries[-1], n)
 
 
 def cmd_green(args):
     cfg = _load_config(args.config)
-    problem, m = _build_problem(cfg, args)
+    problem, m = _build_problem(cfg)
     xs = _eval_grid(cfg, problem.medium)
     t0 = time.perf_counter()
     scheme = stehfest_weights(m)
@@ -130,22 +122,18 @@ def cmd_green(args):
     fld = greens_function(problem, scheme=scheme, xs=xs)
     t2 = time.perf_counter()
     print(f"precompute_ms={(t1 - t0) * 1e3:.3f} solve_ms={(t2 - t1) * 1e3:.3f}", file=sys.stderr)
-    out = args.out or cfg.get("output")
-    _write_csv(out, ["x", "u"], zip(map(float, xs), map(float, fld.values)))
+    _write_csv(args.out or cfg.get("output"), {"x": xs, "u": fld.values})
     return 0
 
 
 def cmd_compare(args):
     cfg = _load_config(args.config)
-    problem, m = _build_problem(cfg, args)
+    problem, m = _build_problem(cfg)
     fd_block = cfg.get("fd", {})
     _check_keys(fd_block, ("N_x", "M_t"), "fd")
-    n_x = args.fd_nx if args.fd_nx is not None else fd_block.get("N_x")
-    m_t = args.fd_nt if args.fd_nt is not None else fd_block.get("M_t")
-    if n_x is None or m_t is None:
-        raise ConfigError("compare needs fd.N_x and fd.M_t (or --fd-nx/--fd-nt)")
+    _require_keys(fd_block, ("N_x", "M_t"), "fd")
     scheme = stehfest_weights(m)
-    grid = FdGrid.for_problem(problem, int(n_x), int(m_t))
+    grid = FdGrid.for_problem(problem, int(fd_block["N_x"]), int(fd_block["M_t"]))
     t0 = time.perf_counter()
     ml = greens_function(problem, scheme=scheme, xs=grid.xs)
     t1 = time.perf_counter()
@@ -153,22 +141,15 @@ def cmd_compare(args):
     t2 = time.perf_counter()
     print(f"ml_ms={(t1 - t0) * 1e3:.3f} fd_ms={(t2 - t1) * 1e3:.3f}", file=sys.stderr)
 
-    scale = float(np.max(np.abs(ml.values)))
-    rel = 100.0 * (fd.values - ml.values) / scale
+    columns = {"x": grid.xs, "u_ml": ml.values, "u_fd": fd.values}
     med = problem.medium
-    uniform = np.all(med.sigmas == med.sigmas[0])
-    header = ["x", "u_ml", "u_fd"] + (["u_analytic"] if uniform else []) + ["rel_diff_pct"]
-    rows = []
-    if uniform:
+    if np.all(med.sigmas == med.sigmas[0]):
         strip = StripProblem(med.boundaries[0], med.boundaries[-1],
                              float(med.sigmas[0]), problem.x0, problem.T)
-        ua = strip_green(strip, grid.xs)
-        for x, a, b, c, d in zip(grid.xs, ml.values, fd.values, ua, rel):
-            rows.append((float(x), float(a), float(b), float(c), float(d)))
-    else:
-        for x, a, b, d in zip(grid.xs, ml.values, fd.values, rel):
-            rows.append((float(x), float(a), float(b), float(d)))
-    _write_csv(args.out or cfg.get("output"), header, rows)
+        columns["u_analytic"] = strip_green(strip, grid.xs)
+    scale = float(np.max(np.abs(ml.values)))
+    columns["rel_diff_pct"] = 100.0 * (fd.values - ml.values) / scale
+    _write_csv(args.out or cfg.get("output"), columns)
     return 0
 
 
@@ -247,7 +228,7 @@ def cmd_transform(args):
         columns = {"z": z, "x_of_z": x, "sigma_sq": [c1 * c1 / (v * v) for v in map(xi, x)]}
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown transform kind {kind!r}")
-    _write_csv(out, list(columns), zip(*columns.values()))
+    _write_csv(out, columns)
     return 0
 
 
@@ -282,13 +263,9 @@ def cmd_boundaries(args):
         raise NumericalError(str(exc)) from exc
     for i, coeffs in enumerate(bset.coeffs):
         print(f"boundary_{i + 1}_coeffs=" + ",".join(_fmt(c) for c in coeffs), file=sys.stderr)
-    grid = np.linspace(0.0, T, 200)
-    header = ["t"] + [f"y_{i + 1}" for i in range(bset.n_interior)]
-    rows = []
-    for t in grid:
-        rows.append(tuple([float(t)] + [float(bset.evaluate(i, t))
-                                        for i in range(bset.n_interior)]))
-    _write_csv(args.out or params.get("output"), header, rows)
+    t = np.linspace(0.0, T, 200)
+    columns = {"t": t, **{f"y_{i + 1}": bset.evaluate(i, t) for i in range(bset.n_interior)}}
+    _write_csv(args.out or params.get("output"), columns)
     return 0
 
 
@@ -298,34 +275,20 @@ def _parser():
         description="Semi-analytical multilayer heat solver: Green's functions, "
                     "FD comparison, model-to-heat charts and boundary construction.",
     )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="JSON configuration (holds every setting)")
+    common.add_argument("--out", help="CSV output path (default: config 'output', else stdout)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("green", help="layered Green's function on a grid -> CSV")
-    g.add_argument("--config", required=True, help="JSON run configuration")
-    g.add_argument("--out", help="CSV output path (default: stdout or config 'output')")
-    g.add_argument("--layers", type=int, help="override layer count for uniform splits")
-    g.add_argument("--stehfest", type=int, help="inversion order m (even)")
-    g.set_defaults(func=cmd_green, fd_nx=None, fd_nt=None)
-
-    c = sub.add_parser("compare", help="layered solve vs finite differences -> CSV")
-    c.add_argument("--config", required=True, help="JSON run configuration")
-    c.add_argument("--out", help="CSV output path")
-    c.add_argument("--layers", type=int, help="override layer count for uniform splits")
-    c.add_argument("--stehfest", type=int, help="inversion order m (even)")
-    c.add_argument("--fd-nx", dest="fd_nx", type=int, help="FD spatial nodes")
-    c.add_argument("--fd-nt", dest="fd_nt", type=int, help="FD time steps")
+    g = sub.add_parser("green", parents=[common], help="layered Green's function on a grid -> CSV")
+    g.set_defaults(func=cmd_green)
+    c = sub.add_parser("compare", parents=[common], help="layered solve vs FD -> CSV")
     c.set_defaults(func=cmd_compare)
-
-    t = sub.add_parser("transform", help="sample a model-to-heat chart -> CSV")
+    t = sub.add_parser("transform", parents=[common], help="sample a model-to-heat chart -> CSV")
     t.add_argument("kind", choices=("dupire", "bk", "verhulst", "divergent"))
-    t.add_argument("--config", required=True, help="JSON parameter file")
-    t.add_argument("--out", help="CSV output path")
-    t.set_defaults(func=cmd_transform, layers=None, stehfest=None, fd_nx=None, fd_nt=None)
-
-    b = sub.add_parser("boundaries", help="polynomial interior boundaries -> CSV")
-    b.add_argument("--config", required=True, help="JSON parameter file")
-    b.add_argument("--out", help="CSV output path")
-    b.set_defaults(func=cmd_boundaries, layers=None, stehfest=None, fd_nx=None, fd_nt=None)
+    t.set_defaults(func=cmd_transform)
+    b = sub.add_parser("boundaries", parents=[common], help="interior moving boundaries -> CSV")
+    b.set_defaults(func=cmd_boundaries)
     return p
 
 

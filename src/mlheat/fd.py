@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .layered import SolutionField
 
 _RANNACHER_STEPS = 4
@@ -36,11 +36,9 @@ class FdGrid:
     @classmethod
     def for_problem(cls, problem, N_x, M_t):
         if N_x < 5:
-            raise ValueError(f"need at least 5 space nodes, got {N_x}")
+            raise ConfigError(f"need at least 5 space nodes, got {N_x}")
         if M_t < _RANNACHER_STEPS + 1:
-            raise ValueError(
-                f"need at least {_RANNACHER_STEPS + 1} time steps, got {M_t}"
-            )
+            raise ConfigError(f"need at least {_RANNACHER_STEPS + 1} time steps, got {M_t}")
         b = problem.medium.boundaries
         xs = np.linspace(b[0], b[-1], N_x)
         return cls(N_x=N_x, M_t=M_t, xs=xs, dt=problem.T / M_t)
@@ -68,7 +66,7 @@ def fd_solve(problem, grid, u0=None):
     # otherwise the grid cannot represent the layer structure
     bnodes = [_nearest_node(xs, y) for y in b[1:-1]]
     if len(bnodes) != len(set(bnodes)) or any(k in (0, n - 1) for k in bnodes):
-        raise ValueError("grid too coarse: layer boundaries collide after snapping")
+        raise ConfigError("grid too coarse: layer boundaries collide after snapping")
 
     # per-node diffusion Xi^2 (left-continuous layer lookup)
     idx = np.clip(np.searchsorted(b, xs, side="left"), 1, med.n_layers)
@@ -112,15 +110,10 @@ def fd_solve(problem, grid, u0=None):
         u = np.asarray([float(u0(x)) for x in xs], dtype=float)
     u[0] = u[-1] = 0.0
 
-    ab_euler = banded_lhs(1.0)
-    ab_cn = banded_lhs(0.5)
+    lhs = {theta: banded_lhs(theta) for theta in (1.0, 0.5)}
     for step in range(grid.M_t):
-        if step < _RANNACHER_STEPS:
-            rhs = u.copy()
-            rhs[0] = rhs[-1] = 0.0
-            u = solve_banded((1, 1), ab_euler, rhs)
-        else:
-            u = solve_banded((1, 1), ab_cn, explicit_rhs(u, 0.5))
+        theta = 1.0 if step < _RANNACHER_STEPS else 0.5
+        u = solve_banded((1, 1), lhs[theta], explicit_rhs(u, 1.0 - theta))
         # identity rows still pick up rounding from pivoting; pin the
         # Dirichlet ends to exactly zero
         u[0] = u[-1] = 0.0

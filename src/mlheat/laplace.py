@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 
 #: Default inversion order, adequate for smooth non-oscillatory originals.
 DEFAULT_ORDER = 16
@@ -53,12 +53,10 @@ def stehfest_weights(m=DEFAULT_ORDER):
     weights are read-only, since every caller shares them.
     """
     if m != int(m) or m < 2 or m % 2 != 0:
-        raise ValueError(f"Stehfest order must be a positive even integer, got {m}")
+        raise ConfigError(f"Stehfest order must be a positive even integer, got {m}")
     m = int(m)
     if m > _MAX_ORDER:
-        raise ValueError(
-            f"Stehfest order {m} exceeds the double-precision limit {_MAX_ORDER}"
-        )
+        raise ConfigError(f"Stehfest order {m} exceeds the double-precision limit {_MAX_ORDER}")
     return _stehfest_scheme(m)
 
 
@@ -95,7 +93,7 @@ def invert_laplace(F, T, scheme=None):
     ``F`` may return a scalar or an ndarray (inverted componentwise).
     """
     if not (np.isfinite(T) and T > 0.0):
-        raise ValueError(f"time T must be positive, got {T}")
+        raise ConfigError(f"time T must be positive, got {T}")
     if scheme is None:
         scheme = stehfest_weights()
     lam = math.log(2.0) / T
@@ -121,11 +119,11 @@ def forward_laplace_numeric(f, lam, t_max=None, tol=1e-12):
     is truncated at ``t_max``, by default where exp(-lam t) < tol.
     """
     if not (np.isfinite(lam) and lam > 0.0):
-        raise ValueError(f"lambda must be positive, got {lam}")
+        raise ConfigError(f"lambda must be positive, got {lam}")
     if t_max is None:
         t_max = -math.log(tol) / lam
     if t_max <= 0.0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+        raise ConfigError(f"t_max must be positive, got {t_max}")
     split = min(1.0 / lam, 0.5 * t_max)
     head, err1 = quad(
         lambda u: 2.0 * u * math.exp(-lam * u * u) * f(u * u),

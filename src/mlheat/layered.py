@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dgtsv as _dgtsv
 
-from .errors import NumericalError
+from .errors import ConfigError, NumericalError
 from .laplace import stehfest_weights
 
 
@@ -43,16 +43,18 @@ class LayeredMedium:
         b = np.atleast_1d(np.asarray(self.boundaries, dtype=float))
         s = np.atleast_1d(np.asarray(self.sigmas, dtype=float))
         if b.ndim != 1 or s.ndim != 1:
-            raise ValueError("boundaries and sigmas must be 1-D")
+            raise ConfigError("boundaries and sigmas must be 1-D")
+        if len(b) < 2:
+            raise ConfigError(f"a medium needs at least one layer, got {max(len(b) - 1, 0)}")
         if len(s) != len(b) - 1:
-            raise ValueError(
+            raise ConfigError(
                 f"need one sigma per layer: {len(b)} boundaries require "
                 f"{len(b) - 1} sigmas, got {len(s)}"
             )
         if not np.all(np.isfinite(b)) or not np.all(np.diff(b) > 0.0):
-            raise ValueError("boundaries must be finite and strictly increasing")
+            raise ConfigError("boundaries must be finite and strictly increasing")
         if not np.all(np.isfinite(s)) or not np.all(s > 0.0):
-            raise ValueError("all sigmas must be positive and finite")
+            raise ConfigError("all sigmas must be positive and finite")
         object.__setattr__(self, "boundaries", b)
         object.__setattr__(self, "sigmas", s)
         object.__setattr__(self, "_widths", np.diff(b))
@@ -81,10 +83,10 @@ def locate_source_layer(medium, x0):
     """
     b = medium.boundaries
     if not (b[0] < x0 < b[-1]):
-        raise ValueError(f"source x0={x0} outside the open strip ({b[0]}, {b[-1]})")
+        raise ConfigError(f"source x0={x0} outside the open strip ({b[0]}, {b[-1]})")
     j = int(np.searchsorted(b, x0, side="left"))
     if x0 == b[j]:
-        raise ValueError(f"source x0={x0} lies on internal boundary y_{j}")
+        raise ConfigError(f"source x0={x0} lies on internal boundary y_{j}")
     return j
 
 
@@ -98,7 +100,7 @@ class GreensProblem:
 
     def __post_init__(self):
         if not (np.isfinite(self.T) and self.T > 0.0):
-            raise ValueError(f"horizon T must be positive, got {self.T}")
+            raise ConfigError(f"horizon T must be positive, got {self.T}")
         object.__setattr__(self, "_j", locate_source_layer(self.medium, self.x0))
 
     @property
@@ -155,7 +157,7 @@ def _sinh_ratios(p, q):
 
 def _sqrt_lam(lam):
     if not (np.isfinite(lam) and lam > 0.0):
-        raise ValueError("Laplace variable must be positive and finite")
+        raise ConfigError("Laplace variable must be positive and finite")
     return np.array([math.sqrt(lam)])
 
 
@@ -258,8 +260,8 @@ def _system(problem, sq):
 
 def _field(nodes, sigmas, sq, g, xs):
     """Laplace-domain field at ``xs`` from the node values g, shape (len(xs), m)."""
-    if xs.min() < nodes[0] or xs.max() > nodes[-1]:
-        raise ValueError("evaluation point outside the strip")
+    if not np.all((xs >= nodes[0]) & (xs <= nodes[-1])):
+        raise ConfigError("evaluation point outside the strip")
     hi = np.clip(np.searchsorted(nodes, xs, side="left"), 1, len(nodes) - 1)
     lo = hi - 1
     sig = sigmas[lo]
@@ -277,7 +279,7 @@ def assemble_system(problem, lam):
     """
     med = problem.medium
     if med.n_layers < 2:
-        raise ValueError("assembly needs at least one internal boundary (N >= 2)")
+        raise ConfigError("assembly needs at least one internal boundary (N >= 2)")
     sq = _sqrt_lam(lam)
     excess, coupling = _excess_couplings(med.sigmas, med._omegas, sq)
     b = med.boundaries
@@ -302,7 +304,7 @@ def solve_tridiagonal(sys):
     r = np.asarray(sys.rhs, dtype=float)
     n = len(d)
     if len(e) != max(n - 1, 0) or len(r) != n:
-        raise ValueError("inconsistent system dimensions")
+        raise ConfigError("inconsistent system dimensions")
     pad = np.concatenate(([0.0], np.abs(e), [0.0]))
     if np.any(d - pad[:-1] - pad[1:] <= 0.0):
         raise NumericalError("tridiagonal system is not diagonally dominant")

@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .errors import ConfigError
+
 # Truncation.  Theta terms with q^(k^2) below exp(-_DECAY) are dropped;
 # images more than _REACH sqrt(delta) beyond [-l, l] are dropped, being
 # below exp(-_REACH^2 / 4) ~ 4e-19 of the nearest one.
@@ -32,11 +34,11 @@ def _check_args(z, q):
     z = np.asarray(z, dtype=float)
     q = np.asarray(q, dtype=float)
     if not np.all(np.isfinite(q)):
-        raise ValueError("nome q must be finite")
+        raise ConfigError("nome q must be finite")
     if np.any(q < 0.0) or np.any(q >= 1.0):
-        raise ValueError("nome q must lie in [0, 1)")
+        raise ConfigError("nome q must lie in [0, 1)")
     if not np.all(np.isfinite(z)):
-        raise ValueError("phase z must be finite")
+        raise ConfigError("phase z must be finite")
     return z, q
 
 
@@ -46,7 +48,7 @@ def _image_sum(delta, a, l, deriv):
     The images pair up as a + 2nl and a - 2nl, so the sum is exactly even
     (deriv 0, 2) or odd (deriv 1) in a.
     """
-    n_max = int(math.ceil(0.5 * _REACH * math.sqrt(np.max(delta / (l * l)))))
+    n_max = int(math.ceil(0.5 * _REACH * math.sqrt(np.max(delta / (l * l), initial=0.0))))
     # a trailing axis runs over the images
     two_delta = 2.0 * np.asarray(delta)[..., None]
     rate = -0.5 / two_delta
@@ -101,10 +103,10 @@ def folded_kernel(delta, a, l, deriv=0):
     Returns a float when every argument is a scalar, else an ndarray.
     """
     if deriv not in (0, 1, 2):
-        raise ValueError(f"deriv must be 0, 1 or 2, got {deriv!r}")
+        raise ConfigError(f"deriv must be 0, 1 or 2, got {deriv!r}")
     delta, a, l = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta, a, l)))
     if not np.all(delta > 0.0):
-        raise ValueError("time lag delta must be positive")
+        raise ConfigError("time lag delta must be positive")
     a = a - 2.0 * l * np.round(a / (2.0 * l))
     image = delta < l * l / math.pi
     if image.all():
@@ -165,11 +167,11 @@ def eta_kernel(dt, l, sigma, parity):
     ``folded_kernel``.
     """
     if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+        raise ConfigError(f"parity must be 'even' or 'odd', got {parity!r}")
     if not (np.isfinite(dt) and dt > 0.0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
     if not (np.isfinite(l) and l > 0.0):
-        raise ValueError(f"layer width l must be positive, got {l}")
+        raise ConfigError(f"layer width l must be positive, got {l}")
     if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be positive, got {sigma}")
+        raise ConfigError(f"sigma must be positive, got {sigma}")
     return folded_kernel(sigma * sigma * dt, 0.0 if parity == "even" else l, l)

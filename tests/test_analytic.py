@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlheat.analytic import StripProblem, strip_green
+from mlheat.errors import ConfigError
 from mlheat.fd import FdGrid, fd_solve
 from mlheat.layered import GreensProblem, LayeredMedium
 
@@ -39,6 +40,13 @@ class TestStripGreen:
             strip_green(p, 1.5)
         with pytest.raises(ValueError):
             StripProblem(y0=-1.0, yN=1.0, sigma=0.5, x0=2.0, T=1.0)
+
+    def test_nan_point_rejected(self):
+        with pytest.raises(ConfigError, match="outside the strip"):
+            strip_green(table1_problem(0.0), [math.nan])
+
+    def test_empty_points(self):
+        assert strip_green(table1_problem(0.0), []).shape == (0,)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

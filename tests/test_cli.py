@@ -87,6 +87,33 @@ class TestGreen:
         assert b"\r" not in out1.read_bytes()
 
 
+class TestRejectedValues:
+    """Every value the library rejects ends as exit 2, never as a traceback."""
+
+    @pytest.mark.parametrize("command, problem, extra", [
+        ("green", {}, {"solver": {"m": 15, "layers": 4}}),
+        ("green", {"x0": 2.0}, {}),
+        ("green", {"x0": 0.5}, {}),
+        ("green", {"T": 0.0}, {}),
+        ("green", {"boundaries": [0.0, 0.6, 0.4, 1.0]}, {"solver": {}}),
+        ("green", {"sigma": -1.0}, {}),
+        ("green", {}, {"eval": {"abscissas": [0.5, 1.5]}}),
+        ("compare", {}, {"fd": {"N_x": 3, "M_t": 40}}),
+        ("green", {}, {"solver": {"layers": 0}}),
+    ], ids=["odd-m", "x0-outside", "x0-on-boundary", "T-nonpositive", "decreasing-boundaries",
+            "negative-sigma", "abscissa-outside", "fd-nx-3", "zero-layers"])
+    def test_rejected_value_exits_2(self, tmp_path, capsys, command, problem, extra):
+        payload = {"problem": dict({"y0": 0.0, "yN": 1.0, "sigma": 1.0, "x0": 0.3, "T": 0.1},
+                                   **problem),
+                   "solver": {"layers": 4}, **extra}
+        cfg = write_config(tmp_path, "bad.json", payload)
+        assert main([command, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert "Traceback" not in captured.err
+
+
 class TestCompare:
     def test_uniform_medium_includes_analytic_column(self, tmp_path, capsys):
         payload = {
@@ -275,6 +302,21 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["green", "--config", "x.json", "--bogus"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["green", "--layers", "4"], ["compare", "--fd-nx", "5"],
+                                      ["green", "--stehfest", "16"], ["compare", "--fd-nt", "40"]])
+    def test_settings_come_only_from_the_config(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv[:1] + ["--config", "x.json"] + argv[1:])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["green", "compare", "boundaries"])
+    def test_help_lists_only_config_and_out(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = {w.strip(",[]") for w in capsys.readouterr().out.split() if w.startswith(("-", "[-"))}
+        assert flags == {"-h", "--help", "--config", "--out"}
 
     def test_missing_config_file_is_config_error(self, capsys):
         assert main(["green", "--config", "/nonexistent/run.json"]) == 2

@@ -1,14 +1,25 @@
-"""The package and its CLI import in a fresh interpreter.
+"""The package and its CLI import in a fresh interpreter, with one error contract.
 
 Within one pytest process a module that failed to import can hide behind
 submodules already cached in ``sys.modules``; a new interpreter cannot.
+
+Rejected input raises ``ConfigError`` everywhere in the library, which
+the CLI maps to exit code 2; a bare ``ValueError`` is left to numpy and
+scipy, where it marks a program fault.
 """
 
+import ast
+import glob
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from mlheat import (ConfigError, FdGrid, GreensProblem, LayeredMedium, StripProblem,
+                    eta_kernel, stehfest_weights, theta3)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -42,3 +53,38 @@ def test_version_has_one_source():
         cfg = tomllib.load(f)
     assert "version" not in cfg["project"] and "version" in cfg["project"]["dynamic"]
     assert cfg["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "mlheat.__version__"}
+
+
+def test_no_module_raises_bare_value_error():
+    offenders = []
+    for path in sorted(glob.glob(os.path.join(SRC, "mlheat", "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    offenders.append(f"{os.path.basename(path)}:{node.lineno}")
+    assert not offenders, f"raise ConfigError for rejected input: {offenders}"
+
+
+def _medium():
+    return LayeredMedium(np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: LayeredMedium(np.array([0.0, 1.0, 0.5]), np.array([1.0, 1.0])),
+    lambda: LayeredMedium(np.array([0.0, 1.0]), np.array([1.0, 2.0])),
+    lambda: GreensProblem(_medium(), x0=0.5, T=1.0),
+    lambda: GreensProblem(_medium(), x0=0.3, T=-1.0),
+    lambda: stehfest_weights(3),
+    lambda: FdGrid.for_problem(GreensProblem(_medium(), x0=0.3, T=1.0), 3, 40),
+    lambda: StripProblem(y0=0.0, yN=1.0, sigma=1.0, x0=1.5, T=1.0),
+    lambda: theta3(0.0, 1.0),
+    lambda: theta3(math.nan, 0.5),
+    lambda: eta_kernel(0.1, 1.0, 1.0, "both"),
+], ids=["decreasing-boundaries", "sigma-count", "x0-on-boundary", "negative-T",
+        "odd-stehfest", "fd-nx-3", "x0-outside-strip", "nome-1", "nan-phase", "eta-parity"])
+def test_rejected_input_raises_config_error(call):
+    with pytest.raises(ConfigError):
+        call()

@@ -8,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mlheat.analytic import StripProblem, strip_green
-from mlheat.errors import NumericalError
+from mlheat.errors import ConfigError, NumericalError
 from mlheat.laplace import stehfest_weights
 from mlheat.layered import (
     GreensProblem,
@@ -41,6 +41,13 @@ class TestLayeredMedium:
             LayeredMedium(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             LayeredMedium(np.array([0.0, 1.0]), np.array([-1.0]))
+
+    def test_needs_at_least_one_layer(self):
+        for boundaries in ([], [-1.0]):
+            with pytest.raises(ConfigError, match="at least one layer, got 0"):
+                LayeredMedium(np.array(boundaries), np.array([]))
+        with pytest.raises(ConfigError, match="at least one layer, got 0"):
+            LayeredMedium.uniform(-1.0, 1.0, [])
 
 
 class TestLocateSourceLayer:
@@ -226,6 +233,17 @@ class TestGreensFunction:
         prob = GreensProblem(medium=med, x0=0.0, T=1.0)
         sol = greens_function(prob, xs=np.array([0.0]))
         assert abs(sol.values[0] - 0.5436) < 1e-4
+
+    def test_nan_evaluation_point_rejected(self):
+        prob = GreensProblem(medium=uniform_medium(4), x0=0.05, T=1.0)
+        with pytest.raises(ConfigError, match="outside the strip"):
+            greens_function(prob, xs=[0.0, math.nan])
+
+    def test_empty_evaluation_points(self):
+        prob = GreensProblem(medium=uniform_medium(4), x0=0.05, T=1.0)
+        sol = greens_function(prob, xs=[])
+        assert sol.values.shape == (0,)
+        assert len(sol.boundary_values) == 3
 
     def test_source_field_symmetry_piecewise(self):
         med = LayeredMedium(
