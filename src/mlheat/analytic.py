@@ -1,11 +1,12 @@
 """Closed-form Green's function of the constant-coefficient strip problem."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .special_functions import folded_kernel
+from .special_functions import _theta_orders, folded_kernel
 
 
 @dataclass(frozen=True)
@@ -30,18 +31,28 @@ class StripProblem:
 
 
 def strip_green(problem, x):
-    """Green's function of the strip at time T, as a pair of folded heat kernels.
+    """Green's function of the strip at time T.
 
     u(T, x) = (1/2) [K(sigma^2 T, x - x0, l) - K(sigma^2 T, x + x0 - 2 y0, l)]
-    with l = yN - y0 and K the reflected heat kernel of ``folded_kernel``
-    (equivalently (1/2l) [theta3(pi(x - x0)/2l, q) - theta3(pi(x + x0 - 2 y0)/2l, q)],
-    q = exp(-pi^2 sigma^2 T / l^2)).
+    with l = yN - y0 and K the reflected heat kernel of ``folded_kernel``.
+    Where ``folded_kernel`` would take the image sum (sigma^2 T < l^2 / pi)
+    it does; otherwise the theta series is summed in product form,
+    u = (2/l) sum_k q^(k^2) sin(k w (x0 - y0)) sin(k w (x - y0)),
+    w = pi / l, q = exp(-w^2 sigma^2 T), whose terms do not cancel, so a
+    decayed profile and the values near the walls keep full relative
+    precision.
     """
     x = np.asarray(x, dtype=float)
     if not np.all((x >= problem.y0) & (x <= problem.yN)):
         raise ConfigError("evaluation point outside the strip")
     l = problem.yN - problem.y0
     delta = problem.sigma ** 2 * problem.T
-    direct = folded_kernel(delta, x - problem.x0, l)
-    image = folded_kernel(delta, x + problem.x0 - 2.0 * problem.y0, l)
-    return 0.5 * (direct - image)
+    if delta < l * l / math.pi:
+        direct = folded_kernel(delta, x - problem.x0, l)
+        image = folded_kernel(delta, x + problem.x0 - 2.0 * problem.y0, l)
+        return 0.5 * (direct - image)
+    w = math.pi / l
+    decay = w * w * delta
+    k = _theta_orders(decay)
+    weight = 2.0 / l * np.exp(-decay * k * k) * np.sin(k * w * (problem.x0 - problem.y0))
+    return np.sin(np.multiply.outer(x - problem.y0, k * w)) @ weight

@@ -28,22 +28,35 @@ from .transforms import (Curve, TermStructure, _as_curve, bk_layer_chart, dupire
 from .volterra import build_internal_boundaries
 
 
-def _fmt(x):
-    """Shortest round-trip decimal representation (<= 17 significant digits)."""
-    return repr(float(x))
-
-
 def _write_csv(path, columns):
-    """Write a dict of equal-length named columns as CSV to ``path`` or stdout."""
-    lines = [",".join(columns)]
-    for row in zip(*columns.values()):
-        lines.append(",".join(map(_fmt, row)))
+    """Write a dict of equal-length named columns as CSV to ``path`` or stdout.
+
+    Each value is written as repr of a Python float, the shortest
+    round-trip decimal (<= 17 significant digits); a column is converted
+    to floats once, not value by value.
+    """
+    cells = [map(repr, np.asarray(c, dtype=float).tolist()) for c in columns.values()]
+    lines = [",".join(columns)] + [",".join(row) for row in zip(*cells)]
     text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w", newline="\n") as fh:
             fh.write(text)
+
+
+def _floats(value):
+    """A number or a list of numbers as an at least 1-D float array."""
+    return np.atleast_1d(np.asarray(value, dtype=float))
+
+
+def _as(kind, value, what):
+    """``kind(value)``, kind being float, int or ``_floats``; a value it
+    cannot convert is a ConfigError, never Python's own exception."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {what} {value!r}: {exc}") from exc
 
 
 def _check_keys(block, allowed, where):
@@ -77,8 +90,10 @@ def _build_problem(cfg):
     _check_keys(solver, ("m", "layers"), "solver")
 
     layers = solver.get("layers")
+    if layers is not None:
+        layers = _as(int, layers, "solver.layers")
     if "boundaries" in prob:
-        boundaries = np.asarray(prob["boundaries"], dtype=float)
+        boundaries = _as(_floats, prob["boundaries"], "problem.boundaries")
         if layers is not None and layers != len(boundaries) - 1:
             raise ConfigError(
                 f"layers={layers} contradicts the {len(boundaries) - 1}-layer 'boundaries' list"
@@ -86,27 +101,29 @@ def _build_problem(cfg):
     else:
         _require_keys(prob, ("y0", "yN"), "problem without 'boundaries'")
         _require_keys(solver, ("layers",), "solver for a uniform split")
-        boundaries = np.linspace(float(prob["y0"]), float(prob["yN"]), max(int(layers), 0) + 1)
+        boundaries = np.linspace(_as(float, prob["y0"], "problem.y0"),
+                                 _as(float, prob["yN"], "problem.yN"), max(layers, 0) + 1)
 
     if "sigmas" in prob:
-        sigmas = prob["sigmas"]
+        sigmas = _as(_floats, prob["sigmas"], "problem.sigmas")
     elif "sigma" in prob:
-        sigmas = np.full(max(len(boundaries) - 1, 0), float(prob["sigma"]))
+        sigmas = np.full(max(len(boundaries) - 1, 0), _as(float, prob["sigma"], "problem.sigma"))
     else:
         raise ConfigError("problem needs 'sigmas' (per layer) or a scalar 'sigma'")
     _require_keys(prob, ("x0", "T"), "problem")
 
     medium = LayeredMedium(boundaries=boundaries, sigmas=sigmas)
-    green = GreensProblem(medium=medium, x0=float(prob["x0"]), T=float(prob["T"]))
-    return green, int(solver.get("m", DEFAULT_ORDER))
+    green = GreensProblem(medium=medium, x0=_as(float, prob["x0"], "problem.x0"),
+                          T=_as(float, prob["T"], "problem.T"))
+    return green, _as(int, solver.get("m", DEFAULT_ORDER), "solver.m")
 
 
 def _eval_grid(cfg, medium):
     block = cfg.get("eval", {})
     _check_keys(block, ("grid", "abscissas"), "eval")
     if "abscissas" in block:
-        return np.asarray(block["abscissas"], dtype=float)
-    n = int(block.get("grid", 101))
+        return _as(_floats, block["abscissas"], "eval.abscissas")
+    n = _as(int, block.get("grid", 101), "eval.grid")
     if n < 1:
         raise ConfigError(f"eval grid must have at least 1 point, got {n}")
     return np.linspace(medium.boundaries[0], medium.boundaries[-1], n)
@@ -133,7 +150,8 @@ def cmd_compare(args):
     _check_keys(fd_block, ("N_x", "M_t"), "fd")
     _require_keys(fd_block, ("N_x", "M_t"), "fd")
     scheme = stehfest_weights(m)
-    grid = FdGrid.for_problem(problem, int(fd_block["N_x"]), int(fd_block["M_t"]))
+    grid = FdGrid.for_problem(problem, _as(int, fd_block["N_x"], "fd.N_x"),
+                              _as(int, fd_block["M_t"], "fd.M_t"))
     t0 = time.perf_counter()
     ml = greens_function(problem, scheme=scheme, xs=grid.xs)
     t1 = time.perf_counter()
@@ -154,7 +172,8 @@ def cmd_compare(args):
 
 
 def _term_structure(params):
-    fields = {k: params[k] for k in ("r", "q", "kappa", "theta", "sigma", "s") if k in params}
+    fields = {k: _as(float, params[k], k)
+              for k in ("r", "q", "kappa", "theta", "sigma", "s") if k in params}
     return TermStructure(**fields)
 
 
@@ -163,29 +182,29 @@ def _xi_from_params(spec):
     kind = spec.get("kind")
     if kind == "exp":
         _require_keys(spec, ("a",), "exp xi")
-        a = float(spec["a"])
+        a = _as(float, spec["a"], "xi.a")
         return lambda x: np.exp(-a * x / 2.0)
     if kind == "constant":
         _require_keys(spec, ("value",), "constant xi")
-        return float(spec["value"])
+        return _as(float, spec["value"], "xi.value")
     if kind == "sampled":
         _require_keys(spec, ("x", "values"), "sampled xi")
-        return Curve(spec["x"], spec["values"])
+        return Curve(_as(_floats, spec["x"], "xi.x"), _as(_floats, spec["values"], "xi.values"))
     raise ConfigError(f"unknown xi kind {kind!r} (expected exp, constant or sampled)")
 
 
 def cmd_transform(args):
     params = _load_config(args.config)
     kind = args.kind
-    samples = int(params.pop("samples", 41))
+    samples = _as(int, params.pop("samples", 41), "samples")
     out = args.out or params.pop("output", None)
 
     if kind == "dupire":
         _check_keys(params, ("r", "q", "v", "T", "state"), "dupire params")
         _require_keys(params, ("T", "v"), "dupire params")
-        T = float(params["T"])
-        chart = dupire_to_heat(_term_structure(params), params["v"], T)
-        state = float(params.get("state", 1.0))
+        T = _as(float, params["T"], "T")
+        chart = dupire_to_heat(_term_structure(params), _as(float, params["v"], "v"), T)
+        state = _as(float, params.get("state", 1.0), "state")
         t = np.linspace(0.0, T, samples)
         columns = {"t": t, "tau": chart.tau_of_t(t), "x": chart.x_of_state(t, state),
                    "multiplier": chart.multiplier(t, state)}
@@ -193,11 +212,11 @@ def cmd_transform(args):
         _check_keys(params, ("kappa", "theta", "sigma", "s", "a", "b", "S", "z", "R"),
                     "bk params")
         _require_keys(params, ("S",), "bk params")
-        S = float(params["S"])
-        z = float(params.get("z", 0.0))
-        R = float(params.get("R", 1.0))
-        chart = bk_layer_chart(_term_structure(params), params.get("a", 0.0),
-                               params.get("b", 0.0), S)
+        S = _as(float, params["S"], "S")
+        z = _as(float, params.get("z", 0.0), "z")
+        R = _as(float, params.get("R", 1.0), "R")
+        chart = bk_layer_chart(_term_structure(params), _as(float, params.get("a", 0.0), "a"),
+                               _as(float, params.get("b", 0.0), "b"), S)
         t = np.linspace(0.0, S, samples)
         # the bond value is the chart's multiplier at the state R e^z (bk_affine_zcb)
         columns = {"t": t, "tau": chart.tau_of_t(t), "x": chart.x_of_state(t, z),
@@ -207,11 +226,11 @@ def cmd_transform(args):
         _check_keys(params, ("kappa", "theta", "sigma", "s", "R", "i", "N", "L",
                              "horizon", "state"), "verhulst params")
         _require_keys(params, ("horizon", "i", "N"), "verhulst params")
-        horizon = float(params["horizon"])
-        chart = verhulst_chart(_term_structure(params), float(params.get("R", 1.0)),
-                               int(params["i"]), int(params["N"]),
-                               params.get("L", 1.0), horizon)
-        state = float(params.get("state", 0.5))
+        horizon = _as(float, params["horizon"], "horizon")
+        chart = verhulst_chart(_term_structure(params), _as(float, params.get("R", 1.0), "R"),
+                               _as(int, params["i"], "i"), _as(int, params["N"], "N"),
+                               _as(float, params.get("L", 1.0), "L"), horizon)
+        state = _as(float, params.get("state", 0.5), "state")
         t = np.linspace(0.0, horizon, samples)
         columns = {"t": t, "tau": chart.tau_of_t(t), "x": chart.x_of_state(t, state),
                    "multiplier": chart.multiplier(t, state), "nu": chart.nu(t)}
@@ -219,10 +238,10 @@ def cmd_transform(args):
         _check_keys(params, ("xi", "c1", "c2", "z_min", "z_max"), "divergent params")
         _require_keys(params, ("c1",), "divergent params")
         xi = _as_curve(_xi_from_params(params.get("xi", {})))
-        c1 = float(params["c1"])
-        chart = nondivergent_to_divergent(xi, c1, float(params.get("c2", 0.0)))
-        z = np.linspace(float(params.get("z_min", 0.0)), float(params.get("z_max", 1.0)),
-                        samples)
+        c1 = _as(float, params["c1"], "c1")
+        chart = nondivergent_to_divergent(xi, c1, _as(float, params.get("c2", 0.0), "c2"))
+        z = np.linspace(_as(float, params.get("z_min", 0.0), "z_min"),
+                        _as(float, params.get("z_max", 1.0), "z_max"), samples)
         x = [chart.x_of_z(v) for v in z]
         # sigma^2 = c1^2 / Xi(x)^2 at the inverted samples (sigma_sq_of_z inverts again)
         columns = {"z": z, "x_of_z": x, "sigma_sq": [c1 * c1 / (v * v) for v in map(xi, x)]}
@@ -238,17 +257,18 @@ def cmd_boundaries(args):
                 "boundaries params")
     _require_keys(params, ("chi_minus", "chi_plus", "N", "degree", "T"), "boundaries params")
 
-    def curve(spec):
+    def curve(name):
+        spec = params[name]
         if isinstance(spec, (int, float)):
             return float(spec)
-        coeffs = np.asarray(spec, dtype=float)
+        coeffs = _as(_floats, spec, f"{name} coefficients")
         return lambda t: np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), coeffs)
 
-    cm = curve(params["chi_minus"])
-    cp = curve(params["chi_plus"])
-    T = float(params["T"])
-    n = int(params["N"])
-    degree = int(params["degree"])
+    cm = curve("chi_minus")
+    cp = curve("chi_plus")
+    T = _as(float, params["T"], "T")
+    n = _as(int, params["N"], "N")
+    degree = _as(int, params["degree"], "degree")
     if n < 2:
         raise ConfigError(f"N must be at least 2, got {n}")
     if degree not in (1, 2, 3):
@@ -262,7 +282,8 @@ def cmd_boundaries(args):
         # numerical outcome (crossing boundaries), not a config problem
         raise NumericalError(str(exc)) from exc
     for i, coeffs in enumerate(bset.coeffs):
-        print(f"boundary_{i + 1}_coeffs=" + ",".join(_fmt(c) for c in coeffs), file=sys.stderr)
+        print(f"boundary_{i + 1}_coeffs=" + ",".join(map(repr, coeffs.tolist())),
+              file=sys.stderr)
     t = np.linspace(0.0, T, 200)
     columns = {"t": t, **{f"y_{i + 1}": bset.evaluate(i, t) for i in range(bset.n_interior)}}
     _write_csv(args.out or params.get("output"), columns)

@@ -42,6 +42,12 @@ def _check_args(z, q):
     return z, q
 
 
+def _theta_orders(decay):
+    """The orders k = 1 ... K of the theta terms kept when the smallest
+    w^2 delta is ``decay``: q^(k^2) = exp(-decay k^2) down to exp(-_DECAY)."""
+    return np.arange(1, int(math.ceil(math.sqrt(_DECAY / decay))) + 1)
+
+
 def _image_sum(delta, a, l, deriv):
     """Gaussian image form of the d-th a-derivative of K, for |a| <= l.
 
@@ -78,7 +84,7 @@ def _theta_sum(delta, a, l, deriv):
     """
     w = np.pi / l
     decay = w * w * delta
-    k = np.arange(1, int(math.ceil(math.sqrt(_DECAY / np.min(decay)))) + 1)
+    k = _theta_orders(np.min(decay))
     weight = 2.0 * np.exp(-np.multiply.outer(decay, k * k))
     kw = np.multiply.outer(w, k)
     phase = kw * np.asarray(a)[..., None]

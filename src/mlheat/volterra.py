@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .special_functions import _DECAY, _REACH, folded_kernel
+from .special_functions import _DECAY, _REACH, _theta_orders, folded_kernel
 from .transforms import _CHEB, _TAIL, _as_curve
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -110,12 +110,20 @@ class GradientPair:
     """Boundary gradients on the uniform grid t_k = k T / M.
 
     omega[k] = -du/dx at the left boundary, theta[k] = +du/dx at the
-    right boundary, both at time t_k.
+    right boundary, both at time t_k.  A pair from
+    ``solve_volterra_single_layer`` also carries the problem it solved and
+    the march's sample of it on ``grid`` (``_march``), which
+    ``git_field_single_layer`` reuses for that same problem object.
     """
 
     omega: np.ndarray
     theta: np.ndarray
     grid: np.ndarray
+    _march: tuple = dataclasses.field(default=None, repr=False, compare=False)
+
+    def __getstate__(self):
+        # the problem's callables need not pickle; a copy samples afresh
+        return dict(self.__dict__, _march=None)
 
 
 @dataclass(frozen=True)
@@ -371,7 +379,7 @@ def _initial_terms(s, tau, ymt, l):
     if len(rows):
         w = np.pi / l[rows]
         decay = w * w * tau[rows]
-        k = np.arange(1, int(math.ceil(math.sqrt(_DECAY / decay.min()))) + 1)
+        k = _theta_orders(decay.min())
         kw = np.multiply.outer(w, k)
         # d/da of 2 q^(k^2) cos(kw a) at a = ymt - xi, integrated against u0
         phase = np.exp(1j * kw * (ymt[rows] - s.fourier.mid)[:, None])
@@ -381,7 +389,7 @@ def _initial_terms(s, tau, ymt, l):
     return i0
 
 
-def _march_rows(s, k0, k1):
+def _march_rows(s, k0, k1, i0=None):
     """Rows k0 <= k < k1 of the gradient equations on the grid s.t.
 
     Row k reads
@@ -390,7 +398,8 @@ def _march_rows(s, k0, k1):
     with t_k = tau: every kernel carries zero weight at s = tau, so the
     sums stop short of k and the march is one forward substitution.
     Returns d, shape (2, R), and K, shape (2, 2, R, k1 - 1), zero where
-    j >= k; R = k1 - k0.
+    j >= k; R = k1 - k0.  i0 holds the rows' initial-data terms
+    (``_initial_terms``), computed here when None.
     """
     t = s.t
     k = np.arange(k0, k1)
@@ -412,7 +421,8 @@ def _march_rows(s, k0, k1):
         return out
 
     # initial-data terms and the boundary-datum singular terms
-    i0 = _initial_terms(s, tau, ymt, l)
+    if i0 is None:
+        i0 = _initial_terms(s, tau, ymt, l)
     b = np.array([-1.0, 1.0])[:, None] * chi[:, k] / np.sqrt(np.pi * tau)
 
     # weakly singular differences: the integral of
@@ -481,13 +491,16 @@ def solve_volterra_single_layer(problem):
     with strictly lower-triangular K: one forward substitution.  The
     tables are built in blocks of rows (``_march_rows``), so the march
     costs O(M^2) kernel evaluations in a few batched calls per block.  The
-    initial data add one Fourier table of u0 per march plus O(K) per row,
-    K <= 27 theta terms (``_initial_terms``); only the few rows with
-    tau < (l / 13)^2 take kernel quadratures, over the nodes near the walls.
+    initial data of all M rows come from one ``_initial_terms`` call: one
+    Fourier table of u0 and one Clenshaw pass over it per march, plus O(K)
+    per row, K <= 27 theta terms; only the few rows with tau < (l / 13)^2
+    take kernel quadratures, over the nodes near the walls.  The returned
+    pair carries the problem and its sample, so the field reuses both.
     """
     M = problem.M
     t = np.linspace(0.0, problem.T, M + 1)
     s = _sample(problem, t)
+    i0 = _initial_terms(s, t[1:], s.y[0, 1:], s.y[1, 1:] - s.y[0, 1:])
     ym0, yp0 = s.xi[0], s.xi[-1]
     omega = np.empty(M + 1)
     theta = np.empty(M + 1)
@@ -497,7 +510,7 @@ def solve_volterra_single_layer(problem):
     while k0 <= M:
         # R rows hold about R (k0 + R) <= _BLOCK table entries
         k1 = min(M + 1, k0 + max(1, (math.isqrt(k0 * k0 + 4 * _BLOCK) - k0) // 2))
-        d, K = _march_rows(s, k0, k1)
+        d, K = _march_rows(s, k0, k1, i0[:, k0 - 1:k1 - 1])
         for r, k in enumerate(range(k0, k1)):
             om, th = omega[:k], theta[:k]
             omega[k] = d[0, r] + K[0, 0, r, :k] @ om + K[0, 1, r, :k] @ th
@@ -505,7 +518,7 @@ def solve_volterra_single_layer(problem):
         k0 = k1
     if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(theta))):
         raise NumericalError("gradient march produced non-finite values")
-    return GradientPair(omega=omega, theta=theta, grid=t)
+    return GradientPair(omega=omega, theta=theta, grid=t, _march=(problem, s))
 
 
 def check_refinement(problem, rel_tol=0.10):
@@ -542,12 +555,51 @@ def _gradient_residual(problem, gradients, refine=2):
     return max(abs(gradients.omega[-1] - rhs[0]), abs(gradients.theta[-1] - rhs[1]))
 
 
+def _initial_field(s, x, tau, ymt, l):
+    """The field's initial term at (x, tau): u0 against the strip's Green
+    function, 0.5 (K(tau, x - xi, l) - K(tau, x + xi - 2 ymt, l)) @ u0w.
+
+    Split like ``_initial_terms``.  At and above tau = (l / _REACH)^2 the
+    theta series in product form,
+    (2 / l) sum_k q^(k^2) sin(kw (x - ymt)) sin(kw (xi - ymt)),
+    needs at most 27 terms, and
+    sin(kw (xi - ymt)) = Im(exp(i kw (mid - ymt)) exp(i kw (xi - mid))),
+    so it reads the grid's one Fourier table (``s.fourier``) in O(K).
+    Below it, ``folded_kernel`` runs only on the nodes within
+    (_REACH + 1) sqrt(tau) of x or of a mirror image of x.
+    """
+    if tau >= (l / _REACH) ** 2:
+        w = np.pi / l
+        decay = w * w * tau
+        k = _theta_orders(decay)
+        kw = k * w
+        # off the march grid the width may dip below the table's design width
+        if kw[-1] <= s.fourier.top:
+            phase = np.exp(1j * kw * (s.fourier.mid - ymt))
+            term = np.exp(-decay * k * k) * np.sin(kw * (x - ymt)) * (phase * s.fourier(kw)).imag
+            return 2.0 / l * term.sum()
+    a = np.stack([x - s.xi, x + s.xi - 2.0 * ymt])
+    near = np.abs(a - 2.0 * l * np.round(a / (2.0 * l))) <= (_REACH + 1.0) * math.sqrt(tau)
+    j = np.flatnonzero(near.any(axis=0))
+    kernel = folded_kernel(tau, a[:, j], l)
+    return 0.5 * (kernel[0] - kernel[1]) @ s.u0w[j]
+
+
 def git_field_single_layer(problem, gradients, x, tau):
     """Field value inside the strip at (x, tau) from solved gradients.
 
     Uses the image-sum boundary-potential representation; on the
     boundaries themselves the representation is taken by continuity,
     returning the boundary datum.
+
+    The history nodes are the gradient grid's nodes before tau.  A pair
+    from the march of this very ``problem`` object brings the march's
+    sample of them; any other pair has the problem sampled on its grid
+    once per call, so crossing boundaries in its history are still found.
+    Only tau itself is sampled afresh.  A point then costs its initial
+    term (``_initial_field``: O(K), K <= 27, from the march's one Fourier
+    table of u0, or a kernel window of nodes for tau < (l / 13)^2) plus
+    two batched kernel calls over the history, O(M).
     """
     x = float(x)
     tau = float(tau)
@@ -556,44 +608,46 @@ def git_field_single_layer(problem, gradients, x, tau):
     grid = gradients.grid
     if tau > grid[-1] + 1e-12 * max(problem.T, 1.0):
         raise ConfigError("gradient grid does not cover the requested time")
-    # the history nodes and tau, sampled like the march's grid
-    s = _sample(problem, np.append(grid[grid < tau * (1.0 - 1e-15)], tau))
-    ymt, ypt = s.y[:, -1]
+    march = gradients._march
+    if march is not None and march[0] is problem and march[1].t is grid:
+        s = march[1]
+    else:
+        s = _sample(problem, grid)
+    at = np.array([tau])
+    ymt, ypt = float(problem.y_minus(at)[0]), float(problem.y_plus(at)[0])
     l = ypt - ymt
+    if l <= 0.0:
+        raise ConfigError("boundaries cross inside the horizon")
     tol = 1e-12 * max(l, 1.0)
     if x < ymt - tol or x > ypt + tol:
         raise ConfigError(f"point x={x} outside the strip [{ymt}, {ypt}] at tau={tau}")
     if abs(x - ymt) <= tol:
-        return float(s.chi[0, -1])
+        return float(problem.chi_minus(at)[0])
     if abs(x - ypt) <= tol:
-        return float(s.chi[1, -1])
+        return float(problem.chi_plus(at)[0])
     if tau == 0.0:
         return float(problem.u0(x))
 
-    hist = s.t[:-1]
+    n = int(np.searchsorted(grid, tau * (1.0 - 1e-15)))
+    hist = grid[:n]
     dh = tau - hist
-    om = np.interp(hist, grid, gradients.omega)
-    th = np.interp(hist, grid, gradients.theta)
-    ym_h, yp_h = s.y[:, :-1]
-    cm_h, cp_h = s.chi[:, :-1]
-    dym_h = _derivative(problem.y_minus, hist, problem.T)
-    dyp_h = _derivative(problem.y_plus, hist, problem.T)
-
-    def upsilon_sum(delta, xi_arr):
-        return 0.5 * (folded_kernel(delta, x - xi_arr, l)
-                      - folded_kernel(delta, x + xi_arr - 2.0 * ymt, l))
-
-    def lambda_sum(delta, xi_arr):
-        return -0.5 * (folded_kernel(delta, x - xi_arr, l, 1)
-                       + folded_kernel(delta, x + xi_arr - 2.0 * ymt, l, 1))
-
-    t0 = upsilon_sum(tau, s.xi) @ s.u0w
+    q = _trapezoid_weights(np.append(hist, tau))[:-1]
+    y_h, chi_h = s.y[:, :n], s.chi[:, :n]
+    dy_h = np.stack([_derivative(problem.y_minus, hist, problem.T),
+                     _derivative(problem.y_plus, hist, problem.T)])
 
     # boundary-history integrals by the trapezoid rule; every kernel
     # vanishes at s = tau for interior x, so only the history nodes count.
     # Green's identity on the moving strip: the flux through y+ is
-    # (theta + chi+ y+') G(y+) and through y- is (omega - chi- y-') G(y-)
-    f1 = (th + cp_h * dyp_h) * upsilon_sum(dh, yp_h)
-    f2 = (om - cm_h * dym_h) * upsilon_sum(dh, ym_h)
-    f3 = cm_h * lambda_sum(dh, ym_h) - cp_h * lambda_sum(dh, yp_h)
-    return float(t0 + (f1 + f2 + f3) @ s.q[:-1])
+    # (theta + chi+ y+') G(y+) and through y- is (omega - chi- y-') G(y-),
+    # G = (K(x - y) - K(x + y - 2 y-(tau))) / 2; the double layer takes
+    # -(K'(x - y) + K'(x + y - 2 y-(tau))) / 2.  Rows: y-, then y+
+    a = np.stack([x - y_h, x + y_h - 2.0 * ymt])
+    kernel = folded_kernel(dh, a, l)
+    upsilon = 0.5 * (kernel[0] - kernel[1])
+    kernel = folded_kernel(dh, a, l, 1)
+    lam = -0.5 * (kernel[0] + kernel[1])
+    flux = (gradients.omega[:n] - chi_h[0] * dy_h[0]) * upsilon[0]
+    flux += (gradients.theta[:n] + chi_h[1] * dy_h[1]) * upsilon[1]
+    double = chi_h[0] * lam[0] - chi_h[1] * lam[1]
+    return float(_initial_field(s, x, tau, ymt, l) + (flux + double) @ q)

@@ -83,6 +83,22 @@ class TestShortTime:
             assert np.max(np.abs(u - exact)) <= 1e-12 * np.max(exact)
 
 
+class TestLongTime:
+    def test_decayed_profile_keeps_full_precision(self):
+        # strip [0, 3], sigma 1.3, T 5: the theta branch, where the profile
+        # has decayed ~1e-4-fold; a difference of two kernels of size ~1/l
+        # kept only ~1e-12 of the peak here.  The reference is the sine
+        # series term by term in plain floats, summed exactly by fsum
+        y0, yN, sigma, x0, T = 0.0, 3.0, 1.3, 1.1, 5.0
+        l = yN - y0
+        xs = np.linspace(y0, yN, 301)
+        exact = np.array([2.0 / l * math.fsum(
+            math.exp(-(n * math.pi * sigma / l) ** 2 * T) * math.sin(n * math.pi * (x0 - y0) / l)
+            * math.sin(n * math.pi * (x - y0) / l) for n in range(1, 40)) for x in xs])
+        u = strip_green(StripProblem(y0=y0, yN=yN, sigma=sigma, x0=x0, T=T), xs)
+        assert np.max(np.abs(u - exact)) <= 1e-14 * np.max(exact)
+
+
 class TestAgainstFineFd:
     def test_matches_fine_finite_differences(self):
         # a 401 x 400 Crank-Nicolson solve agrees to 0.2% of the peak

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from mlheat import cli
 from mlheat.cli import main
 from mlheat.transforms import TermStructure, bk_affine_zcb, nondivergent_to_divergent
 
@@ -87,6 +88,22 @@ class TestGreen:
         assert b"\r" not in out1.read_bytes()
 
 
+class TestCsvWriter:
+    def test_bytes_match_per_value_repr(self, capsys):
+        # each value as repr(float(x)), the writer's format before it
+        # converted whole columns
+        columns = {
+            "list": [0.1, 1, -0.0, 1e-300, float("nan"), 2.5e17],
+            "float64": np.array([1 / 3, np.pi, -np.inf, 5e-324, 123456789.125, 0.0]),
+            "float32": np.linspace(0.0, 1.0, 6, dtype=np.float32),
+            "scalars": [np.float64(0.7), np.float32(0.1), np.int64(3), 2.0, True, -7],
+        }
+        rows = ["list,float64,float32,scalars"]
+        rows += [",".join(repr(float(x)) for x in row) for row in zip(*columns.values())]
+        cli._write_csv(None, columns)
+        assert capsys.readouterr().out == "\n".join(rows) + "\n"
+
+
 class TestRejectedValues:
     """Every value the library rejects ends as exit 2, never as a traceback."""
 
@@ -100,8 +117,14 @@ class TestRejectedValues:
         ("green", {}, {"eval": {"abscissas": [0.5, 1.5]}}),
         ("compare", {}, {"fd": {"N_x": 3, "M_t": 40}}),
         ("green", {}, {"solver": {"layers": 0}}),
+        ("green", {"x0": "abc"}, {}),
+        ("green", {}, {"solver": {"layers": "four"}}),
+        ("green", {"boundaries": 5}, {"solver": {}}),
+        ("green", {"sigma": [1.0, 2.0]}, {}),
+        ("compare", {}, {"fd": {"N_x": "many", "M_t": 40}}),
     ], ids=["odd-m", "x0-outside", "x0-on-boundary", "T-nonpositive", "decreasing-boundaries",
-            "negative-sigma", "abscissa-outside", "fd-nx-3", "zero-layers"])
+            "negative-sigma", "abscissa-outside", "fd-nx-3", "zero-layers", "x0-not-a-number",
+            "layers-not-a-number", "scalar-boundaries", "list-sigma", "fd-nx-not-a-number"])
     def test_rejected_value_exits_2(self, tmp_path, capsys, command, problem, extra):
         payload = {"problem": dict({"y0": 0.0, "yN": 1.0, "sigma": 1.0, "x0": 0.3, "T": 0.1},
                                    **problem),
@@ -239,6 +262,20 @@ class TestTransform:
         assert main(["transform", "divergent", "--config", cfg]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, payload", [
+        ("dupire", {"r": 0.02, "v": "abc", "T": 1.0}),
+        ("dupire", {"r": [0.02], "v": 0.04, "T": 1.0, "samples": "3"}),
+        ("bk", {"kappa": 0.1, "S": 2.0, "a": "x"}),
+        ("verhulst", {"horizon": 1.0, "i": "zero", "N": 4}),
+        ("divergent", {"xi": {"kind": "sampled", "x": [0.0, "b"], "values": [1.0, 2.0]},
+                       "c1": 1.0}),
+    ], ids=["dupire-v", "dupire-r", "bk-a", "verhulst-i", "divergent-xi"])
+    def test_non_numeric_param_is_config_error(self, tmp_path, capsys, kind, payload):
+        cfg = write_config(tmp_path, "p.json", payload)
+        assert main(["transform", kind, "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error: ")
+
     def test_unknown_param_key_is_config_error(self, tmp_path):
         payload = {"r": 0.02, "q": 0.01, "v": 0.04, "T": 1.0, "K": 100.0}
         cfg = write_config(tmp_path, "dup.json", payload)
@@ -287,6 +324,16 @@ class TestBoundaries:
         payload = {"chi_minus": -1.0, "chi_plus": 1.0, "N": 4, "degree": 5, "T": 2.0}
         cfg = write_config(tmp_path, "bad.json", payload)
         assert main(["boundaries", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("bad", [{"N": "four"}, {"T": [1.0, 2.0]},
+                                     {"chi_plus": ["a", 1.0]}], ids=["N", "T", "chi_plus"])
+    def test_non_numeric_value_is_config_error(self, tmp_path, capsys, bad):
+        payload = dict({"chi_minus": -1.0, "chi_plus": 1.0, "N": 4, "degree": 1, "T": 2.0},
+                       **bad)
+        cfg = write_config(tmp_path, "bad.json", payload)
+        assert main(["boundaries", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
 
 
 class TestParser:

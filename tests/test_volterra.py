@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -145,16 +146,32 @@ def brute_initial_terms(s, tau, ymt, l, images=40):
     return out
 
 
+def brute_initial_field(s, x, tau, ymt, l, images=40):
+    """The field's initial term by the plain image sum, |n| <= images, and
+    its scale, the sum of the magnitudes of its terms."""
+    n = 2.0 * l * np.arange(-images, images + 1)
+
+    def kernel(a):
+        a = a[:, None] + n
+        return np.exp(-a * a / (4.0 * tau)).sum(axis=1) / math.sqrt(math.pi * tau)
+
+    direct, mirror = kernel(x - s.xi), kernel(x + s.xi - 2.0 * ymt)
+    return 0.5 * (direct - mirror) @ s.u0w, 0.5 * (direct + mirror) @ np.abs(s.u0w)
+
+
+INITIAL_DATA_CASES = pytest.mark.parametrize("y_minus, y_plus, u0", [
+    (0.0, 1.0, lambda x: 0.3 + np.sin(2.0 * x) + x * x),
+    (lambda t: 0.3 + 0.5 * np.asarray(t), lambda t: 1.3 + 0.5 * np.asarray(t),
+     lambda x: 1.0 + x),
+    (lambda t: -0.2 * np.asarray(t), lambda t: 1.0 + 0.3 * np.asarray(t),
+     lambda x: np.cos(3.0 * x) + 0.5),
+    (-2.0, 3.0, lambda x: 1.0 + 0.1 * x + np.sin(x)),
+], ids=["fixed", "translating", "width-varying", "width-5"])
+
+
 class TestInitialTerms:
     # u0 is nonzero at both walls, so every row carries the wall peaks
-    @pytest.mark.parametrize("y_minus, y_plus, u0", [
-        (0.0, 1.0, lambda x: 0.3 + np.sin(2.0 * x) + x * x),
-        (lambda t: 0.3 + 0.5 * np.asarray(t), lambda t: 1.3 + 0.5 * np.asarray(t),
-         lambda x: 1.0 + x),
-        (lambda t: -0.2 * np.asarray(t), lambda t: 1.0 + 0.3 * np.asarray(t),
-         lambda x: np.cos(3.0 * x) + 0.5),
-        (-2.0, 3.0, lambda x: 1.0 + 0.1 * x + np.sin(x)),
-    ], ids=["fixed", "translating", "width-varying", "width-5"])
+    @INITIAL_DATA_CASES
     def test_rows_match_image_sum(self, y_minus, y_plus, u0):
         prob = GitLayerProblem(y_minus=y_minus, y_plus=y_plus, chi_minus=0.0, chi_plus=0.0,
                                u0=u0, T=1.0, M=12)
@@ -179,6 +196,33 @@ class TestInitialTerms:
         prob = moving_problem(120)
         solve_volterra_single_layer(prob)  # several blocks of rows
         assert len(built) == 1
+
+    @INITIAL_DATA_CASES
+    def test_field_term_matches_image_sum(self, y_minus, y_plus, u0):
+        prob = GitLayerProblem(y_minus=y_minus, y_plus=y_plus, chi_minus=0.0, chi_plus=0.0,
+                               u0=u0, T=1.0, M=12)
+        s = _sample(prob, np.linspace(0.0, prob.T, prob.M + 1))
+        sides = set()
+        # on and off the grid, on both sides of tau = (l / 13)^2
+        for tau in (1e-4, 1e-3, 3e-3, 1e-2, 0.05, 1.0 / 12.0, 0.37, 1.0):
+            at = np.array([tau])
+            ymt = float(prob.y_minus(at)[0])
+            l = float(prob.y_plus(at)[0]) - ymt
+            sides.add(tau >= (l / _REACH) ** 2)
+            for x in ymt + l * np.array([1e-3, 0.05, 0.25, 0.5, 0.77, 0.999]):
+                ref, scale = brute_initial_field(s, x, tau, ymt, l)
+                assert abs(volterra._initial_field(s, x, tau, ymt, l) - ref) <= 1e-13 * scale
+        assert sides == {False, True}
+
+    def test_initial_terms_once_per_march(self, monkeypatch):
+        calls = []
+        initial_terms = volterra._initial_terms
+        monkeypatch.setattr(volterra, "_initial_terms",
+                            lambda s, tau, *rest: calls.append(len(tau))
+                            or initial_terms(s, tau, *rest))
+        prob = moving_problem(120)
+        solve_volterra_single_layer(prob)  # several blocks of rows
+        assert calls == [prob.M]
 
     def test_unresolvable_table_is_numerical_error(self):
         # a strip that narrows 400-fold: its theta rows need frequencies the
@@ -489,6 +533,38 @@ class TestField:
             errs.append(np.max(np.abs(v - exact)) / np.max(np.abs(exact)))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 1e-3
+
+    def test_hand_made_pair_matches_march_pair(self):
+        # a pair without the march's sample has the problem sampled afresh;
+        # so has a pickled copy of the march's own pair
+        prob = caloric_problem((0.5, 0.3, 1.0, -0.7), 0.2, -0.2, 0.3, 0.3, 25)
+        g = solve_volterra_single_layer(prob)
+        copies = [GradientPair(omega=g.omega, theta=g.theta, grid=g.grid),
+                  pickle.loads(pickle.dumps(g))]
+        for tau in (g.grid[17], 0.2345, prob.T):
+            lo, hi = float(prob.y_minus(tau)), float(prob.y_plus(tau))
+            for x in lo + np.array([0.1, 0.5, 0.9]) * (hi - lo):
+                v = git_field_single_layer(prob, g, x, tau)
+                for h in copies:
+                    assert abs(git_field_single_layer(prob, h, x, tau) - v) <= 1e-14 * abs(v)
+
+    def test_pair_of_other_problem_not_reused(self, monkeypatch):
+        prob = moving_problem(30)
+        g = solve_volterra_single_layer(prob)
+        samples = []
+        sample = volterra._sample
+        monkeypatch.setattr(volterra, "_sample",
+                            lambda *args: samples.append(args[0]) or sample(*args))
+        git_field_single_layer(prob, g, 0.5, 0.6)
+        assert samples == []
+        # an equal problem is another object; a different u0 changes the field
+        for other in (dataclasses.replace(prob), dataclasses.replace(prob, u0=lambda x: x * x)):
+            v = git_field_single_layer(other, g, 0.5, 0.6)
+            assert samples.pop() is other
+            hand_made = GradientPair(omega=g.omega, theta=g.theta, grid=g.grid)
+            assert v == git_field_single_layer(other, hand_made, 0.5, 0.6)
+        assert git_field_single_layer(other, g, 0.5, 0.6) != git_field_single_layer(
+            prob, g, 0.5, 0.6)
 
     def test_outside_strip_rejected(self):
         prob = moving_problem(20)
