@@ -20,9 +20,20 @@ non-negative terms, so the Laplace-domain values keep their relative
 accuracy however thin the layers, and the accuracy after inversion stays
 flat as N grows (3.4e-5 of the peak on the uniform strip from N = 20 to
 N = 20000).
+
+The (N, m) arrays of a solve (m Laplace nodes) live in one scratch
+workspace per thread: a flat float64 buffer handed out as views in LIFO
+order.  Each public entry releases what it took when it returns or
+raises, and every array it returns is a fresh one, never a view of the
+workspace.  The buffer grows only between calls, to a call's high-water
+mark plus 1/8, and never shrinks, so a thread keeps about the scratch of
+its largest solve (23 MB at N = 20000 with m = 16); later solves of that
+size reuse those pages instead of faulting fresh ones in.
 """
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,6 +151,70 @@ class SolutionField:
     flux_jumps: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
+# -- scratch workspace -------------------------------------------------------
+
+
+class _Workspace:
+    """Scratch for one thread: a flat float64 buffer handed out in LIFO order.
+
+    ``take`` bumps the top and returns a view of the buffer; resetting
+    ``top`` to an earlier value releases everything taken since.  A take
+    that does not fit gets a fresh array, but the top still counts it, so
+    once the outermost frame is released the buffer grows to the call's
+    high-water mark plus 1/8.  The new buffer is not written then: its
+    pages come in with the next call, after the fresh arrays of this one
+    have gone back to the allocator.
+    """
+
+    def __init__(self):
+        self.buf = np.empty(0)
+        self.size = 0
+        self.top = 0  # elements in use
+        self.peak = 0  # largest top that did not fit
+
+    def take(self, rows, m):
+        lo = self.top
+        hi = self.top = lo + rows * m
+        if hi <= self.size:
+            return self.buf[lo:hi].reshape(rows, m)
+        if hi > self.peak:
+            self.peak = hi
+        return np.empty((rows, m))
+
+    def release(self, mark):
+        self.top = mark
+        if mark == 0 and self.peak > self.size:
+            self.buf = None  # drop the old buffer before taking the new one
+            self.size = self.peak + self.peak // 8
+            self.buf = np.empty(self.size)
+
+
+class _PerThread(threading.local):
+    """One workspace per thread, made on the thread's first solve."""
+
+    def __init__(self):
+        self.ws = _Workspace()
+
+
+_local = _PerThread()
+
+
+def _scratch(fn):
+    """Make ``fn`` a workspace frame: what it takes is released when it
+    returns or raises, so it must return nothing that views the buffer."""
+
+    @functools.wraps(fn)
+    def frame(*args, **kwargs):
+        ws = _local.ws
+        mark = ws.top
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            ws.release(mark)
+
+    return frame
+
+
 # -- the node system in excess/coupling form --------------------------------
 
 
@@ -147,12 +222,20 @@ def _sinh_ratios(p, q):
     """sinh(p)/sinh(p+q) and sinh(q)/sinh(p+q) for p, q >= 0, p + q > 0.
 
     Every factor is scaled by exp(-p-q) and has one sign, so no argument
-    overflows and nothing cancels.
+    overflows and nothing cancels.  p and q are (rows, m) arrays, and
+    both are overwritten; the ratios are workspace arrays.
     """
-    tp = np.expm1(-2.0 * p)  # -2 exp(-p) sinh(p)
-    tq = np.expm1(-2.0 * q)
-    den = tp + (tp + 1.0) * tq  # -2 exp(-p-q) sinh(p+q)
-    return np.exp(-q) * tp / den, np.exp(-p) * tq / den
+    rows, m = p.shape
+    block = _local.ws.take(3 * rows, m)
+    tp, tq, den = block[:rows], block[rows : 2 * rows], block[2 * rows :]
+    np.expm1(np.multiply(-2.0, p, tp), tp)  # -2 exp(-p) sinh(p)
+    np.expm1(np.multiply(-2.0, q, tq), tq)
+    np.add(tp, 1.0, den)
+    np.multiply(den, tq, den)
+    np.add(tp, den, den)  # -2 exp(-p-q) sinh(p+q)
+    np.multiply(np.exp(np.negative(q, q), q), tp, tp)
+    np.multiply(np.exp(np.negative(p, p), p), tq, tq)
+    return np.divide(tp, den, tp), np.divide(tq, den, tq)
 
 
 def _sqrt_lam(lam):
@@ -171,18 +254,27 @@ def _excess_couplings(sigmas, omegas, sq):
     coupling adds to the excess of its node.  Both terms are finite and
     accurate for every a.  Returns an (n, m) excess and (n+1, m)
     couplings whose row i couples nodes i-1 and i (the end rows are
-    zero); n = len(sigmas) - 1 and m = len(sq).
+    zero); n = len(sigmas) - 1 and m = len(sq).  Both are workspace
+    arrays.
     """
-    na = omegas[:, None] * -sq
-    e = np.exp(na)
-    u = np.expm1(na)  # exp(-a) - 1
-    d = e + 1.0
-    tau = (-sigmas)[:, None] * u
+    n1, m = len(sigmas), len(sq)
+    ws = _local.ws
+    out = ws.take(2 * n1 - 1, m)
+    excess, beta = out[: n1 - 1], out[n1 - 1 :]
+    mark = ws.top
+    tmp = ws.take(3 * n1, m)
+    na, u, tau = tmp[:n1], tmp[n1 : 2 * n1], tmp[2 * n1 :]
+    np.multiply(omegas[:, None], -sq, na)
+    e = np.exp(na, beta)  # beta holds e until the last use of e below
+    np.expm1(na, u)  # exp(-a) - 1
+    d = np.add(e, 1.0, na)  # na is no longer needed
+    np.multiply((-sigmas)[:, None], u, tau)
     tau /= d
     u *= d
-    beta = (-2.0 * sigmas)[:, None] * e
+    np.multiply((-2.0 * sigmas)[:, None], e, beta)
     beta /= u
-    excess = tau[:-1] + tau[1:]
+    np.add(tau[:-1], tau[1:], excess)
+    ws.top = mark
     excess[0] += beta[0]
     excess[-1] += beta[-1]
     beta[0] = beta[-1] = 0.0
@@ -204,37 +296,54 @@ def _reduce(excess, coupling, p, r):
     divides non-negative numbers, so nothing cancels however thin the
     layers.  Shapes: excess (n, m), couplings (n+1, m) as returned by
     ``_excess_couplings``, r (m,); returns the solution with the zero
-    wall values at both ends, shape (n+2, m).
+    wall values at both ends, shape (n+2, m), as the workspace array on
+    top when it returns.
     """
-    n = len(excess)
-    out = np.empty((n + 2,) + excess.shape[1:])
-    out[0] = out[-1] = 0.0
-    if n == 1:
-        out[1] = r / excess[0]
-        return out
-    # kept node u is node q + 2u; eliminated node t is node 1 - q + 2t,
-    # between kept nodes t - q and t + 1 - q (a wall where out of range)
-    q = p % 2
-    kept = excess[q::2]
-    gone = excess[1 - q :: 2]
-    left = coupling[1 - q : n : 2]  # couplings of the eliminated nodes
-    right = coupling[2 - q :: 2]
-    nk = len(kept)
-    ne = n - nk
-    c = gone + left
-    c += right
-    to_left = left / c
-    to_right = right / c
-    joined = np.zeros((nk + 1,) + excess.shape[1:])
-    np.multiply(left, to_right, out=joined[1 - q : 1 - q + ne])
-    kept = kept.copy()
-    kept[1 - q :] += (gone * to_right)[: nk - 1 + q]
-    kept[: ne - q] += (gone * to_left)[q:]
-    sol = _reduce(kept, joined, p // 2, r)
-    out[1 + q : 1 + q + 2 * nk : 2] = sol[1:-1]
-    x = out[2 - q : 2 - q + 2 * ne : 2]
-    np.multiply(to_left, sol[1 - q : 1 - q + ne], out=x)
-    x += to_right * sol[2 - q : 2 - q + ne]
+    n, m = excess.shape
+    ws = _local.ws
+    out = ws.take(n + 2, m)
+    mark = ws.top
+    levels = []
+    while n > 1:
+        # kept node u is node q + 2u; eliminated node t is node 1 - q + 2t,
+        # between kept nodes t - q and t + 1 - q (a wall where out of range)
+        q = p % 2
+        kept_in = excess[q::2]
+        gone = excess[1 - q :: 2]
+        left = coupling[1 - q : n : 2]  # couplings of the eliminated nodes
+        right = coupling[2 - q :: 2]
+        ne = len(gone)
+        nk = n - ne
+        # one block per level: to_left and to_right, the kept system and
+        # its solution
+        block = ws.take(2 * n + nk + 3, m)
+        to_left, to_right = block[:ne], block[ne : 2 * ne]
+        joined = block[2 * ne : 2 * ne + nk + 1]
+        kept = block[2 * ne + nk + 1 : 2 * n + 1]
+        below = block[2 * n + 1 :]
+        tmp = out[:ne]  # out is written on the way back up
+        np.add(gone, left, tmp)
+        tmp += right
+        np.divide(left, tmp, to_left)
+        np.divide(right, tmp, to_right)
+        # rows 0 and nk join a kept node to a wall unless the product fills them
+        joined[::nk] = 0.0
+        np.multiply(left, to_right, joined[1 - q : 1 - q + ne])
+        kept[0] = kept_in[0]  # for q = 0: no eliminated node on its left
+        np.add(kept_in[1 - q :], np.multiply(gone, to_right, tmp)[: nk - 1 + q], kept[1 - q :])
+        kept[: ne - q] += np.multiply(gone, to_left, tmp)[q:]
+        levels.append((out, to_left, to_right, q, ne, nk))
+        excess, coupling, p, n, out = kept, joined, p // 2, nk, below
+    out[::2] = 0.0
+    np.divide(r, excess[0], out[1])
+    for up, to_left, to_right, q, ne, nk in reversed(levels):
+        up[:: len(up) - 1] = 0.0
+        up[1 + q : 1 + q + 2 * nk : 2] = out[1:-1]
+        x = up[2 - q : 2 - q + 2 * ne : 2]
+        np.multiply(to_left, out[1 - q : 1 - q + ne], x)
+        x += np.multiply(to_right, out[2 - q : 2 - q + ne], to_right)
+        out = up
+    ws.top = mark
     return out
 
 
@@ -254,22 +363,30 @@ def _system(problem, sq):
     b = med.boundaries
     nodes = np.concatenate((b[:j], [problem.x0], b[j:]))
     sigmas = np.concatenate((med.sigmas[:j], med.sigmas[j - 1 :]))
-    excess, coupling = _excess_couplings(sigmas, np.diff(nodes) / sigmas, sq)
+    excess, coupling = _excess_couplings(sigmas, (nodes[1:] - nodes[:-1]) / sigmas, sq)
     return nodes, sigmas, excess, coupling
 
 
 def _field(nodes, sigmas, sq, g, xs):
-    """Laplace-domain field at ``xs`` from the node values g, shape (len(xs), m)."""
-    if not np.all((xs >= nodes[0]) & (xs <= nodes[-1])):
+    """Laplace-domain field at ``xs`` from the node values g, shape
+    (len(xs), m), as a workspace array."""
+    if not ((xs >= nodes[0]) & (xs <= nodes[-1])).all():
         raise ConfigError("evaluation point outside the strip")
-    hi = np.clip(np.searchsorted(nodes, xs, side="left"), 1, len(nodes) - 1)
+    hi = np.maximum(nodes.searchsorted(xs), 1)  # y_0 itself is in the first segment
     lo = hi - 1
     sig = sigmas[lo]
-    to_hi, to_lo = _sinh_ratios(((xs - nodes[lo]) / sig)[:, None] * sq,
-                                ((nodes[hi] - xs) / sig)[:, None] * sq)
-    return g[lo] * to_lo + g[hi] * to_hi
+    nx = len(xs)
+    block = _local.ws.take(2 * nx, len(sq))
+    a, b = block[:nx], block[nx:]
+    np.multiply(((xs - nodes[lo]) / sig)[:, None], sq, a)
+    np.multiply(((nodes[hi] - xs) / sig)[:, None], sq, b)
+    to_hi, to_lo = _sinh_ratios(a, b)
+    np.multiply(g.take(lo, 0, a, "clip"), to_lo, a)
+    np.multiply(g.take(hi, 0, b, "clip"), to_hi, b)
+    return np.add(a, b, a)
 
 
+@_scratch
 def assemble_system(problem, lam):
     """Assemble the Laplace-domain tridiagonal system at a single lambda.
 
@@ -285,10 +402,11 @@ def assemble_system(problem, lam):
     b = med.boundaries
     j = problem.source_layer
     scale = sq[0] / med.sigmas[j - 1]
-    to_hi, to_lo = _sinh_ratios(scale * (problem.x0 - b[j - 1]), scale * (b[j] - problem.x0))
+    to_hi, to_lo = _sinh_ratios(np.array([[scale * (problem.x0 - b[j - 1])]]),
+                                np.array([[scale * (b[j] - problem.x0)]]))
     rhs = np.zeros(med.n_layers + 1)  # one entry per boundary, walls included
-    rhs[j - 1] = to_lo / sq[0]
-    rhs[j] = to_hi / sq[0]
+    rhs[j - 1] = to_lo[0, 0] / sq[0]
+    rhs[j] = to_hi[0, 0] / sq[0]
     return TridiagonalSystem(
         diag=excess[:, 0] + coupling[:-1, 0] + coupling[1:, 0],
         offdiag=-coupling[1:-1, 0],
@@ -316,6 +434,7 @@ def solve_tridiagonal(sys):
     return g
 
 
+@_scratch
 def laplace_field(problem, lam, g_hat, x):
     """Laplace-domain field at a single (lambda, x).
 
@@ -341,14 +460,19 @@ def _flux_residual(excess, coupling, sq, g, j):
     at the source take the flux through the source layer as a whole (the
     rows of ``assemble_system``): with x0 close to a boundary their own
     coupling is large and the difference it multiplies is rounding.
+    The result is a workspace array.
     """
-    flux = coupling * (g[:-1] - g[1:])
+    n, m = excess.shape
+    block = _local.ws.take(2 * n + 1, m)
+    flux, res = block[: n + 1], block[n + 1 :]
+    np.multiply(coupling, np.subtract(g[:-1], g[1:], flux), flux)
     left, right, s = coupling[j - 1], coupling[j], excess[j - 1]
     across = left * right * (g[j - 1] - g[j + 1])
     c = s + left + right
-    flux[j - 1] = (left * (s * g[j - 1] - 1.0 / sq) + across) / c
-    flux[j] = (right * (1.0 / sq - s * g[j + 1]) + across) / c
-    res = excess * g[1:-1]
+    jump = 1.0 / sq
+    flux[j - 1] = (left * (s * g[j - 1] - jump) + across) / c
+    flux[j] = (right * (jump - s * g[j + 1]) + across) / c
+    np.multiply(excess, g[1:-1], res)
     res -= flux[:-1]
     res += flux[1:]
     return res
@@ -358,7 +482,8 @@ def _node_values(problem, scheme):
     """The node system at the Stehfest nodes and its solution.
 
     Returns sqrt(lambda), shape (m,), the ``_system`` arrays and the node
-    values with the walls, shape (N+2, m); row j is the source.
+    values with the walls, shape (N+2, m); row j is the source.  The
+    arrays of shape (N, m) and up are workspace arrays.
     """
     sq = math.sqrt(math.log(2.0) / problem.T) * scheme._sqrt_ks
     nodes, sigmas, excess, coupling = _system(problem, sq)
@@ -366,6 +491,7 @@ def _node_values(problem, scheme):
     return sq, nodes, sigmas, excess, coupling, g
 
 
+@_scratch
 def boundary_values(problem, scheme=None):
     """Time-domain internal-boundary values f_i(T), i = 1..N-1."""
     if scheme is None:
@@ -378,6 +504,7 @@ def boundary_values(problem, scheme=None):
     return np.concatenate((f[1:j], f[j + 1 : -1]))
 
 
+@_scratch
 def greens_function(problem, scheme=None, xs=None):
     """Time-domain Green's function on the abscissas ``xs``.
 

@@ -10,6 +10,8 @@ scipy, where it marks a program fault.
 
 import ast
 import glob
+import importlib
+import importlib.util
 import math
 import os
 import subprocess
@@ -88,3 +90,21 @@ def _medium():
 def test_rejected_input_raises_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+def test_tracer_names_resolve():
+    # bench/tracing.py wraps these package functions by name, so a rename
+    # here would crash `bench/run.py --trace 1`
+    path = os.path.join(ROOT, "bench", "tracing.py")
+    if not os.path.exists(path):
+        pytest.skip("no bench/ beside the package")
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+
+    names = [(mod, fn) for mod, fns in tracing.SPANS.items() for fn in fns]
+    names += list(tracing.COUNTERS)
+    names += [("transforms", fn) for fn in tracing.CHART_FACTORIES + ("bk_affine_zcb",)]
+    missing = [f"{mod}.{fn}" for mod, fn in names
+               if not callable(getattr(importlib.import_module(f"mlheat.{mod}"), fn, None))]
+    assert not missing, f"names bench/tracing.py traces but mlheat lacks: {missing}"

@@ -1,12 +1,15 @@
 """Tests for the layered-medium semi-analytic Green's function solver."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mlheat import layered
 from mlheat.analytic import StripProblem, strip_green
 from mlheat.errors import ConfigError, NumericalError
 from mlheat.laplace import stehfest_weights
@@ -424,3 +427,96 @@ class TestRandomMedia:
         # so the trapezoid rule needs a grid finer than FINE
         xs = np.linspace(-1.0, 1.0, 16001)
         assert np.trapezoid(profile(*problem, xs), xs) <= 1.0 + 1e-4
+
+
+class TestWorkspace:
+    """Solves share one scratch workspace per thread, and none sees another.
+
+    Every public entry releases its scratch on return and on error, and
+    returns fresh arrays, so a solve is bit-identical whatever ran before
+    it and leaves earlier results untouched.
+    """
+
+    XS = np.linspace(-1.0, 1.0, 201)
+
+    @staticmethod
+    def outputs(problem, xs):
+        """Every array the public entries return for ``problem``."""
+        sol = greens_function(problem, xs=xs)
+        out = {"values": sol.values, "boundary": sol.boundary_values,
+               "jumps": sol.flux_jumps, "boundary_values": boundary_values(problem)}
+        if problem.medium.n_layers >= 2:
+            system = assemble_system(problem, 2.0)
+            g = solve_tridiagonal(system)
+            out.update(diag=system.diag, offdiag=system.offdiag, rhs=system.rhs,
+                       field=np.array([laplace_field(problem, 2.0, g, x) for x in (-0.5, 0.3)]))
+        return out
+
+    @staticmethod
+    def assert_released():
+        assert layered._local.ws.top == 0
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(1, 3000), st.integers(1, 3000), st.integers(0, 2**31))
+    @example(7, 1, 0)
+    @example(7, 20000, 1)
+    def test_solves_do_not_see_each_other(self, n_a, n_b, seed):
+        a = GreensProblem(random_medium(n_a, seed), x0=0.05, T=0.1)
+        b = GreensProblem(random_medium(n_b, seed + 1), x0=-0.3, T=0.4)
+        first = self.outputs(a, self.XS)
+        first_kept = {k: v.copy() for k, v in first.items()}
+        other = self.outputs(b, self.XS)
+        other_kept = {k: v.copy() for k, v in other.items()}
+        self.assert_same(self.outputs(a, self.XS), first_kept)
+        self.assert_same(first, first_kept)
+        # a call that raises after its solve still releases the scratch
+        with pytest.raises(ConfigError, match="outside the strip"):
+            greens_function(b, xs=np.array([0.0, 2.0]))
+        self.assert_released()
+        self.assert_same(self.outputs(a, self.XS), first_kept)
+        self.assert_released()
+        self.assert_same(first, first_kept)
+        self.assert_same(other, other_kept)
+
+    def test_threads_match_the_serial_solves(self):
+        problems = [GreensProblem(random_medium(n, seed), x0=0.05, T=0.1)
+                    for n, seed in ((3000, 1), (40, 2), (1500, 3), (700, 4))]
+        serial = [self.outputs(p, self.XS) for p in problems]
+
+        def solve_many(problem):
+            return [self.outputs(problem, self.XS) for _ in range(20)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-solve as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(solve_many, problems, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        for want, runs in zip(serial, threaded):
+            for got in runs:
+                self.assert_same(got, want)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts minor page faults with getrusage")
+    def test_large_solve_takes_no_fresh_pages(self):
+        # ~19 MB of temporaries allocated afresh on every call go back to
+        # the system when freed and fault in again on the next call: about
+        # 4700 minor faults per call at N = 20000
+        resource = pytest.importorskip("resource")
+        problem = GreensProblem(medium=uniform_medium(20000), x0=0.05, T=1.0)
+        xs = np.linspace(-1.0, 1.0, 1001)
+        scheme = stehfest_weights()
+        # the first call sizes the workspace; the second brings its pages in
+        for _ in range(2):
+            greens_function(problem, scheme, xs)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        greens_function(problem, scheme, xs)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults <= 200, f"{faults} minor page faults in one N = 20000 solve"
