@@ -197,6 +197,8 @@ def cmd_transform(args):
     params = _load_config(args.config)
     kind = args.kind
     samples = _as(int, params.pop("samples", 41), "samples")
+    if samples < 1:
+        raise ConfigError(f"samples must be at least 1, got {samples}")
     out = args.out or params.pop("output", None)
 
     if kind == "dupire":
@@ -273,8 +275,8 @@ def cmd_boundaries(args):
         raise ConfigError(f"N must be at least 2, got {n}")
     if degree not in (1, 2, 3):
         raise ConfigError(f"degree must be 1, 2 or 3, got {degree}")
-    if T <= 0.0:
-        raise ConfigError(f"T must be positive, got {T}")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ConfigError(f"T must be positive and finite, got {T}")
     try:
         bset = build_internal_boundaries(cm, cp, n, degree, T)
     except ConfigError as exc:

@@ -154,6 +154,8 @@ def build_internal_boundaries(chi_minus, chi_plus, N, degree, T):
         raise ConfigError(f"degree must be 1, 2 or 3, got {degree}")
     if N < 2:
         raise ConfigError(f"need at least 2 layers, got N={N}")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ConfigError(f"horizon T must be positive and finite, got {T}")
     cm, cp = _as_curve(chi_minus), _as_curve(chi_plus)
     grid = np.linspace(0.0, T, 200)
     cm_g, cp_g = cm(grid), cp(grid)
@@ -257,9 +259,11 @@ class _Sampled:
 
     @functools.cached_property
     def fourier(self):
-        """The Fourier table of u0w, built on first use.  Its top frequency
-        bounds k pi / l on every theta-series row of ``_initial_terms``,
-        whose at most 27 terms give 27 pi <= sqrt(_DECAY) _REACH + pi."""
+        """The Fourier table of u0w, built on first use by ``_initial_terms``
+        for the march, its residual and the field.  Its top frequency
+        bounds k pi / l on every theta-series row of a width l on the grid,
+        whose at most 27 terms give 27 pi <= sqrt(_DECAY) _REACH + pi; a
+        narrower strip off the grid falls back to the kernel window."""
         l_min = np.min(self.y[1] - self.y[0])
         return _FourierTable(self.xi, self.u0w,
                              (math.sqrt(_DECAY) * _REACH + 2.0 * math.pi) / l_min)
@@ -343,53 +347,58 @@ class _FourierTable:
         self.coef = coef[:np.flatnonzero(np.abs(coef) > floor).max(initial=0) + 1]
 
     def __call__(self, w):
-        return _CHEB.chebval(1.0 - 2.0 * w / self.top, self.coef)
+        # chebval steps through 1-D points faster than through an N-D array
+        return _CHEB.chebval(1.0 - 2.0 * w.ravel() / self.top, self.coef).reshape(w.shape)
 
 
-def _initial_terms(s, tau, ymt, l):
-    """u0 against dK/da at a = ymt - xi (omega) and ymt - xi + l (theta).
+def _initial_terms(s, tau, c, l, deriv):
+    """u0 against the strip kernel: sum_j K^(deriv)(tau, c - xi_j, l) u0w_j.
 
-    Rows split at tau = (l / _REACH)^2, where the image window
-    _REACH sqrt(tau) reaches the strip width.  Rows below it call
-    ``folded_kernel`` on the nodes within (_REACH + 1) sqrt(tau) of a wall
-    only.  At and above it the theta series needs at most 27 terms and
-    separates in xi:
-    sin(kw (ymt - xi)) = Im(exp(i kw (ymt - mid)) conj(exp(i kw (xi - mid)))),
-    so every term reads the grid's one Fourier table of u0 (``s.fourier``),
-    and the +l side differs only by (-1)^k.  The cost is one table per
-    grid plus O(K) per row, K <= 27, against O(n_xi) for a kernel row.
+    tau and l have shape (R,), the centres c shape (P, R); so has the
+    result.  Rows split at tau = (l / _REACH)^2, where the image window
+    _REACH sqrt(tau) reaches the strip width.  At and above it the theta
+    series needs at most 27 terms and separates in xi:
+    sum_j u0w_j exp(i kw (c - xi_j)) = exp(i kw (c - mid)) conj(F(kw)),
+    F the grid's one Fourier table of u0 (``s.fourier``), so a row costs
+    O(K), K <= 27, against O(n_xi) for a kernel row.  A theta row whose
+    frequencies pass the table's top (a strip narrower than anywhere on
+    the grid) and every row below the split call ``folded_kernel`` on the
+    nodes within (_REACH + 1) sqrt(tau) of an image of each centre only.
     """
-    i0 = np.zeros((2, len(tau)))
-    image = tau < (l / _REACH) ** 2
-    rows = np.flatnonzero(image)
+    out = np.zeros(c.shape)
+    w = np.pi / l
+    decay = w * w * tau
+    theta = tau >= (l / _REACH) ** 2
+    if theta.any():
+        k = _theta_orders(decay[theta].min())
+        theta &= k[-1] * w <= s.fourier.top
+    rows = np.flatnonzero(theta)
+    if len(rows):
+        # the d-th a-derivative of 2 q^(k^2) cos(kw a) is 2 q^(k^2) Re((i kw)^d exp(i kw a))
+        kw = np.multiply.outer(w[rows], k)
+        phase = (1j * kw) ** deriv * np.exp(1j * kw * (c[:, rows, None] - s.fourier.mid))
+        weight = 2.0 * np.exp(-np.multiply.outer(decay[rows], k * k))
+        total = (weight * (phase * np.conj(s.fourier(kw))).real).sum(axis=-1)
+        if deriv == 0:
+            total += s.u0w.sum()
+        out[:, rows] = total / l[rows]
+    rows = np.flatnonzero(~theta)
     step = max(1, _BLOCK // len(s.xi))
     for lo in range(0, len(rows), step):
         r = rows[lo:lo + step]
-        a, lr = ymt[r, None] - s.xi, l[r, None]
-        # farther than _REACH sqrt(tau) from every multiple of l, the
-        # kernels at a and a + l are below exp(-_REACH^2 / 4) of their peak
+        a, lr = c[:, r, None] - s.xi, l[r, None]
+        # farther than _REACH sqrt(tau) from every image of the centre
+        # (period 2l), the kernel is below exp(-_REACH^2 / 4) of its peak
         reach = (_REACH + 1.0) * np.sqrt(tau[r, None])
-        i, j = np.nonzero(np.abs(a - lr * np.round(a / lr)) <= reach)
+        p, i, j = np.nonzero(np.abs(a - 2.0 * lr * np.round(a / (2.0 * lr))) <= reach)
         if len(i):
-            kernel = np.zeros((2,) + a.shape)
-            a, ri = a[i, j], r[i]
-            kernel[:, i, j] = folded_kernel(tau[ri], np.stack([a, a + l[ri]]), l[ri], 1)
-            i0[:, r] = kernel @ s.u0w
-    rows = np.flatnonzero(~image)
-    if len(rows):
-        w = np.pi / l[rows]
-        decay = w * w * tau[rows]
-        k = _theta_orders(decay.min())
-        kw = np.multiply.outer(w, k)
-        # d/da of 2 q^(k^2) cos(kw a) at a = ymt - xi, integrated against u0
-        phase = np.exp(1j * kw * (ymt[rows] - s.fourier.mid)[:, None])
-        term = -2.0 * np.exp(-np.multiply.outer(decay, k * k)) * kw * (
-            phase * np.conj(s.fourier(kw))).imag
-        i0[:, rows] = np.stack([term.sum(axis=1), term @ (-1.0) ** k]) / l[rows]
-    return i0
+            kernel = np.zeros(a.shape)
+            kernel[p, i, j] = folded_kernel(tau[r[i]], a[p, i, j], l[r[i]], deriv)
+            out[:, r] = kernel @ s.u0w
+    return out
 
 
-def _march_rows(s, k0, k1, i0=None):
+def _march_rows(s, k0, k1, i0):
     """Rows k0 <= k < k1 of the gradient equations on the grid s.t.
 
     Row k reads
@@ -398,8 +407,8 @@ def _march_rows(s, k0, k1, i0=None):
     with t_k = tau: every kernel carries zero weight at s = tau, so the
     sums stop short of k and the march is one forward substitution.
     Returns d, shape (2, R), and K, shape (2, 2, R, k1 - 1), zero where
-    j >= k; R = k1 - k0.  i0 holds the rows' initial-data terms
-    (``_initial_terms``), computed here when None.
+    j >= k; R = k1 - k0.  i0 holds the rows' initial-data terms,
+    ``_initial_terms`` at the centres s.y[:, k] with deriv 1.
     """
     t = s.t
     k = np.arange(k0, k1)
@@ -420,9 +429,7 @@ def _march_rows(s, k0, k1, i0=None):
         out[..., r, j] = values
         return out
 
-    # initial-data terms and the boundary-datum singular terms
-    if i0 is None:
-        i0 = _initial_terms(s, tau, ymt, l)
+    # the boundary-datum singular terms
     b = np.array([-1.0, 1.0])[:, None] * chi[:, k] / np.sqrt(np.pi * tau)
 
     # weakly singular differences: the integral of
@@ -500,7 +507,7 @@ def solve_volterra_single_layer(problem):
     M = problem.M
     t = np.linspace(0.0, problem.T, M + 1)
     s = _sample(problem, t)
-    i0 = _initial_terms(s, t[1:], s.y[0, 1:], s.y[1, 1:] - s.y[0, 1:])
+    i0 = _initial_terms(s, t[1:], s.y[:, 1:], s.y[1, 1:] - s.y[0, 1:], 1)
     ym0, yp0 = s.xi[0], s.xi[-1]
     omega = np.empty(M + 1)
     theta = np.empty(M + 1)
@@ -548,41 +555,13 @@ def _gradient_residual(problem, gradients, refine=2):
     """
     ts = np.linspace(0.0, problem.T, refine * problem.M + 1)
     n = len(ts) - 1
-    d, K = _march_rows(_sample(problem, ts), n, n + 1)
+    s = _sample(problem, ts)
+    i0 = _initial_terms(s, ts[n:], s.y[:, n:], s.y[1, n:] - s.y[0, n:], 1)
+    d, K = _march_rows(s, n, n + 1, i0)
     om = np.interp(ts[:-1], gradients.grid, gradients.omega)
     th = np.interp(ts[:-1], gradients.grid, gradients.theta)
     rhs = d[:, 0] + K[:, 0, 0] @ om + K[:, 1, 0] @ th
     return max(abs(gradients.omega[-1] - rhs[0]), abs(gradients.theta[-1] - rhs[1]))
-
-
-def _initial_field(s, x, tau, ymt, l):
-    """The field's initial term at (x, tau): u0 against the strip's Green
-    function, 0.5 (K(tau, x - xi, l) - K(tau, x + xi - 2 ymt, l)) @ u0w.
-
-    Split like ``_initial_terms``.  At and above tau = (l / _REACH)^2 the
-    theta series in product form,
-    (2 / l) sum_k q^(k^2) sin(kw (x - ymt)) sin(kw (xi - ymt)),
-    needs at most 27 terms, and
-    sin(kw (xi - ymt)) = Im(exp(i kw (mid - ymt)) exp(i kw (xi - mid))),
-    so it reads the grid's one Fourier table (``s.fourier``) in O(K).
-    Below it, ``folded_kernel`` runs only on the nodes within
-    (_REACH + 1) sqrt(tau) of x or of a mirror image of x.
-    """
-    if tau >= (l / _REACH) ** 2:
-        w = np.pi / l
-        decay = w * w * tau
-        k = _theta_orders(decay)
-        kw = k * w
-        # off the march grid the width may dip below the table's design width
-        if kw[-1] <= s.fourier.top:
-            phase = np.exp(1j * kw * (s.fourier.mid - ymt))
-            term = np.exp(-decay * k * k) * np.sin(kw * (x - ymt)) * (phase * s.fourier(kw)).imag
-            return 2.0 / l * term.sum()
-    a = np.stack([x - s.xi, x + s.xi - 2.0 * ymt])
-    near = np.abs(a - 2.0 * l * np.round(a / (2.0 * l))) <= (_REACH + 1.0) * math.sqrt(tau)
-    j = np.flatnonzero(near.any(axis=0))
-    kernel = folded_kernel(tau, a[:, j], l)
-    return 0.5 * (kernel[0] - kernel[1]) @ s.u0w[j]
 
 
 def git_field_single_layer(problem, gradients, x, tau):
@@ -597,9 +576,13 @@ def git_field_single_layer(problem, gradients, x, tau):
     sample of them; any other pair has the problem sampled on its grid
     once per call, so crossing boundaries in its history are still found.
     Only tau itself is sampled afresh.  A point then costs its initial
-    term (``_initial_field``: O(K), K <= 27, from the march's one Fourier
-    table of u0, or a kernel window of nodes for tau < (l / 13)^2) plus
-    two batched kernel calls over the history, O(M).
+    term plus two batched kernel calls over the history, O(M).  The
+    initial term is u0 against the strip's Green function,
+    (K(tau, x - xi) - K(tau, 2 y_minus(tau) - x - xi)) / 2 with K even:
+    one ``_initial_terms`` call at the centres x and its mirror image,
+    O(K), K <= 27, from the march's one Fourier table of u0.  Below
+    tau = (l / 13)^2, or off the grid where the strip is narrower than
+    the table resolves, it takes a kernel window of nodes instead.
     """
     x = float(x)
     tau = float(tau)
@@ -650,4 +633,5 @@ def git_field_single_layer(problem, gradients, x, tau):
     flux = (gradients.omega[:n] - chi_h[0] * dy_h[0]) * upsilon[0]
     flux += (gradients.theta[:n] + chi_h[1] * dy_h[1]) * upsilon[1]
     double = chi_h[0] * lam[0] - chi_h[1] * lam[1]
-    return float(_initial_field(s, x, tau, ymt, l) + (flux + double) @ q)
+    i0 = _initial_terms(s, at, np.array([[x], [2.0 * ymt - x]]), np.array([l]), 0)
+    return float(0.5 * (i0[0, 0] - i0[1, 0]) + (flux + double) @ q)

@@ -269,7 +269,10 @@ class TestTransform:
         ("verhulst", {"horizon": 1.0, "i": "zero", "N": 4}),
         ("divergent", {"xi": {"kind": "sampled", "x": [0.0, "b"], "values": [1.0, 2.0]},
                        "c1": 1.0}),
-    ], ids=["dupire-v", "dupire-r", "bk-a", "verhulst-i", "divergent-xi"])
+        ("dupire", {"r": 0.02, "v": 0.04, "T": 1.0, "samples": -3}),
+        ("dupire", {"r": 0.02, "v": 0.04, "T": 1.0, "samples": 0}),
+    ], ids=["dupire-v", "dupire-r", "bk-a", "verhulst-i", "divergent-xi",
+            "samples-negative", "samples-zero"])
     def test_non_numeric_param_is_config_error(self, tmp_path, capsys, kind, payload):
         cfg = write_config(tmp_path, "p.json", payload)
         assert main(["transform", kind, "--config", cfg]) == 2
@@ -326,7 +329,8 @@ class TestBoundaries:
         assert main(["boundaries", "--config", cfg]) == 2
 
     @pytest.mark.parametrize("bad", [{"N": "four"}, {"T": [1.0, 2.0]},
-                                     {"chi_plus": ["a", 1.0]}], ids=["N", "T", "chi_plus"])
+                                     {"chi_plus": ["a", 1.0]}, {"T": math.nan}],
+                             ids=["N", "T", "chi_plus", "T-nan"])
     def test_non_numeric_value_is_config_error(self, tmp_path, capsys, bad):
         payload = dict({"chi_minus": -1.0, "chi_plus": 1.0, "N": 4, "degree": 1, "T": 2.0},
                        **bad)

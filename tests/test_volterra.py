@@ -10,7 +10,8 @@ import pytest
 from mlheat.analytic import StripProblem, strip_green
 from mlheat.errors import ConfigError, NumericalError
 from mlheat import volterra
-from mlheat.special_functions import _REACH, _image_sum, _theta_sum, folded_kernel, theta3_dz
+from mlheat.special_functions import (_REACH, _image_sum, _theta_orders, _theta_sum,
+                                     folded_kernel, theta3_dz)
 from mlheat.transforms import Curve, _as_curve
 from mlheat.volterra import (
     GitLayerProblem,
@@ -159,6 +160,13 @@ def brute_initial_field(s, x, tau, ymt, l, images=40):
     return 0.5 * (direct - mirror) @ s.u0w, 0.5 * (direct + mirror) @ np.abs(s.u0w)
 
 
+def dipping_plus(t):
+    # width 1.4 on the grid k / 12, dipping by half to 0.7 at t = 3e-3,
+    # where tau = 3e-3 lies just above (l / 13)^2: the theta series there
+    # needs 27 pi / 0.7, nearly twice what the table resolves (90.5 / 1.4)
+    return 1.4 - 0.7 * np.exp(-((np.asarray(t) - 3e-3) / 1e-3) ** 2)
+
+
 INITIAL_DATA_CASES = pytest.mark.parametrize("y_minus, y_plus, u0", [
     (0.0, 1.0, lambda x: 0.3 + np.sin(2.0 * x) + x * x),
     (lambda t: 0.3 + 0.5 * np.asarray(t), lambda t: 1.3 + 0.5 * np.asarray(t),
@@ -166,7 +174,8 @@ INITIAL_DATA_CASES = pytest.mark.parametrize("y_minus, y_plus, u0", [
     (lambda t: -0.2 * np.asarray(t), lambda t: 1.0 + 0.3 * np.asarray(t),
      lambda x: np.cos(3.0 * x) + 0.5),
     (-2.0, 3.0, lambda x: 1.0 + 0.1 * x + np.sin(x)),
-], ids=["fixed", "translating", "width-varying", "width-5"])
+    (0.0, dipping_plus, lambda x: 1.0 + x),
+], ids=["fixed", "translating", "width-varying", "width-5", "dip-off-grid"])
 
 
 class TestInitialTerms:
@@ -180,7 +189,7 @@ class TestInitialTerms:
             s = _sample(prob, np.linspace(0.0, T, prob.M + 1))
             tau, (ymt, ypt) = s.t[1:], s.y[:, 1:]
             l = ypt - ymt
-            i0 = _initial_terms(s, tau, ymt, l)
+            i0 = _initial_terms(s, tau, s.y[:, 1:], l, 1)
             ref = brute_initial_terms(s, tau, ymt, l)
             assert np.all(np.abs(i0 - ref) <= 1e-13 * np.max(np.abs(ref), axis=0))
             table_rows = tau >= (l / _REACH) ** 2
@@ -202,17 +211,24 @@ class TestInitialTerms:
         prob = GitLayerProblem(y_minus=y_minus, y_plus=y_plus, chi_minus=0.0, chi_plus=0.0,
                                u0=u0, T=1.0, M=12)
         s = _sample(prob, np.linspace(0.0, prob.T, prob.M + 1))
-        sides = set()
+        sides, off_table = set(), False
         # on and off the grid, on both sides of tau = (l / 13)^2
         for tau in (1e-4, 1e-3, 3e-3, 1e-2, 0.05, 1.0 / 12.0, 0.37, 1.0):
             at = np.array([tau])
             ymt = float(prob.y_minus(at)[0])
             l = float(prob.y_plus(at)[0]) - ymt
-            sides.add(tau >= (l / _REACH) ** 2)
+            theta_side = tau >= (l / _REACH) ** 2
+            sides.add(theta_side)
+            # a theta-side tau whose frequencies pass the table's top falls
+            # back to the kernel window
+            top = _theta_orders(math.pi ** 2 * tau / l ** 2)[-1] * math.pi / l
+            off_table |= theta_side and top > s.fourier.top
             for x in ymt + l * np.array([1e-3, 0.05, 0.25, 0.5, 0.77, 0.999]):
                 ref, scale = brute_initial_field(s, x, tau, ymt, l)
-                assert abs(volterra._initial_field(s, x, tau, ymt, l) - ref) <= 1e-13 * scale
+                i0 = _initial_terms(s, at, np.array([[x], [2.0 * ymt - x]]), np.array([l]), 0)
+                assert abs(0.5 * (i0[0, 0] - i0[1, 0]) - ref) <= 1e-13 * scale
         assert sides == {False, True}
+        assert off_table == (y_plus is dipping_plus)
 
     def test_initial_terms_once_per_march(self, monkeypatch):
         calls = []
@@ -269,6 +285,10 @@ class TestBuildInternalBoundaries:
             build_internal_boundaries(-1.0, 1.0, 1, 1, 1.0)
         with pytest.raises(ConfigError):
             build_internal_boundaries(-1.0, 1.0, 4, 5, 1.0)
+        # a horizon that is not positive and finite
+        for T in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="horizon"):
+                build_internal_boundaries(-1.0, 1.0, 4, 1, T)
 
 
 class TestKernels:
@@ -308,6 +328,31 @@ class TestKernels:
         assert folded_kernel(0.5, -1.0, 1.0, deriv=1) == pytest.approx(0.0, abs=1e-14)
         assert k.ups0_minus == 0.0
         assert k.ups0_plus == 0.0
+
+    def test_kernel_set_matches_march_tables(self):
+        # one row of the march's coupling table K on a linear moving strip,
+        # rebuilt node by node from the six kernels and the self peaks;
+        # its lags tau - s take both the image and the theta form
+        prob = GitLayerProblem(y_minus=lambda t: 0.1 + 0.2 * np.asarray(t),
+                               y_plus=lambda t: 1.2 - 0.3 * np.asarray(t),
+                               chi_minus=0.0, chi_plus=0.0, u0=1.0, T=1.0, M=40)
+        t = np.linspace(0.0, prob.T, prob.M + 1)
+        s = _sample(prob, t)
+        k = 30
+        _, K = volterra._march_rows(s, k, k + 1, np.zeros((2, 1)))
+        ymt, ypt = s.y[:, k]
+        ref = np.zeros((2, 2, k))
+        for j in range(k):
+            ua, ub = t[k] - t[j], t[k] - t[j + 1]
+            memory = 2.0 * math.sqrt(ua) * (math.sqrt(ua) - math.sqrt(ub))
+            peak_m = _self_peak(ua, ymt - s.y[0, j])
+            peak_p = _self_peak(ua, ypt - s.y[1, j])
+            at_plus = git_kernel_set(t[k], t[j], prob.y_minus, prob.y_plus, s.y[1, j])
+            at_minus = git_kernel_set(t[k], t[j], prob.y_minus, prob.y_plus, s.y[0, j])
+            q = s.q[j]
+            ref[:, :, j] = [[peak_m * memory - q * at_plus.ups0_minus, -q * at_plus.ups_minus],
+                            [q * at_minus.ups_plus, q * at_minus.ups0_plus - peak_p * memory]]
+        assert np.all(np.abs(K[:, :, 0] - ref) <= 1e-14 * np.abs(ref))
 
     def test_spike_only_at_exact_boundary_point(self):
         base = git_kernel_set(0.6, 0.1, 0.0, 1.0, 0.5)
