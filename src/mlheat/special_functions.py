@@ -51,29 +51,55 @@ def _theta_orders(decay):
 def _image_sum(delta, a, l, deriv):
     """Gaussian image form of the d-th a-derivative of K, for |a| <= l.
 
-    The images pair up as a + 2nl and a - 2nl, so the sum is exactly even
-    (deriv 0, 2) or odd (deriv 1) in a.
-    """
-    n_max = int(math.ceil(0.5 * _REACH * math.sqrt(np.max(delta / (l * l), initial=0.0))))
-    # a trailing axis runs over the images
-    two_delta = 2.0 * np.asarray(delta)[..., None]
-    rate = -0.5 / two_delta
+    Neighbouring images differ by a Gaussian factor, so they are built by
+    multiplication: with g = exp(-a^2 / (4 delta)), R+- = exp(-l (l +- a) / delta)
+    and Q = exp(-2 l^2 / delta), the image at a +- 2nl is G+-_n with
+    G+-_0 = g and G+-_(n+1) = G+-_n R+- Q^n.  That is at most four
+    exponentials per element whatever the number of images, and no
+    (elements x images) array.  For |a| <= l every factor is at most 1, so
+    nothing overflows and the far images underflow to 0; l +- a are
+    clipped at 0 against |a| exceeding l by rounding.
 
-    def image(x):
+    The two sides are built by the same operations with a and -a swapped,
+    so the sum is exactly even (deriv 0, 2) or odd (deriv 1) in a.
+    """
+    delta, a, l = (np.asarray(v, dtype=float) for v in (delta, a, l))
+    n_max = int(math.ceil(0.5 * _REACH * math.sqrt(np.max(delta / (l * l), initial=0.0))))
+    two_delta = 2.0 * delta
+    span = 2.0 * l
+    rate = -l / delta
+    g = np.exp((-0.25 / delta) * (a * a))
+    ratio = np.exp(rate * span) if n_max > 1 else None
+
+    def image(x, gauss):
         # the d-th derivative of exp(-x^2 / (4 delta)) without its factor
         # (-2 delta)^-d, which is applied once to the total
-        x2 = x * x
-        g = np.exp(rate * x2)
         if deriv == 1:
-            return x * g
+            return x * gauss
         if deriv == 2:
-            return (x2 - two_delta) * g
-        return g
+            return (x * x - two_delta) * gauss
+        return gauss
 
-    a = np.asarray(a)[..., None]
-    shift = 2.0 * np.multiply.outer(l, np.arange(1, n_max + 1))
-    total = image(a)[..., 0] + (image(a + shift) + image(a - shift)).sum(axis=-1)
-    return total / ((-2.0 * delta) ** deriv * np.sqrt(np.pi * delta))
+    def side(b):
+        # the images at x = b + 2nl, n = 1 ... n_max, and their Gaussians
+        step = np.exp(rate * np.maximum(l + b, 0.0))
+        gauss = g * step
+        x = b + span if deriv else None
+        total = image(x, gauss)
+        for _ in range(1, n_max):
+            step *= ratio
+            gauss = gauss * step
+            if deriv:
+                x += span
+            total = total + image(x, gauss)
+        return total
+
+    plus, minus = side(a), side(-a)
+    total = image(a, g) + (plus - minus if deriv == 1 else plus + minus)
+    norm = np.sqrt(np.pi * delta)
+    if deriv:
+        norm = norm * (-two_delta) ** deriv
+    return total / norm
 
 
 def _theta_sum(delta, a, l, deriv):
@@ -105,14 +131,22 @@ def folded_kernel(delta, a, l, deriv=0):
     uses the image sum when delta / l^2 < 1/pi (nome above exp(-pi)) and
     the theta series otherwise, so both need only a handful of terms.
     All arguments broadcast; delta may be +inf (the l -> 0 limit 1/l).
+    ``ConfigError`` is raised unless delta > 0, a is finite and l is
+    finite and positive.
 
     Returns a float when every argument is a scalar, else an ndarray.
     """
     if deriv not in (0, 1, 2):
         raise ConfigError(f"deriv must be 0, 1 or 2, got {deriv!r}")
-    delta, a, l = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (delta, a, l)))
+    # checked before broadcasting, so each argument is scanned at its own size
+    delta, a, l = (np.asarray(v, dtype=float) for v in (delta, a, l))
     if not np.all(delta > 0.0):
         raise ConfigError("time lag delta must be positive")
+    if not np.all(np.isfinite(a)):
+        raise ConfigError("offset a must be finite")
+    if not np.all((l > 0.0) & (l < math.inf)):
+        raise ConfigError("width l must be positive and finite")
+    delta, a, l = np.broadcast_arrays(delta, a, l)
     a = a - 2.0 * l * np.round(a / (2.0 * l))
     image = delta < l * l / math.pi
     if image.all():

@@ -229,11 +229,13 @@ def git_kernel_set(tau, s, y_minus, y_plus, xi):
 # the gradient equations as kernel tables
 # ----------------------------------------------------------------------
 
-# (row, node) entries per block of kernel tables.  A batched kernel call
-# holds a few dozen doubles per entry, so a block's temporaries stay near
-# a quarter of a megabyte (a block holds at least one row, so they grow
-# with M beyond M = 1024).
-_BLOCK = 1024
+# (row, node) entries per block of kernel tables.  A block's tables and
+# batched kernel calls peak near a hundred doubles per history pair, so
+# its temporaries stay under about 3 MB (a block holds at least one row,
+# so they grow with M beyond M = 4096).  The image sum holds a few arrays
+# of the batch's size, not one per image, so bigger blocks mean fewer
+# numpy passes per march for little more memory.
+_BLOCK = 4096
 
 # degrees of the initial data's Fourier table: the first tried and the
 # largest, which resolves strips that narrow about 350-fold

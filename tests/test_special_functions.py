@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mlheat.errors import ConfigError
 from mlheat.special_functions import (_image_sum, _theta_sum, eta_kernel, folded_kernel,
                                       theta3, theta3_dz, theta3_dzz)
 
@@ -210,3 +211,54 @@ class TestFoldedKernel:
             folded_kernel(float("nan"), 0.1, 1.0)
         with pytest.raises(ValueError):
             folded_kernel(0.1, 0.1, 1.0, deriv=3)
+        # the width must be finite and positive and a finite: a negative
+        # width would flip the sign of the theta branch, and the image sum
+        # needs |a| <= l after folding
+        for delta, a, l in [
+                (1.0, 0.3, -1.0), (0.01, 0.3, -1.0), (0.01, 0.3, 0.0),
+                (0.01, 0.3, math.nan), (0.01, 0.3, math.inf),
+                (0.01, math.nan, 1.0), (0.01, math.inf, 1.0), (1.0, -math.inf, 1.0),
+                ([0.01, 1.0], 0.3, [1.0, -1.0]), ([0.01, 1.0], [0.3, math.nan], 1.0)]:
+            with pytest.raises(ConfigError):
+                folded_kernel(delta, a, l)
+
+
+def _image_oracle(delta, a, l, deriv):
+    # the d-th a-derivative of the image sum, one math.exp per image
+    total = 0.0
+    for n in range(-200, 201):
+        x = a + 2.0 * n * l
+        g = math.exp(-x * x / (4.0 * delta))
+        if deriv == 0:
+            total += g
+        elif deriv == 1:
+            total += -x / (2.0 * delta) * g
+        else:
+            total += (x * x / (4.0 * delta * delta) - 1.0 / (2.0 * delta)) * g
+    return total / math.sqrt(math.pi * delta)
+
+
+class TestImageSum:
+    """The image form against a direct sum, on the range folded_kernel gives it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(l=st.floats(0.05, 20.0),
+           points=st.lists(st.tuples(st.floats(-8.0, math.log10(1.0 / math.pi)),
+                                     st.floats(-1.0, 1.0)), min_size=1, max_size=6),
+           deriv=st.sampled_from([0, 1, 2]))
+    # deep tails: R+- = exp(-l (l +- a) / delta) underflow to 0 while g does
+    # not, or the n = -1 image is as large as g (a = l)
+    @example(l=1.0, points=[(-8.0, 1e-5), (-8.0, -1.0), (-3.0, 1.0)], deriv=0)
+    @example(l=0.3, points=[(-8.0, 1e-5), (-2.5, -1.0), (-2.5, 1.0), (-0.6, 0.0)], deriv=1)
+    @example(l=7.0, points=[(-8.0, 0.0), (-3.0, 1.0), (-1.0, -0.999)], deriv=2)
+    def test_matches_direct_sum_and_is_exactly_symmetric(self, l, points, deriv):
+        ratio = np.minimum(10.0 ** np.array([e for e, _ in points]),
+                           np.nextafter(1.0 / math.pi, 0.0))
+        delta = ratio * l * l
+        a = np.array([f for _, f in points]) * l
+        v = _image_sum(delta, a, l, deriv)
+        for d, x, got in zip(delta, a, v):
+            peak = (2.0 * d) ** (-deriv / 2) / math.sqrt(math.pi * d)
+            assert abs(got - _image_oracle(d, x, l, deriv)) <= 1e-14 * peak
+        # the two sides of a are built alike, so the parity is bitwise
+        assert np.array_equal(_image_sum(delta, -a, l, deriv), (-1) ** deriv * v)

@@ -471,6 +471,26 @@ class TestSolver:
             assert abs(g.omega[k] - om) <= 1e-13 * scale
             assert abs(g.theta[k] - th) <= 1e-13 * scale
 
+    def test_block_size_does_not_change_the_march(self, monkeypatch):
+        # a moving strip whose tables split into many blocks of one or a few
+        # rows; n_max and the theta order are taken per batch, so the
+        # results agree to rounding, not bitwise
+        prob = moving_problem(150)
+        ref = solve_volterra_single_layer(prob)
+        ref_field = git_field_single_layer(prob, ref, 0.6, 0.7)
+        blocks = []
+        march_rows = volterra._march_rows
+        monkeypatch.setattr(volterra, "_march_rows",
+                            lambda s, k0, k1, i0: blocks.append(k1 - k0) or march_rows(s, k0, k1, i0))
+        monkeypatch.setattr(volterra, "_BLOCK", 50)
+        g = solve_volterra_single_layer(prob)
+        assert len(blocks) > 100 and max(blocks) > 1
+        scale = max(np.max(np.abs(ref.omega)), np.max(np.abs(ref.theta)))
+        assert np.max(np.abs(g.omega - ref.omega)) <= 1e-14 * scale
+        assert np.max(np.abs(g.theta - ref.theta)) <= 1e-14 * scale
+        field = git_field_single_layer(prob, g, 0.6, 0.7)
+        assert abs(field - ref_field) <= 1e-14 * max(abs(ref_field), 1.0)
+
     def test_check_refinement(self):
         check_refinement(moving_problem(50))
         with pytest.raises(NumericalError):
