@@ -244,9 +244,9 @@ def cmd_transform(args):
         chart = nondivergent_to_divergent(xi, c1, _as(float, params.get("c2", 0.0), "c2"))
         z = np.linspace(_as(float, params.get("z_min", 0.0), "z_min"),
                         _as(float, params.get("z_max", 1.0), "z_max"), samples)
-        x = [chart.x_of_z(v) for v in z]
+        x = chart.x_of_z(z)
         # sigma^2 = c1^2 / Xi(x)^2 at the inverted samples (sigma_sq_of_z inverts again)
-        columns = {"z": z, "x_of_z": x, "sigma_sq": [c1 * c1 / (v * v) for v in map(xi, x)]}
+        columns = {"z": z, "x_of_z": x, "sigma_sq": c1 * c1 / xi(x) ** 2}
     else:  # pragma: no cover - argparse restricts choices
         raise ConfigError(f"unknown transform kind {kind!r}")
     _write_csv(out, columns)

@@ -13,13 +13,17 @@ oscillations the rough data would otherwise excite, the rest use
 Crank-Nicolson.
 """
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
+from ._lazy import lazy_attributes
 from .errors import ConfigError, NumericalError
 from .layered import SolutionField
+
+# scipy.linalg is imported at the first FD solve, not with the package
+__getattr__ = lazy_attributes(__name__, solve_banded="scipy.linalg:solve_banded")
 
 _RANNACHER_STEPS = 4
 
@@ -111,6 +115,7 @@ def fd_solve(problem, grid, u0=None):
     u[0] = u[-1] = 0.0
 
     lhs = {theta: banded_lhs(theta) for theta in (1.0, 0.5)}
+    solve_banded = sys.modules[__name__].solve_banded
     for step in range(grid.M_t):
         theta = 1.0 if step < _RANNACHER_STEPS else 0.5
         u = solve_banded((1, 1), lhs[theta], explicit_rhs(u, 1.0 - theta))

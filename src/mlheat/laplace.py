@@ -10,13 +10,18 @@ numerical forward transform is provided as a test oracle.
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
+from ._lazy import lazy_attributes
 from .errors import ConfigError, NumericalError
+
+# scipy.integrate serves only the forward-transform oracle, so it is
+# imported at its first call, not with the package
+__getattr__ = lazy_attributes(__name__, quad="scipy.integrate:quad")
 
 #: Default inversion order, adequate for smooth non-oscillatory originals.
 DEFAULT_ORDER = 16
@@ -125,6 +130,7 @@ def forward_laplace_numeric(f, lam, t_max=None, tol=1e-12):
     if t_max <= 0.0:
         raise ConfigError(f"t_max must be positive, got {t_max}")
     split = min(1.0 / lam, 0.5 * t_max)
+    quad = sys.modules[__name__].quad
     head, err1 = quad(
         lambda u: 2.0 * u * math.exp(-lam * u * u) * f(u * u),
         0.0,

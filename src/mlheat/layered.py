@@ -33,14 +33,19 @@ size reuse those pages instead of faulting fresh ones in.
 
 import functools
 import math
+import sys as _sys  # solve_tridiagonal's argument is named sys
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv as _dgtsv
 
+from ._lazy import lazy_attributes
 from .errors import ConfigError, NumericalError
 from .laplace import stehfest_weights
+
+# LAPACK's dgtsv serves only the solve_tridiagonal oracle, so scipy is
+# imported at its first call, not with the package
+__getattr__ = lazy_attributes(__name__, _dgtsv="scipy.linalg.lapack:dgtsv")
 
 
 @dataclass(frozen=True)
@@ -428,7 +433,7 @@ def solve_tridiagonal(sys):
         raise NumericalError("tridiagonal system is not diagonally dominant")
     # the LAPACK wrapper wants one (unused) off-diagonal entry at n = 1
     off = e if n > 1 else np.zeros(1)
-    _, _, _, g, info = _dgtsv(off, d, off, r)
+    _, _, _, g, info = _sys.modules[__name__]._dgtsv(off, d, off, r)
     if info != 0:
         raise NumericalError(f"tridiagonal factorization failed (info={info})")
     return g

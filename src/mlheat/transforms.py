@@ -16,17 +16,21 @@ A chart is built once: each integral of the term structure is a table
 of every sampled Curve, and a nested integral is a table built from a
 table.  A build takes milliseconds, a sample of tau, x and multiplier
 about 0.3 ms, and every field takes a scalar or an array of t.  The
-divergent-form map spans the whole real line and stays on quadrature.
+divergent-form map spans the whole real line: its tables cover [-R, R]
+and double R on demand.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
+from ._lazy import lazy_attributes
 from .errors import ConfigError, NumericalError
+
+# Nothing here calls quad any more.  It stays an attribute, imported on
+# lookup, only because the benchmark's tracer wraps ``transforms.quad``.
+__getattr__ = lazy_attributes(__name__, quad="scipy.integrate:quad")
 
 
 # ----------------------------------------------------------------------
@@ -136,14 +140,6 @@ class HeatChart:
     nu: object = None
 
 
-def _quad(f, a, b):
-    """Adaptive quadrature of f over [a, b] (signed), tight tolerance."""
-    val = quad(f, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
-    if not math.isfinite(val):
-        raise NumericalError(f"quadrature failed on [{a}, {b}]")
-    return val
-
-
 # ----------------------------------------------------------------------
 # cumulative integrals as tables
 # ----------------------------------------------------------------------
@@ -157,6 +153,11 @@ _NODES, _TAIL, _MIN_PANEL, _MAX_PANELS, _NEWTON_STEPS = 20, 1e-15, 1e-6, 4096, 6
 _CHEB = np.polynomial.chebyshev
 _X = -np.cos(np.pi * np.arange(_NODES) / (_NODES - 1))
 _TO_COEF = np.linalg.inv(_CHEB.chebvander(_X, _NODES - 1))
+# the linear maps of a panel's series, as matrices applied to its row of
+# coefficients: the antiderivative that is 0 at s = -1 (key 1) or at s = 1
+# (key -1), and the antiderivative's values at the nodes
+_ANTIDERIVATIVE = {side: _CHEB.chebint(np.eye(_NODES), lbnd=-side).T for side in (1, -1)}
+_AT_NODES = _CHEB.chebvander(_X, _NODES).T
 
 
 def _breaks(lo, hi, *curves):
@@ -202,13 +203,15 @@ class _Cumulative:
         order = np.argsort(panels[:, 0])
         panels, c = panels[order], c[order]
         side = 1 if anchor == lo else -1
-        c = _CHEB.chebint(c, lbnd=-side, axis=1) * (0.5 * (panels[:, 1:] - panels[:, :1]))
-        whole = side * _CHEB.chebval(side, c.T)
+        c = (c @ _ANTIDERIVATIVE[side]) * (0.5 * (panels[:, 1:] - panels[:, :1]))
+        whole = side * (c @ float(side) ** np.arange(_NODES + 1))
         # running sums of the panel integrals from the anchor
         c[:, 0] += side * np.cumsum(np.append(0.0, whole[::side]))[:-1][::side]
         self._coef, self._edges = c, np.append(panels[:, 0], hi)
+        # Newton's starting table: the values at the nodes, each panel's
+        # last node being the next one's first
         t = np.append(_nodes(panels)[:, :-1], hi)
-        F = self(t)
+        F = np.append((c @ _AT_NODES)[:, :-1], self(hi))
         self._start = (F, t) if F[-1] >= F[0] else (F[::-1], t[::-1])
 
     def __call__(self, t):
@@ -347,6 +350,11 @@ def verhulst_chart(ts, R, i, N, L, horizon):
 # divergent <-> non-divergent form
 # ----------------------------------------------------------------------
 
+# a half-line table of the divergent chart doubles R up to this before it
+# gives up on a requested x or z
+_MAX_REACH = 2.0 ** 200
+
+
 @dataclass(frozen=True)
 class DivergentChart:
     """Spatial map between the divergent and non-divergent heat forms."""
@@ -358,50 +366,86 @@ class DivergentChart:
 
 
 def nondivergent_to_divergent(Xi, c1, c2, boundaries=None):
-    """Map d/dx(Xi^2 du/dx) to sigma^2(z) d2u/dz2 via z = c2 + c1 int Xi^-2.
+    """Map d/dx(Xi^2 du/dx) to sigma^2(z) d2u/dz2 via z = c2 + c1 int_0^x Xi^-2.
 
-    Returns the forward map z(x), its inverse x(z) by monotone
-    root-finding, the coefficient sigma^2(z) = c1^2 / Xi^2(x(z)), and
+    Returns the forward map z(x), its inverse x(z), the coefficient
+    sigma^2(z) = c1^2 / Xi^2(x(z)), each for a scalar or an array, and
     (optionally) the images of given layer boundaries.
+
+    int_0^x Xi^-2 is two tables (``_Cumulative``) anchored at 0, one on
+    [-R, 0] and one on [0, R], with panel breaks at every 2^j <= R from 1
+    on and at the knots of a sampled Xi; x(z) is the table's inverse.
+    R is a power of two, at least 1.  A side's table is built at the
+    first call that reaches that side, and rebuilt with R doubled until
+    it covers every requested x or brackets every requested z, so Xi must
+    be positive on each tabulated interval.  A table only grows, and
+    later calls read the largest one built.
     """
     if c1 <= 0.0:
         raise ConfigError(f"c1 must be positive for a monotone map, got {c1}")
     xi = _as_curve(Xi)
 
     def xi_sq_inv(x):
-        val = xi(x)
-        if val <= 0.0:
-            raise ConfigError(f"Xi must be positive, got Xi({x}) = {val}")
+        val = np.asarray(xi(x), dtype=float)
+        if np.any(val <= 0.0):
+            i = np.argmax(val <= 0.0)
+            raise ConfigError(f"Xi must be positive, got Xi({np.ravel(x)[i]}) = {val.flat[i]}")
         return 1.0 / (val * val)
 
+    tables = {}  # side (1 or -1) -> (R, table on [0, R] or [-R, 0])
+
+    def table(side, R=1.0, reaches=None):
+        """The side's table on at least [0, side R], its R doubled until
+        reaches(R, table) holds."""
+        built, tab = tables.get(side, (0.0, None))
+        R = max(R, built)
+        while True:
+            if R > _MAX_REACH:
+                raise NumericalError(f"the divergent chart does not reach the requested "
+                                     f"values within |x| <= {_MAX_REACH:g}")
+            if R > built:
+                lo, hi = sorted((0.0, side * R))
+                dyadic = side * 2.0 ** np.arange(round(math.log2(R)) + 1)
+                tab = _Cumulative(xi_sq_inv, np.union1d(_breaks(lo, hi, xi), dyadic), 0.0)
+            if reaches is None or reaches(R, tab):
+                tables[side] = R, tab
+                return tab
+            R *= 2.0
+
+    def by_side(v, origin, fn):
+        """fn(side, entries) on the entries of v above (side 1) and below
+        (side -1) origin; 0 where v is origin."""
+        scalar, v = not isinstance(v, _ARRAYS), np.asarray(v, dtype=float)
+        if not np.all(np.isfinite(v)):
+            raise NumericalError(f"the divergent chart maps finite values only, got {v}")
+        out = np.zeros(v.shape)
+        for side in (1, -1):
+            part = side * (v - origin) > 0.0
+            if np.any(part):
+                out[part] = fn(side, v[part])
+        return float(out) if scalar else out
+
     def z_of_x(x):
-        return c2 + c1 * _quad(xi_sq_inv, 0.0, x)
+        def integral(side, x):
+            R, reach = 1.0, np.max(np.abs(x))
+            while R < reach and R <= _MAX_REACH:
+                R *= 2.0
+            return table(side, R)(x)
+        return c2 + c1 * by_side(x, 0.0, integral)
 
     def x_of_z(z):
-        target = z
-        lo, hi = -1.0, 1.0
-        for _ in range(200):
-            if z_of_x(lo) <= target:
-                break
-            lo *= 2.0
-        else:
-            raise NumericalError("failed to bracket the inverse map from below")
-        for _ in range(200):
-            if z_of_x(hi) >= target:
-                break
-            hi *= 2.0
-        else:
-            raise NumericalError("failed to bracket the inverse map from above")
-        return float(brentq(lambda x: z_of_x(x) - target, lo, hi,
-                            xtol=1e-14, rtol=1e-15))
+        def inverse(side, z):
+            # bracketed in z, rounded as z_of_x rounds, so that z_of_x(x)
+            # of every |x| <= R is inside
+            far = np.max(side * z)
+            tab = table(side, reaches=lambda R, tab: far <= side * (c2 + c1 * tab(side * R)))
+            return tab.inverse((z - c2) / c1)
+        return by_side(z, c2, inverse)
 
     def sigma_sq_of_z(z):
-        x = x_of_z(z)
-        val = xi(x)
+        val = xi(x_of_z(z))
         return c1 * c1 / (val * val)
 
-    images = None
-    if boundaries is not None:
-        images = np.array([z_of_x(y) for y in np.asarray(boundaries, dtype=float)])
+    images = None if boundaries is None else z_of_x(np.asarray(boundaries, dtype=float))
     return DivergentChart(z_of_x=z_of_x, x_of_z=x_of_z,
                           sigma_sq_of_z=sigma_sq_of_z, boundary_images=images)

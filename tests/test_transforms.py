@@ -333,14 +333,49 @@ class TestDivergentChart:
             assert chart.sigma_sq_of_z(z_ref) == pytest.approx(
                 c1 * c1 * math.exp(a * x), rel=1e-10)
 
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    XI_KNOTS = np.linspace(-2.0, 3.0, 11)
+    XI_KINKED = [1.0, 1.2, 0.9, 1.1, 1.3, 0.8, 1.0, 1.4, 0.7, 1.1, 1.0]
+
     def test_sampled_coefficient_roundtrip(self):
-        xi = Curve(times=np.linspace(-2.0, 3.0, 11),
-                   values=[1.0, 1.2, 0.9, 1.1, 1.3, 0.8, 1.0, 1.4, 0.7, 1.1, 1.0])
-        chart = nondivergent_to_divergent(xi, 0.9, -0.1)
+        chart = nondivergent_to_divergent(Curve(self.XI_KNOTS, self.XI_KINKED), 0.9, -0.1)
         for x in np.linspace(-1.8, 2.8, 100):
             z = chart.z_of_x(x)
             assert abs(chart.x_of_z(z) - x) <= 1e-12
+
+    def test_sampled_coefficient_matches_piecewise_closed_form(self):
+        # on a piece where Xi = alpha + beta x: int dx / Xi^2 = -1 / (beta Xi)
+        chart = nondivergent_to_divergent(Curve(self.XI_KNOTS, self.XI_KINKED), 0.9, -0.1)
+        pieces = list(zip(self.XI_KNOTS, self.XI_KNOTS[1:], self.XI_KINKED, self.XI_KINKED[1:]))
+
+        def integral(a, b):  # int_a^b Xi^-2, a <= b
+            total = 0.0
+            for x0, x1, v0, v1 in pieces:
+                lo, hi = max(a, x0), min(b, x1)
+                if lo < hi:
+                    beta = (v1 - v0) / (x1 - x0)
+                    xi_at = lambda x: v0 + beta * (x - x0)
+                    total += (hi - lo) / v0**2 if beta == 0.0 else \
+                        (1.0 / xi_at(lo) - 1.0 / xi_at(hi)) / beta
+            return total
+
+        for x in np.linspace(-1.8, 2.8, 100):
+            ref = -0.1 + 0.9 * (integral(0.0, x) if x >= 0.0 else -integral(x, 0.0))
+            assert chart.z_of_x(x) == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("xi", [lambda x: math.exp(-0.4 * x), 1.0,
+                                    Curve(XI_KNOTS, XI_KINKED)],
+                             ids=["exp", "constant", "sampled"])
+    def test_maps_vectorize(self, xi):
+        chart = nondivergent_to_divergent(xi, 1.3, 0.1)
+        xs = np.linspace(-1.9, 2.9, 23)
+        zs = chart.z_of_x(xs)
+        for name, fn, args in (("z_of_x", chart.z_of_x, xs), ("x_of_z", chart.x_of_z, zs),
+                               ("sigma_sq_of_z", chart.sigma_sq_of_z, zs)):
+            array = fn(args)
+            scalars = [fn(v) for v in args]
+            assert isinstance(array, np.ndarray) and array.shape == args.shape, name
+            assert all(isinstance(v, float) for v in scalars), name
+            np.testing.assert_allclose(array, scalars, rtol=1e-14, atol=0.0, err_msg=name)
 
     def test_scalar_only_coefficient_matches_vectorized_twin(self):
         charts = [nondivergent_to_divergent(lambda x, f=f: f(1.0 + x * x), 1.1, 0.3)
