@@ -11,6 +11,7 @@ numerical failure (any ``NumericalError``).
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -292,6 +293,8 @@ def cmd_boundaries(args):
     return 0
 
 
+# built once per process: parse_args leaves the parser as it found it
+@functools.cache
 def _parser():
     p = argparse.ArgumentParser(
         prog="mlheat",

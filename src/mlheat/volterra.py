@@ -481,6 +481,70 @@ def _march_rows(s, k0, k1, i0):
     return d, K
 
 
+def _lag_rows(s, i0):
+    """All rows k = 1 ... M of the gradient equations on a strip whose walls
+    are constant on the grid s.t, as lag vectors.
+
+    With fixed walls every term of ``_march_rows`` at node j of row k
+    depends on the lag t_k - t_j alone (up to the rounding of that
+    difference), so each kernel is evaluated once per lag: ``ups`` at the
+    lags t_m, ``eta`` at the half lags (t_(m-1) + t_m) / 2 and ``eta0`` at
+    t_k, against the offsets [0, -l, l, 0] of both walls from the minus
+    wall and its image; the memory term ``_self_peak`` is 0.  The sums of
+    the weakly singular and the Stieltjes terms over the history are then
+    discrete convolutions with the data.  Returns d, shape (2, M), as in
+    ``_march_rows``, and U, shape (2, 2, M), with
+    K[:, :, k, j] = s.q[j] U[:, :, k - j - 1] for j < k.
+    """
+    t, chi = s.t, s.chi
+    M = len(t) - 1
+    tau, dt = t[1:], np.diff(t)
+    ym, yp = s.y[:, 0]
+    l = yp - ym
+    offsets = np.array([0.0, ym - yp, l, 0.0])[:, None]
+
+    def eta_of(delta):
+        # the Stieltjes kernels, less the Kronecker spike on the self kernels
+        eta = folded_kernel(delta, offsets, l).reshape(2, 2, -1)
+        spike = 1.0 / np.sqrt(np.pi * delta)
+        eta[0, 0] -= spike
+        eta[1, 1] -= spike
+        return eta
+
+    def history(lag, data):
+        # sum_{j<k} lag[k - j - 1] data[j] for every row k
+        return np.convolve(lag, data)[:M]
+
+    b = np.array([-1.0, 1.0])[:, None] * chi[:, 1:] / np.sqrt(np.pi * tau)
+
+    # weakly singular differences (see ``_march_rows``), summed by parts:
+    # with alpha_m = 1/sqrt(t_m) - 1/sqrt(t_(m-1)) for m >= 2 and alpha_1 = 0,
+    # sum_{j<k} alpha_(k-j) (chi_j - chi_k) = sum_{j<k} r_(k-1-j) (chi_(j+1) - chi_j)
+    # - (chi_k - chi_0) / sqrt(t_k), r_n = 1/sqrt(t_max(n, 1)), which sums
+    # the small increments of chi, not chi itself
+    roots = np.sqrt(t)
+    r = 1.0 / roots[np.maximum(np.arange(M), 1)]
+    alpha = np.zeros(M)
+    alpha[1:] = 1.0 / roots[2:] - 1.0 / roots[1:-1]
+    gamma = alpha * tau + roots[1:] - roots[:-1]
+    dchi = np.diff(chi)
+    slope = dchi / dt
+    weak = np.stack([history(r, dchi[i]) - (chi[i, 1:] - chi[i, 0]) / roots[1:]
+                     + history(gamma, slope[i]) for i in range(2)]) / -_SQRT_PI
+
+    # Stieltjes terms: -chi(0) eta(t_k) - sum_j eta(mid lag) (chi_{j+1} - chi_j)
+    eta = eta_of(0.5 * (t[:-1] + t[1:]))
+    parts = chi[:, 0, None] * eta_of(tau) + np.stack(
+        [[history(eta[e, i], dchi[i]) for i in range(2)] for e in range(2)])
+    stieltjes = parts[:, 1] - parts[:, 0]
+
+    ups = folded_kernel(tau, offsets, l, 1)
+    U = np.stack([[-ups[0], -ups[1]], [ups[2], ups[3]]])
+    d = np.stack([-(i0[0] + b[0] + weak[0] + stieltjes[0]),
+                  i0[1] + b[1] - weak[1] + stieltjes[1]])
+    return d, U
+
+
 def _one_sided_gradient(u0, x0, direction, span):
     """Fourth-order one-sided du0/dx at x0, stepping into the strip.
 
@@ -488,7 +552,7 @@ def _one_sided_gradient(u0, x0, direction, span):
     rounding in u0 that the difference amplifies.
     """
     h = direction * 3e-4 * span
-    f = [float(u0(x0 + k * h)) for k in range(5)]
+    f = u0(x0 + h * np.arange(5))
     return (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
 
 
@@ -497,36 +561,53 @@ def solve_volterra_single_layer(problem):
 
     Every kernel carries zero weight at s = tau, so the equations read
     omega = b + K_oo omega + K_ot theta and theta = c + K_to omega + K_tt theta
-    with strictly lower-triangular K: one forward substitution.  The
-    tables are built in blocks of rows (``_march_rows``), so the march
-    costs O(M^2) kernel evaluations in a few batched calls per block.  The
-    initial data of all M rows come from one ``_initial_terms`` call: one
-    Fourier table of u0 and one Clenshaw pass over it per march, plus O(K)
-    per row, K <= 27 theta terms; only the few rows with tau < (l / 13)^2
-    take kernel quadratures, over the nodes near the walls.  The returned
-    pair carries the problem and its sample, so the field reuses both.
+    with strictly lower-triangular K: one forward substitution.  On walls
+    that move, the tables are built in blocks of rows (``_march_rows``),
+    so the march costs O(M^2) kernel evaluations in a few batched calls
+    per block.  On walls constant on the grid every kernel depends on the
+    lag alone, so the rows come from lag vectors (``_lag_rows``): O(M)
+    kernel evaluations, plus O(M^2) flops in ``np.convolve`` and in the
+    substitution.  The initial data of all M rows come from one
+    ``_initial_terms`` call: one Fourier table of u0 and one Clenshaw pass
+    over it per march, plus O(K) per row, K <= 27 theta terms; only the
+    few rows with tau < (l / 13)^2 take kernel quadratures, over the nodes
+    near the walls.  The returned pair carries the problem and its sample,
+    so the field reuses both.
     """
     M = problem.M
     t = np.linspace(0.0, problem.T, M + 1)
     s = _sample(problem, t)
     i0 = _initial_terms(s, t[1:], s.y[:, 1:], s.y[1, 1:] - s.y[0, 1:], 1)
     ym0, yp0 = s.xi[0], s.xi[-1]
-    omega = np.empty(M + 1)
-    theta = np.empty(M + 1)
-    omega[0] = -_one_sided_gradient(problem.u0, ym0, +1.0, yp0 - ym0)
-    theta[0] = _one_sided_gradient(problem.u0, yp0, -1.0, yp0 - ym0)
-    k0 = 1
-    while k0 <= M:
-        # R rows hold about R (k0 + R) <= _BLOCK table entries
-        k1 = min(M + 1, k0 + max(1, (math.isqrt(k0 * k0 + 4 * _BLOCK) - k0) // 2))
-        d, K = _march_rows(s, k0, k1, i0[:, k0 - 1:k1 - 1])
-        for r, k in enumerate(range(k0, k1)):
-            om, th = omega[:k], theta[:k]
-            omega[k] = d[0, r] + K[0, 0, r, :k] @ om + K[0, 1, r, :k] @ th
-            theta[k] = d[1, r] + K[1, 0, r, :k] @ om + K[1, 1, r, :k] @ th
-        k0 = k1
-    if not (np.all(np.isfinite(omega)) and np.all(np.isfinite(theta))):
+    # the history (omega_j, theta_j) by rows, so that row k's coefficients
+    # of it, interleaved as a (2, 2k) view, take one matvec
+    hist = np.empty((M + 1, 2))
+    hist[0] = (-_one_sided_gradient(problem.u0, ym0, +1.0, yp0 - ym0),
+               _one_sided_gradient(problem.u0, yp0, -1.0, yp0 - ym0))
+    # walls constant on the grid and at its midpoints, where the Stieltjes
+    # kernels read them: every kernel depends on the lag alone
+    if np.all(s.y == s.y[:, :1]) and np.all(s.y_mid == s.y[:, :1]):
+        d, U = _lag_rows(s, i0)
+        # lags M ... 1, so row k reads the last k against q_j (omega_j, theta_j)
+        coef = U[:, :, ::-1].transpose(0, 2, 1).copy()
+        weighted = np.empty((M, 2))
+        for k in range(1, M + 1):
+            weighted[k - 1] = s.q[k - 1] * hist[k - 1]
+            hist[k] = d[:, k - 1] + coef[:, M - k:].reshape(2, 2 * k) @ weighted[:k].ravel()
+    else:
+        k0 = 1
+        while k0 <= M:
+            # R rows hold about R (k0 + R) <= _BLOCK table entries
+            k1 = min(M + 1, k0 + max(1, (math.isqrt(k0 * k0 + 4 * _BLOCK) - k0) // 2))
+            d, K = _march_rows(s, k0, k1, i0[:, k0 - 1:k1 - 1])
+            # rows as (2, R, node, 2); rebinding K frees the table before the next block
+            K = K.transpose(0, 2, 3, 1).copy()
+            for r, k in enumerate(range(k0, k1)):
+                hist[k] = d[:, r] + K[:, r, :k].reshape(2, 2 * k) @ hist[:k].ravel()
+            k0 = k1
+    if not np.all(np.isfinite(hist)):
         raise NumericalError("gradient march produced non-finite values")
+    omega, theta = hist.T.copy()
     return GradientPair(omega=omega, theta=theta, grid=t, _march=(problem, s))
 
 

@@ -369,6 +369,17 @@ class TestParser:
         flags = {w.strip(",[]") for w in capsys.readouterr().out.split() if w.startswith(("-", "[-"))}
         assert flags == {"-h", "--help", "--config", "--out"}
 
+    def test_parser_built_once_serves_every_subcommand(self, tmp_path):
+        assert cli._parser() is cli._parser()
+        green, bnd = tmp_path / "green.csv", tmp_path / "bnd.csv"
+        assert main(["green", "--config", write_config(tmp_path, "green.json", GREEN_CFG),
+                     "--out", str(green)]) == 0
+        payload = {"chi_minus": -1.0, "chi_plus": 1.0, "N": 3, "degree": 1, "T": 1.0}
+        assert main(["boundaries", "--config", write_config(tmp_path, "bnd.json", payload),
+                     "--out", str(bnd)]) == 0
+        assert read_csv(green)[0] == ["x", "u"]
+        assert read_csv(bnd)[0] == ["t", "y_1", "y_2"]
+
     def test_missing_config_file_is_config_error(self, capsys):
         assert main(["green", "--config", "/nonexistent/run.json"]) == 2
         assert "cannot read config" in capsys.readouterr().err

@@ -249,6 +249,66 @@ class TestInitialTerms:
             solve_volterra_single_layer(prob)
 
 
+def fixed_strip(name, M):
+    if name == "strip-green":
+        start = StripProblem(0.0, 1.0, 1.0, 0.3, 0.05)
+        return GitLayerProblem(y_minus=0.0, y_plus=1.0, chi_minus=0.0, chi_plus=0.0,
+                               u0=lambda x: strip_green(start, x), T=0.5, M=M)
+    if name == "caloric":
+        return caloric_problem((1.0, -0.4, 0.5, 0.8), -0.5, 0.0, 0.0, 0.4, M)
+    # width 5, with data that vary in time at both walls
+    return GitLayerProblem(y_minus=-2.0, y_plus=3.0, chi_minus=lambda t: 1.0 + np.sin(t),
+                           chi_plus=lambda t: 2.0 - 0.3 * np.asarray(t) ** 2,
+                           u0=lambda x: 1.0 + 0.2 * (x + 2.0) + np.sin(0.2 * np.pi * (x + 2.0)) ** 2,
+                           T=10.0, M=M)
+
+
+class TestLagRows:
+    @pytest.mark.parametrize("M", [25, 60, 200])
+    @pytest.mark.parametrize("name", ["strip-green", "caloric", "width-5"])
+    def test_rows_match_march_rows(self, name, M):
+        # every row of the lag form equals the block tables' row, d and K,
+        # to rounding; the lags lie on both sides of the image/theta switch
+        prob = fixed_strip(name, M)
+        s = _sample(prob, np.linspace(0.0, prob.T, M + 1))
+        l = s.y[1, 0] - s.y[0, 0]
+        assert s.t[1] < l * l / math.pi < s.t[-1]
+        i0 = _initial_terms(s, s.t[1:], s.y[:, 1:], np.full(M, l), 1)
+        d, K = volterra._march_rows(s, 1, M + 1, i0)
+        lag_d, U = volterra._lag_rows(s, i0)
+        k, j = np.arange(1, M + 1)[:, None], np.arange(M)
+        lag_K = np.where(j < k, s.q[j] * U[:, :, k - j - 1], 0.0)
+        scale = np.maximum(np.max(np.abs(d), axis=0), np.max(np.abs(K), axis=(0, 1, 3)))
+        assert np.all(scale > 0.0)
+        assert np.all(np.abs(lag_d - d) <= 1e-14 * scale)
+        assert np.all(np.abs(lag_K - K) <= 1e-14 * scale)
+
+    def test_substitution_reads_lag_vectors_as_tables(self, monkeypatch):
+        # on fixed walls the coupling kernels vanish to rounding (odd images
+        # cancel), so the march's use of U is checked on made-up lag vectors
+        # against the tables K[:, :, k, j] = q_j U[:, :, k - j - 1]
+        M = 30
+        U = 0.5 * np.random.default_rng(5).standard_normal((2, 2, M))
+        rows = []
+        lag_rows = volterra._lag_rows
+
+        def made_up(s, i0):
+            d, _ = lag_rows(s, i0)
+            rows.append((s, d))
+            return d, U
+
+        monkeypatch.setattr(volterra, "_lag_rows", made_up)
+        g = solve_volterra_single_layer(fixed_strip("caloric", M))
+        (s, d), = rows
+        ref = np.empty((M + 1, 2))
+        ref[0] = g.omega[0], g.theta[0]
+        for k in range(1, M + 1):
+            ref[k] = d[:, k - 1] + sum(s.q[j] * U[:, :, k - j - 1] @ ref[j] for j in range(k))
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(g.omega - ref[:, 0])) <= 1e-14 * scale
+        assert np.max(np.abs(g.theta - ref[:, 1])) <= 1e-14 * scale
+
+
 class TestBuildInternalBoundaries:
     def test_constant_externals(self):
         bset = build_internal_boundaries(-1.0, 1.0, 4, 1, 1.0)
@@ -459,11 +519,14 @@ class TestSolver:
         err = max(abs(g.omega[-1] + left), abs(g.theta[-1] - right))
         assert err <= 1e-3 * max(abs(left), abs(right))
 
-    def test_march_satisfies_stepwise_equations(self):
-        # a moving strip whose rows take both kernel branches, over
-        # several blocks of the tables: each solved gradient equals the
-        # step-by-step right-hand side of its own history
-        prob = caloric_problem((0.5, 0.3, 1.0, -0.7), 0.2, -0.2, 0.3, 0.7, 60)
+    @pytest.mark.parametrize("y0, v_lo, v_hi", [(0.2, -0.2, 0.3), (0.0, 0.0, 0.0)],
+                             ids=["moving", "fixed"])
+    def test_march_satisfies_stepwise_equations(self, y0, v_lo, v_hi):
+        # strips whose rows take both kernel branches, the moving one over
+        # several blocks of the tables, the fixed one by its lag rows: each
+        # solved gradient equals the step-by-step right-hand side of its
+        # own history
+        prob = caloric_problem((0.5, 0.3, 1.0, -0.7), y0, v_lo, v_hi, 0.7, 60)
         g = solve_volterra_single_layer(prob)
         scale = max(np.max(np.abs(g.omega)), np.max(np.abs(g.theta)))
         for k in range(1, prob.M + 1):
@@ -490,6 +553,30 @@ class TestSolver:
         assert np.max(np.abs(g.theta - ref.theta)) <= 1e-14 * scale
         field = git_field_single_layer(prob, g, 0.6, 0.7)
         assert abs(field - ref_field) <= 1e-14 * max(abs(ref_field), 1.0)
+
+    def test_only_moving_walls_take_the_block_tables(self, monkeypatch):
+        # exactly fixed walls march on lag rows; a wall creeping by 1e-9 t
+        # takes the blocks and solves a problem within about 1e-9 of it
+        blocks = []
+        march_rows = volterra._march_rows
+        monkeypatch.setattr(volterra, "_march_rows",
+                            lambda s, k0, k1, i0: blocks.append(k1 - k0) or march_rows(s, k0, k1, i0))
+        c = (0.5, 0.3, 1.0, -0.7)
+        fixed = solve_volterra_single_layer(caloric_problem(c, 0.0, 0.0, 0.0, 0.7, 60))
+        assert blocks == []
+        creeping = solve_volterra_single_layer(caloric_problem(c, 0.0, 0.0, 1e-9, 0.7, 60))
+        assert sum(blocks) == 60
+        scale = max(np.max(np.abs(fixed.omega)), np.max(np.abs(fixed.theta)))
+        assert np.max(np.abs(creeping.omega - fixed.omega)) <= 1e-6 * scale
+        assert np.max(np.abs(creeping.theta - fixed.theta)) <= 1e-6 * scale
+        # a wall that is constant on the grid but not at its midpoints, where
+        # the Stieltjes kernels read it, takes the blocks too
+        bulging = GitLayerProblem(y_minus=0.0, chi_minus=0.0, chi_plus=0.0, u0=1.0, T=1.0, M=20,
+                                  y_plus=lambda t: 1.0 + 0.1 * np.sin(20.0 * np.pi * t) ** 2)
+        s = _sample(bulging, np.linspace(0.0, 1.0, 21))
+        assert np.all(s.y[1] == 1.0) and np.all(s.y_mid[1] > 1.0)
+        solve_volterra_single_layer(bulging)
+        assert sum(blocks) == 80
 
     def test_check_refinement(self):
         check_refinement(moving_problem(50))
