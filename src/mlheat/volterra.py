@@ -361,11 +361,12 @@ def _initial_terms(s, tau, c, l, deriv):
     _REACH sqrt(tau) reaches the strip width.  At and above it the theta
     series needs at most 27 terms and separates in xi:
     sum_j u0w_j exp(i kw (c - xi_j)) = exp(i kw (c - mid)) conj(F(kw)),
-    F the grid's one Fourier table of u0 (``s.fourier``), so a row costs
-    O(K), K <= 27, against O(n_xi) for a kernel row.  A theta row whose
-    frequencies pass the table's top (a strip narrower than anywhere on
-    the grid) and every row below the split call ``folded_kernel`` on the
-    nodes within (_REACH + 1) sqrt(tau) of an image of each centre only.
+    F the grid's one Fourier table of u0 (``s.fourier``), read once per
+    distinct width, so a row costs O(K), K <= 27, against O(n_xi) for a
+    kernel row.  A theta row whose frequencies pass the table's top (a
+    strip narrower than anywhere on the grid) and every row below the
+    split call ``folded_kernel`` on the nodes within (_REACH + 1) sqrt(tau)
+    of an image of each centre only.
     """
     out = np.zeros(c.shape)
     w = np.pi / l
@@ -380,7 +381,9 @@ def _initial_terms(s, tau, c, l, deriv):
         kw = np.multiply.outer(w[rows], k)
         phase = (1j * kw) ** deriv * np.exp(1j * kw * (c[:, rows, None] - s.fourier.mid))
         weight = 2.0 * np.exp(-np.multiply.outer(decay[rows], k * k))
-        total = (weight * (phase * np.conj(s.fourier(kw))).real).sum(axis=-1)
+        wu, inv = np.unique(w[rows], return_inverse=True)
+        table = np.conj(s.fourier(np.multiply.outer(wu, k)))[inv]
+        total = (weight * (phase * table).real).sum(axis=-1)
         if deriv == 0:
             total += s.u0w.sum()
         out[:, rows] = total / l[rows]
@@ -482,19 +485,19 @@ def _march_rows(s, k0, k1, i0):
 
 
 def _lag_rows(s, i0):
-    """All rows k = 1 ... M of the gradient equations on a strip whose walls
-    are constant on the grid s.t, as lag vectors.
+    """The data terms d, shape (2, M), of the rows k = 1 ... M of the
+    gradient equations on a strip whose walls are constant on the grid
+    s.t; they are its gradients, omega_k, theta_k = d[:, k - 1].
 
-    With fixed walls every term of ``_march_rows`` at node j of row k
-    depends on the lag t_k - t_j alone (up to the rounding of that
-    difference), so each kernel is evaluated once per lag: ``ups`` at the
-    lags t_m, ``eta`` at the half lags (t_(m-1) + t_m) / 2 and ``eta0`` at
-    t_k, against the offsets [0, -l, l, 0] of both walls from the minus
-    wall and its image; the memory term ``_self_peak`` is 0.  The sums of
-    the weakly singular and the Stieltjes terms over the history are then
-    discrete convolutions with the data.  Returns d, shape (2, M), as in
-    ``_march_rows``, and U, shape (2, 2, M), with
-    K[:, :, k, j] = s.q[j] U[:, :, k - j - 1] for j < k.
+    The coupling kernels are K' at the offsets 0 and +-l, where the odd,
+    2l-periodic K' vanishes, and the memory term ``_self_peak`` is 0: the
+    double-layer term of a fixed wall drops out.  Every other term of
+    ``_march_rows`` at node j of row k depends on the lag t_k - t_j alone
+    (up to the rounding of that difference), so each kernel is evaluated
+    once per lag, ``eta`` at the half lags (t_(m-1) + t_m) / 2 and
+    ``eta0`` at t_k, against the offsets [0, -l, l, 0] of both walls from
+    the minus wall and its image; the history sums of the weakly singular
+    and the Stieltjes terms are discrete convolutions with the data.
     """
     t, chi = s.t, s.chi
     M = len(t) - 1
@@ -538,11 +541,8 @@ def _lag_rows(s, i0):
         [[history(eta[e, i], dchi[i]) for i in range(2)] for e in range(2)])
     stieltjes = parts[:, 1] - parts[:, 0]
 
-    ups = folded_kernel(tau, offsets, l, 1)
-    U = np.stack([[-ups[0], -ups[1]], [ups[2], ups[3]]])
-    d = np.stack([-(i0[0] + b[0] + weak[0] + stieltjes[0]),
-                  i0[1] + b[1] - weak[1] + stieltjes[1]])
-    return d, U
+    return np.stack([-(i0[0] + b[0] + weak[0] + stieltjes[0]),
+                     i0[1] + b[1] - weak[1] + stieltjes[1]])
 
 
 def _one_sided_gradient(u0, x0, direction, span):
@@ -564,15 +564,15 @@ def solve_volterra_single_layer(problem):
     with strictly lower-triangular K: one forward substitution.  On walls
     that move, the tables are built in blocks of rows (``_march_rows``),
     so the march costs O(M^2) kernel evaluations in a few batched calls
-    per block.  On walls constant on the grid every kernel depends on the
-    lag alone, so the rows come from lag vectors (``_lag_rows``): O(M)
-    kernel evaluations, plus O(M^2) flops in ``np.convolve`` and in the
-    substitution.  The initial data of all M rows come from one
-    ``_initial_terms`` call: one Fourier table of u0 and one Clenshaw pass
-    over it per march, plus O(K) per row, K <= 27 theta terms; only the
-    few rows with tau < (l / 13)^2 take kernel quadratures, over the nodes
-    near the walls.  The returned pair carries the problem and its sample,
-    so the field reuses both.
+    per block.  On walls constant on the grid the coupling kernels vanish
+    and every other kernel depends on the lag alone, so the gradients are
+    the data terms of the rows (``_lag_rows``): O(M) kernel evaluations
+    plus ``np.convolve``, with no substitution.  The initial data of all
+    M rows come from one ``_initial_terms`` call: one Fourier table of u0
+    and one Clenshaw pass over it per march, plus O(K) per row, K <= 27
+    theta terms; only the few rows with tau < (l / 13)^2 take kernel
+    quadratures, over the nodes near the walls.  The returned pair
+    carries the problem and its sample, so the field reuses both.
     """
     M = problem.M
     t = np.linspace(0.0, problem.T, M + 1)
@@ -585,15 +585,9 @@ def solve_volterra_single_layer(problem):
     hist[0] = (-_one_sided_gradient(problem.u0, ym0, +1.0, yp0 - ym0),
                _one_sided_gradient(problem.u0, yp0, -1.0, yp0 - ym0))
     # walls constant on the grid and at its midpoints, where the Stieltjes
-    # kernels read them: every kernel depends on the lag alone
+    # kernels read them: no coupling, and the rest depends on the lag alone
     if np.all(s.y == s.y[:, :1]) and np.all(s.y_mid == s.y[:, :1]):
-        d, U = _lag_rows(s, i0)
-        # lags M ... 1, so row k reads the last k against q_j (omega_j, theta_j)
-        coef = U[:, :, ::-1].transpose(0, 2, 1).copy()
-        weighted = np.empty((M, 2))
-        for k in range(1, M + 1):
-            weighted[k - 1] = s.q[k - 1] * hist[k - 1]
-            hist[k] = d[:, k - 1] + coef[:, M - k:].reshape(2, 2 * k) @ weighted[:k].ravel()
+        hist[1:] = _lag_rows(s, i0).T
     else:
         k0 = 1
         while k0 <= M:

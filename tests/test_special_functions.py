@@ -186,6 +186,12 @@ class TestFoldedKernel:
         assert abs(folded_kernel(delta, a + 2.0 * l, l, deriv) - v) <= 1e-9 * scale
         sign = -1.0 if deriv == 1 else 1.0
         assert abs(folded_kernel(delta, -a, l, deriv) - sign * v) <= 1e-12 * scale
+        if deriv == 1:
+            # odd and 2l-periodic, K' vanishes at 0 and +-l: the coupling
+            # kernels of a fixed-wall Volterra march
+            assert folded_kernel(delta, 0.0, l, 1) == 0.0
+            for at in (-l, l):
+                assert abs(folded_kernel(delta, at, l, 1)) <= 1e-14 * l ** -2
 
     @settings(max_examples=100, deadline=None)
     @given(z=st.floats(-4.0, 4.0), q=st.sampled_from([0.995, 0.9999]))

@@ -267,46 +267,42 @@ class TestLagRows:
     @pytest.mark.parametrize("M", [25, 60, 200])
     @pytest.mark.parametrize("name", ["strip-green", "caloric", "width-5"])
     def test_rows_match_march_rows(self, name, M):
-        # every row of the lag form equals the block tables' row, d and K,
-        # to rounding; the lags lie on both sides of the image/theta switch
+        # the lag form's data terms equal the block tables' d to rounding,
+        # and the tables' coupling K is rounding too: on fixed walls it is
+        # K' at the offsets 0 and +-l, where the odd, 2l-periodic K'
+        # vanishes; the lags lie on both sides of the image/theta switch
         prob = fixed_strip(name, M)
         s = _sample(prob, np.linspace(0.0, prob.T, M + 1))
         l = s.y[1, 0] - s.y[0, 0]
         assert s.t[1] < l * l / math.pi < s.t[-1]
         i0 = _initial_terms(s, s.t[1:], s.y[:, 1:], np.full(M, l), 1)
         d, K = volterra._march_rows(s, 1, M + 1, i0)
-        lag_d, U = volterra._lag_rows(s, i0)
-        k, j = np.arange(1, M + 1)[:, None], np.arange(M)
-        lag_K = np.where(j < k, s.q[j] * U[:, :, k - j - 1], 0.0)
-        scale = np.maximum(np.max(np.abs(d), axis=0), np.max(np.abs(K), axis=(0, 1, 3)))
+        scale = np.max(np.abs(d), axis=0)
         assert np.all(scale > 0.0)
-        assert np.all(np.abs(lag_d - d) <= 1e-14 * scale)
-        assert np.all(np.abs(lag_K - K) <= 1e-14 * scale)
+        assert np.all(np.abs(volterra._lag_rows(s, i0) - d) <= 1e-14 * scale)
+        assert np.all(np.abs(K) <= 1e-15 * scale[:, None])
 
-    def test_substitution_reads_lag_vectors_as_tables(self, monkeypatch):
-        # on fixed walls the coupling kernels vanish to rounding (odd images
-        # cancel), so the march's use of U is checked on made-up lag vectors
-        # against the tables K[:, :, k, j] = q_j U[:, :, k - j - 1]
-        M = 30
-        U = 0.5 * np.random.default_rng(5).standard_normal((2, 2, M))
-        rows = []
-        lag_rows = volterra._lag_rows
+    @pytest.mark.parametrize("name", ["strip-green", "caloric", "width-5"])
+    def test_fixed_march_is_its_data_terms(self, name):
+        # with no coupling the gradients after the start are the lag rows
+        prob = fixed_strip(name, 60)
+        g = solve_volterra_single_layer(prob)
+        s = g._march[1]
+        i0 = _initial_terms(s, s.t[1:], s.y[:, 1:], s.y[1, 1:] - s.y[0, 1:], 1)
+        d = volterra._lag_rows(s, i0)
+        assert np.array_equal(g.omega[1:], d[0])
+        assert np.array_equal(g.theta[1:], d[1])
 
-        def made_up(s, i0):
-            d, _ = lag_rows(s, i0)
-            rows.append((s, d))
-            return d, U
-
-        monkeypatch.setattr(volterra, "_lag_rows", made_up)
-        g = solve_volterra_single_layer(fixed_strip("caloric", M))
-        (s, d), = rows
-        ref = np.empty((M + 1, 2))
-        ref[0] = g.omega[0], g.theta[0]
-        for k in range(1, M + 1):
-            ref[k] = d[:, k - 1] + sum(s.q[j] * U[:, :, k - j - 1] @ ref[j] for j in range(k))
-        scale = np.max(np.abs(ref))
-        assert np.max(np.abs(g.omega - ref[:, 0])) <= 1e-14 * scale
-        assert np.max(np.abs(g.theta - ref[:, 1])) <= 1e-14 * scale
+    def test_fixed_march_reads_one_row_of_the_fourier_table(self, monkeypatch):
+        # every theta row of a fixed strip has the same width, so the table
+        # is read on a single row of frequencies
+        shapes = []
+        call = volterra._FourierTable.__call__
+        monkeypatch.setattr(volterra._FourierTable, "__call__",
+                            lambda self, w: shapes.append(w.shape) or call(self, w))
+        solve_volterra_single_layer(fixed_strip("width-5", 200))
+        (shape,) = shapes
+        assert shape[0] == 1 and 1 <= shape[1] <= 27
 
 
 class TestBuildInternalBoundaries:
