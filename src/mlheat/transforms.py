@@ -148,7 +148,7 @@ class HeatChart:
 # last two Chebyshev coefficients of f on it are below _TAIL max|f|, or
 # once it is narrower than _MIN_PANEL of the interval; an integrand that
 # needs more than _MAX_PANELS is rejected.  An inverse takes _NEWTON_STEPS
-# from its interpolated start; the error squares at each.
+# from its interpolated start at most, an entry stopping at a step within an ulp.
 _NODES, _TAIL, _MIN_PANEL, _MAX_PANELS, _NEWTON_STEPS = 20, 1e-15, 1e-6, 4096, 6
 _CHEB = np.polynomial.chebyshev
 _X = -np.cos(np.pi * np.arange(_NODES) / (_NODES - 1))
@@ -161,12 +161,14 @@ _AT_NODES = _CHEB.chebvander(_X, _NODES).T
 
 
 def _breaks(lo, hi, *curves):
-    """lo, hi and the knots of every sampled curve between them."""
+    """lo, hi and the knots of every sampled curve between them, in order
+    (not by np.unique, whose hash table maps 0.7 MB more)."""
     if not lo < hi:
         raise ConfigError(f"the chart's interval [{lo}, {hi}] is empty")
-    pts = np.concatenate([[lo, hi]] + [c._times for c in curves
-                                       if getattr(c, "_times", None) is not None])
-    return np.unique(pts[(pts >= lo) & (pts <= hi)])
+    pts = np.sort(np.concatenate([[lo, hi]] + [c._times for c in curves
+                                               if getattr(c, "_times", None) is not None]))
+    pts = pts[(pts >= lo) & (pts <= hi)]
+    return pts[np.diff(pts, prepend=-np.inf) > 0]
 
 
 def _nodes(panels):
@@ -175,42 +177,55 @@ def _nodes(panels):
     return np.clip(0.5 * (a + b) + 0.5 * (b - a) * _X, a, b)
 
 
+def _panels(f, breaks):
+    """f's series on panels of [breaks[0], breaks[-1]] halved as above: the
+    panel edges, shape (P + 1,), and coefficients, shape (P, _NODES)."""
+    lo, hi = breaks[0], breaks[-1]
+    todo, kept, scale = np.column_stack((breaks[:-1], breaks[1:])), [], 0.0
+    while len(todo):
+        v = np.asarray(f(_nodes(todo)), dtype=float)
+        if not np.all(np.isfinite(v)) or len(todo) > _MAX_PANELS:
+            raise NumericalError(f"function not finite or not resolved on [{lo}, {hi}]")
+        scale = max(scale, np.max(np.abs(v)))
+        c = v @ _TO_COEF.T
+        ok = ((np.max(np.abs(c[:, -2:]), axis=1) <= _TAIL * scale)
+              | (todo[:, 1] - todo[:, 0] <= _MIN_PANEL * (hi - lo)))
+        kept.append((todo[ok], c[ok]))
+        a, b = todo[~ok].T
+        todo = np.column_stack((a, 0.5 * (a + b), 0.5 * (a + b), b)).reshape(-1, 2)
+    panels, c = map(np.concatenate, zip(*kept))
+    order = np.argsort(panels[:, 0])
+    return np.append(panels[order, 0], hi), c[order]
+
+
+def _series_at(edges, coef, t):
+    """The series (edges, coef) of ``_panels`` at t in [edges[0], edges[-1]]."""
+    j = np.searchsorted(edges[1:-1], t, side="right")
+    a, b = edges[j], edges[j + 1]
+    return _CHEB.chebval((2.0 * t - a - b) / (b - a), np.moveaxis(coef[j], -1, 0), tensor=False)
+
+
 class _Cumulative:
     """t -> int_anchor^t f on [breaks[0], breaks[-1]], anchored at either end.
 
-    Panels are halved until f's Chebyshev series on each has a tail at
-    rounding level; a panel holds the antiderivative's series, zero at its
-    end nearer the anchor, plus the integral of the panels in between.
-    The inverse is Newton's method with f as the derivative.
+    f is tabled by ``_panels``; a panel holds the antiderivative's series,
+    zero at its end nearer the anchor, plus the integral of the panels in
+    between.  The inverse is Newton's method with f as the derivative.
     """
 
     def __init__(self, f, breaks, anchor):
         self._f, self._anchor = f, anchor
         self._lo, self._hi = lo, hi = breaks[0], breaks[-1]
-        todo, kept, scale = np.column_stack((breaks[:-1], breaks[1:])), [], 0.0
-        while len(todo):
-            v = np.asarray(f(_nodes(todo)), dtype=float)
-            if not np.all(np.isfinite(v)) or len(todo) > _MAX_PANELS:
-                raise NumericalError("integrand not finite or not resolved on the chart's interval")
-            scale = max(scale, np.max(np.abs(v)))
-            c = v @ _TO_COEF.T
-            ok = ((np.max(np.abs(c[:, -2:]), axis=1) <= _TAIL * scale)
-                  | (todo[:, 1] - todo[:, 0] <= _MIN_PANEL * (hi - lo)))
-            kept.append((todo[ok], c[ok]))
-            a, b = todo[~ok].T
-            todo = np.column_stack((a, 0.5 * (a + b), 0.5 * (a + b), b)).reshape(-1, 2)
-        panels, c = map(np.concatenate, zip(*kept))
-        order = np.argsort(panels[:, 0])
-        panels, c = panels[order], c[order]
+        edges, c = _panels(f, breaks)
         side = 1 if anchor == lo else -1
-        c = (c @ _ANTIDERIVATIVE[side]) * (0.5 * (panels[:, 1:] - panels[:, :1]))
+        c = (c @ _ANTIDERIVATIVE[side]) * (0.5 * np.diff(edges)[:, None])
         whole = side * (c @ float(side) ** np.arange(_NODES + 1))
         # running sums of the panel integrals from the anchor
         c[:, 0] += side * np.cumsum(np.append(0.0, whole[::side]))[:-1][::side]
-        self._coef, self._edges = c, np.append(panels[:, 0], hi)
+        self._coef, self._edges = c, edges
         # Newton's starting table: the values at the nodes, each panel's
         # last node being the next one's first
-        t = np.append(_nodes(panels)[:, :-1], hi)
+        t = np.append(_nodes(np.column_stack((edges[:-1], edges[1:])))[:, :-1], hi)
         F = np.append((c @ _AT_NODES)[:, :-1], self(hi))
         self._start = (F, t) if F[-1] >= F[0] else (F[::-1], t[::-1])
 
@@ -218,25 +233,24 @@ class _Cumulative:
         scalar, t = not isinstance(t, _ARRAYS), np.asarray(t, dtype=float)
         if np.any((t < self._lo) | (t > self._hi)):
             raise ConfigError(f"t outside the chart's interval [{self._lo}, {self._hi}]")
-        j = np.searchsorted(self._edges[1:-1], t, side="right")
-        a, b = self._edges[j], self._edges[j + 1]
-        F = _CHEB.chebval((2.0 * t - a - b) / (b - a), np.moveaxis(self._coef[j], -1, 0),
-                          tensor=False)
-        F = np.where(t == self._anchor, 0.0, F)
+        F = np.where(t == self._anchor, 0.0, _series_at(self._edges, self._coef, t))
         return float(F) if scalar else F
 
     def inverse(self, y):
         """t with int_anchor^t f = y, for a table monotone in t."""
         scalar, y = not isinstance(y, _ARRAYS), np.asarray(y, dtype=float)
-        t = np.interp(y, *self._start)
+        t, todo = np.interp(y.ravel(), *self._start), np.arange(y.size)
         for _ in range(_NEWTON_STEPS):
+            u = t[todo]
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = (self(t) - y) / self._f(t)
-            step = np.where(np.isfinite(step), step, 0.0)  # a flat stretch of the clock
-            t = np.clip(t - step, self._lo, self._hi)
-        if np.any(np.abs(step) > 1e-10 * (self._hi - self._lo)):
+                du = (self(u) - y.ravel()[todo]) / self._f(u)
+            du = np.where(np.isfinite(du), du, 0.0)  # a flat stretch of the clock
+            t[todo] = np.clip(u - du, self._lo, self._hi)
+            if not len(todo := todo[np.abs(du) > np.spacing(np.abs(u))]):
+                break
+        if np.any(np.abs(du) > 1e-10 * (self._hi - self._lo)):
             raise ConfigError(f"target {y} outside the chart's time range")
-        return float(t) if scalar else t
+        return float(t[0]) if scalar else t.reshape(y.shape)
 
 
 # ----------------------------------------------------------------------

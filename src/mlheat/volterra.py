@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 from .special_functions import _DECAY, _REACH, _theta_orders, folded_kernel
-from .transforms import _CHEB, _TAIL, _as_curve
+from .transforms import _CHEB, _TAIL, _as_curve, _breaks, _panels, _series_at
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -79,10 +79,10 @@ class GitLayerProblem:
 
     y_minus, y_plus: boundary positions, functions of t;
     chi_minus, chi_plus: Dirichlet data, functions of t;
-    u0: initial data, a function of x; T: horizon; M: uniform time steps;
-    n_xi: quadrature nodes for integrals against the initial data.
-    Each function may be a constant, a Curve or a callable, scalar-only
-    callables included; it is stored as a curve (``transforms._as_curve``).
+    u0: initial data, a function of x on [y_minus(0), y_plus(0)];
+    T: horizon; M: uniform time steps.  Each function may be a constant, a
+    Curve or a callable, scalar-only callables included; it is stored as a
+    curve (``transforms._as_curve``).
     """
 
     y_minus: object
@@ -92,15 +92,12 @@ class GitLayerProblem:
     u0: object
     T: float
     M: int
-    n_xi: int = 2001
 
     def __post_init__(self):
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ConfigError(f"horizon T must be positive and finite, got {self.T}")
         if self.M < 2:
             raise ConfigError(f"need at least 2 time steps, got M={self.M}")
-        if self.n_xi < 3:
-            raise ConfigError(f"need at least 3 quadrature nodes, got n_xi={self.n_xi}")
         for name in ("y_minus", "y_plus", "chi_minus", "chi_plus", "u0"):
             object.__setattr__(self, name, _as_curve(getattr(self, name)))
 
@@ -237,15 +234,33 @@ def git_kernel_set(tau, s, y_minus, y_plus, xi):
 # numpy passes per march for little more memory.
 _BLOCK = 4096
 
-# degrees of the initial data's Fourier table: the first tried and the
-# largest, which resolves strips that narrow about 350-fold
-_FOURIER_START, _FOURIER_MAX = 16, 8192
+# degrees of u0's Fourier table, the first tried and the largest (strips that
+# narrow up to about 350-fold), and the most w xi turns over a piece of its sums
+_FOURIER_START, _FOURIER_MAX, _TURN = 16, 8192, 48.0
+
+
+@functools.cache
+def _gauss_legendre(n):
+    """The n-node Gauss-Legendre rule on [0, 1]: Newton on P_n, no eigensolver."""
+    p, x = np.polynomial.Legendre.basis(n), np.cos(np.pi * np.arange(n - 0.25, 0, -1) / (n + 0.5))
+    for _ in range(3):
+        x = x - p(x) / p.deriv()(x)
+    return 0.5 + 0.5 * x, 1.0 / ((1.0 - x * x) * p.deriv()(x) ** 2)
+
+
+def _u0_rule(s, a, b):
+    """Nodes xi and weights times u0(xi), from u0's table, of the 32-node
+    rule on the pieces [a, b]: exact to rounding for a panel's series times
+    exp(i w xi) while w xi turns by up to _TURN, or times a Gaussian."""
+    x, w = _gauss_legendre(32)
+    xi = a[:, None] + np.multiply.outer(b - a, x)
+    return xi, np.multiply.outer(b - a, w) * _series_at(s.edges, s.coef, xi)
 
 
 @dataclass(frozen=True)
 class _Sampled:
     """A problem sampled for the march: its curves on the time grid t and
-    at the interval midpoints, u0 on the quadrature nodes xi."""
+    at the interval midpoints, u0 as one table on the strip at t = 0."""
 
     t: np.ndarray
     # rows: the minus and the plus boundary
@@ -255,29 +270,19 @@ class _Sampled:
     # trapezoid weights of t; an integrand vanishing at the row's own time
     # t_k gives node j < k the full-grid weight q[j]
     q: np.ndarray
-    xi: np.ndarray
-    # u0 at xi times the trapezoid weights of xi
-    u0w: np.ndarray
+    # u0's Chebyshev panels (``transforms._panels``) on [y_minus(0), y_plus(0)]
+    edges: np.ndarray
+    coef: np.ndarray
 
     @functools.cached_property
     def fourier(self):
-        """The Fourier table of u0w, built on first use by ``_initial_terms``
+        """The Fourier table of u0, built on first use by ``_initial_terms``
         for the march, its residual and the field.  Its top frequency
         bounds k pi / l on every theta-series row of a width l on the grid,
         whose at most 27 terms give 27 pi <= sqrt(_DECAY) _REACH + pi; a
-        narrower strip off the grid falls back to the kernel window."""
-        l_min = np.min(self.y[1] - self.y[0])
-        return _FourierTable(self.xi, self.u0w,
-                             (math.sqrt(_DECAY) * _REACH + 2.0 * math.pi) / l_min)
-
-
-def _trapezoid_weights(x):
-    """Weights w with w @ f(x) the trapezoid rule for f on the nodes x."""
-    half = 0.5 * np.diff(x)
-    w = np.zeros(len(x))
-    w[:-1] += half
-    w[1:] += half
-    return w
+        narrower strip off the grid falls back to the kernel windows."""
+        return _FourierTable(self, (math.sqrt(_DECAY) * _REACH + 2.0 * math.pi)
+                             / np.min(self.y[1] - self.y[0]))
 
 
 def _sample(problem, t):
@@ -288,47 +293,35 @@ def _sample(problem, t):
     if np.any(y[1] <= y[0]):
         raise ConfigError("boundaries cross inside the horizon")
     mids = 0.5 * (t[:-1] + t[1:])
-    xi = np.linspace(y[0, 0], y[1, 0], problem.n_xi)
+    edges, coef = _panels(problem.u0, _breaks(y[0, 0], y[1, 0], problem.u0))
     return _Sampled(t=t, y=y, y_mid=np.stack([problem.y_minus(mids), problem.y_plus(mids)]),
                     chi=np.stack([problem.chi_minus(t), problem.chi_plus(t)]),
-                    q=_trapezoid_weights(t), xi=xi,
-                    u0w=problem.u0(xi) * _trapezoid_weights(xi))
+                    q=np.convolve(np.diff(t), [0.5, 0.5]), edges=edges, coef=coef)
 
 
 class _FourierTable:
-    """w -> sum_j u0w_j exp(i w (xi_j - mid)) on [0, top], for uniform nodes
-    xi with middle mid, as one Chebyshev series in w.
-
-    The series is sampled on Chebyshev points of the second kind, whose
-    set at degree n holds the set at n/2, so doubling the degree samples
-    only the new points; it doubles until the last two coefficients are
-    at rounding level (``transforms._TAIL``) of sum_j |u0w_j|, which
-    bounds the sum, and the negligible tail is dropped.
+    """w -> int u0(xi) exp(i w (xi - mid)) dxi on [0, top] over the strip
+    [lo, hi] at t = 0, as one Chebyshev series in w, sampled on Chebyshev
+    points of the second kind, whose set at degree n holds the set at n/2:
+    the degree doubles, sampling only the new points, until the last two
+    coefficients are at rounding level (``transforms._TAIL``) of int |u0|,
+    and the tail is dropped.  No degree below top (hi - lo) / 4 will do.
     """
 
-    def __init__(self, xi, u0w, top):
-        self.mid, self.top = 0.5 * (xi[0] + xi[-1]), top
-        floor = _TAIL * np.sum(np.abs(u0w))
-        # node j = m width + f lies at xi_0 + h m width + h f, so its
-        # exponential is a coarse one times a fine one: a point takes
-        # about 2 sqrt(n_xi) exponentials, not n_xi
-        n_xi = len(xi)
-        width = math.isqrt(n_xi - 1) + 1
-        h = (xi[-1] - xi[0]) / (n_xi - 1)
-        u = np.zeros(-(-n_xi // width) * width)
-        u[:n_xi] = u0w
-        u = u.reshape(-1, width)
-        coarse = xi[0] - self.mid + h * width * np.arange(len(u))
-        fine = h * np.arange(width)
-        step = max(1, _BLOCK // width)
+    def __init__(self, s, top):
+        lo, hi = s.edges[0], s.edges[-1]
+        self.mid, self.top = 0.5 * (lo + hi), top
+        if top * (hi - lo) / 4.0 > _FOURIER_MAX:
+            raise NumericalError("initial data's Fourier table not resolved: "
+                                 "the strip narrows too far")
+        ends = np.sort(np.r_[s.edges[1:-1], np.linspace(lo, hi, int(top * (hi - lo) / _TURN) + 2)])
+        xi, u0w = (v.ravel() for v in _u0_rule(s, ends[:-1], ends[1:]))
+        self.mass, floor = u0w.sum(), _TAIL * np.sum(np.abs(u0w))
+        step = max(1, _BLOCK // len(u0w))
 
         def sums(w):
-            out = np.empty(len(w), dtype=complex)
-            for lo in range(0, len(w), step):
-                wc = w[lo:lo + step, None]
-                out[lo:lo + step] = ((np.exp(1j * wc * coarse) @ u)
-                                     * np.exp(1j * wc * fine)).sum(axis=1)
-            return out
+            return np.concatenate([np.exp(1j * np.outer(w[i:i + step], xi - self.mid)) @ u0w
+                                   for i in range(0, len(w), step)])
 
         def points(n, i):
             return 0.5 * top * (1.0 - np.cos(np.pi * i / n))
@@ -354,19 +347,20 @@ class _FourierTable:
 
 
 def _initial_terms(s, tau, c, l, deriv):
-    """u0 against the strip kernel: sum_j K^(deriv)(tau, c - xi_j, l) u0w_j.
+    """u0 against the strip kernel: int u0(xi) K^(deriv)(tau, c - xi, l) dxi.
 
     tau and l have shape (R,), the centres c shape (P, R); so has the
     result.  Rows split at tau = (l / _REACH)^2, where the image window
     _REACH sqrt(tau) reaches the strip width.  At and above it the theta
     series needs at most 27 terms and separates in xi:
-    sum_j u0w_j exp(i kw (c - xi_j)) = exp(i kw (c - mid)) conj(F(kw)),
+    int u0(xi) exp(i kw (c - xi)) = exp(i kw (c - mid)) conj(F(kw)),
     F the grid's one Fourier table of u0 (``s.fourier``), read once per
-    distinct width, so a row costs O(K), K <= 27, against O(n_xi) for a
-    kernel row.  A theta row whose frequencies pass the table's top (a
-    strip narrower than anywhere on the grid) and every row below the
-    split call ``folded_kernel`` on the nodes within (_REACH + 1) sqrt(tau)
-    of an image of each centre only.
+    run of rows of equal width and centres (one run on fixed walls), so a
+    row costs O(K), K <= 27.  A theta row whose frequencies pass the
+    table's top (a strip narrower than anywhere on the grid) and every row
+    below the split sum K by ``_u0_rule`` over the half windows
+    c + 2nl +- [0, reach], reach = _REACH sqrt(tau) <= l, of each image,
+    clipped to the strip and cut at u0's panel edges.
     """
     out = np.zeros(c.shape)
     w = np.pi / l
@@ -378,28 +372,33 @@ def _initial_terms(s, tau, c, l, deriv):
     rows = np.flatnonzero(theta)
     if len(rows):
         # the d-th a-derivative of 2 q^(k^2) cos(kw a) is 2 q^(k^2) Re((i kw)^d exp(i kw a))
-        kw = np.multiply.outer(w[rows], k)
-        phase = (1j * kw) ** deriv * np.exp(1j * kw * (c[:, rows, None] - s.fourier.mid))
+        key = np.vstack([w[rows], c[:, rows]])
+        new = np.append(True, np.any(key[:, 1:] != key[:, :-1], axis=0))  # runs of equal rows
+        key, inv = key[:, new], np.cumsum(new) - 1
+        kw = np.multiply.outer(key[0], k)
+        wave = ((1j * kw) ** deriv * np.exp(1j * kw * (key[1:, :, None] - s.fourier.mid))
+                * np.conj(s.fourier(kw))).real
         weight = 2.0 * np.exp(-np.multiply.outer(decay[rows], k * k))
-        wu, inv = np.unique(w[rows], return_inverse=True)
-        table = np.conj(s.fourier(np.multiply.outer(wu, k)))[inv]
-        total = (weight * (phase * table).real).sum(axis=-1)
+        total = (weight * wave[:, inv]).sum(axis=-1)
         if deriv == 0:
-            total += s.u0w.sum()
+            total += s.fourier.mass
         out[:, rows] = total / l[rows]
     rows = np.flatnonzero(~theta)
-    step = max(1, _BLOCK // len(s.xi))
-    for lo in range(0, len(rows), step):
-        r = rows[lo:lo + step]
-        a, lr = c[:, r, None] - s.xi, l[r, None]
-        # farther than _REACH sqrt(tau) from every image of the centre
-        # (period 2l), the kernel is below exp(-_REACH^2 / 4) of its peak
-        reach = (_REACH + 1.0) * np.sqrt(tau[r, None])
-        p, i, j = np.nonzero(np.abs(a - 2.0 * lr * np.round(a / (2.0 * lr))) <= reach)
-        if len(i):
-            kernel = np.zeros(a.shape)
-            kernel[p, i, j] = folded_kernel(tau[r[i]], a[p, i, j], l[r[i]], deriv)
-            out[:, r] = kernel @ s.u0w
+    if len(rows):
+        lo, hi = s.edges[0], s.edges[-1]
+        cr, span = c[:, rows, None], 2.0 * l[rows, None]
+        reach = np.minimum(_REACH * np.sqrt(tau[rows, None]), l[rows, None])
+        # images c + 2nl of each centre, n from first; windows out of reach are empty
+        first, last = np.ceil((lo - reach - cr) / span), np.floor((hi + reach - cr) / span)
+        centre = cr + span * (first + np.arange(int(np.max(last - first)) + 1))
+        ends = centre + np.multiply.outer([-1.0, 0.0, 1.0], reach)[:, None]
+        cut = np.clip(s.edges, ends[:2].reshape(-1, 1), ends[1:].reshape(-1, 1))
+        piece, j = np.nonzero(cut[:, 1:] > cut[:, :-1])
+        xi, u0w = _u0_rule(s, cut[piece, j], cut[piece, j + 1])
+        at = piece % centre.size // centre.shape[-1]
+        r = rows[at % len(rows), None]
+        terms = u0w * folded_kernel(tau[r], cr.ravel()[at, None] - xi, l[r], deriv)
+        out[:, rows] = np.bincount(at, terms.sum(axis=1), minlength=cr.size).reshape(-1, len(rows))
     return out
 
 
@@ -545,17 +544,6 @@ def _lag_rows(s, i0):
                      i0[1] + b[1] - weak[1] + stieltjes[1]])
 
 
-def _one_sided_gradient(u0, x0, direction, span):
-    """Fourth-order one-sided du0/dx at x0, stepping into the strip.
-
-    The step 3e-4 of the width balances the h^4 truncation against the
-    rounding in u0 that the difference amplifies.
-    """
-    h = direction * 3e-4 * span
-    f = u0(x0 + h * np.arange(5))
-    return (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
-
-
 def solve_volterra_single_layer(problem):
     """March the coupled gradient equations forward on the uniform grid.
 
@@ -567,23 +555,21 @@ def solve_volterra_single_layer(problem):
     per block.  On walls constant on the grid the coupling kernels vanish
     and every other kernel depends on the lag alone, so the gradients are
     the data terms of the rows (``_lag_rows``): O(M) kernel evaluations
-    plus ``np.convolve``, with no substitution.  The initial data of all
-    M rows come from one ``_initial_terms`` call: one Fourier table of u0
-    and one Clenshaw pass over it per march, plus O(K) per row, K <= 27
-    theta terms; only the few rows with tau < (l / 13)^2 take kernel
-    quadratures, over the nodes near the walls.  The returned pair
-    carries the problem and its sample, so the field reuses both.
+    plus ``np.convolve``, with no substitution.  The start gradients are
+    u0's table differentiated at the walls, and the initial data of all M
+    rows are one ``_initial_terms`` call.  The returned pair carries the
+    problem and its sample, so the field reuses both.
     """
     M = problem.M
     t = np.linspace(0.0, problem.T, M + 1)
     s = _sample(problem, t)
     i0 = _initial_terms(s, t[1:], s.y[:, 1:], s.y[1, 1:] - s.y[0, 1:], 1)
-    ym0, yp0 = s.xi[0], s.xi[-1]
     # the history (omega_j, theta_j) by rows, so that row k's coefficients
     # of it, interleaved as a (2, 2k) view, take one matvec
     hist = np.empty((M + 1, 2))
-    hist[0] = (-_one_sided_gradient(problem.u0, ym0, +1.0, yp0 - ym0),
-               _one_sided_gradient(problem.u0, yp0, -1.0, yp0 - ym0))
+    # -u0' at y_minus(0) and u0' at y_plus(0) by the end panels, T_n'(+-1) = (+-1)^(n+1) n^2
+    n2 = np.arange(s.coef.shape[1]) ** 2
+    hist[0] = 2.0 / np.diff(s.edges)[[0, -1]] * [s.coef[0] @ ((-1) ** n2 * n2), s.coef[-1] @ n2]
     # walls constant on the grid and at its midpoints, where the Stieltjes
     # kernels read them: no coupling, and the rest depends on the lag alone
     if np.all(s.y == s.y[:, :1]) and np.all(s.y_mid == s.y[:, :1]):
@@ -656,10 +642,7 @@ def git_field_single_layer(problem, gradients, x, tau):
     term plus two batched kernel calls over the history, O(M).  The
     initial term is u0 against the strip's Green function,
     (K(tau, x - xi) - K(tau, 2 y_minus(tau) - x - xi)) / 2 with K even:
-    one ``_initial_terms`` call at the centres x and its mirror image,
-    O(K), K <= 27, from the march's one Fourier table of u0.  Below
-    tau = (l / 13)^2, or off the grid where the strip is narrower than
-    the table resolves, it takes a kernel window of nodes instead.
+    one ``_initial_terms`` call at the centres x and its mirror image.
     """
     x = float(x)
     tau = float(tau)
@@ -691,7 +674,7 @@ def git_field_single_layer(problem, gradients, x, tau):
     n = int(np.searchsorted(grid, tau * (1.0 - 1e-15)))
     hist = grid[:n]
     dh = tau - hist
-    q = _trapezoid_weights(np.append(hist, tau))[:-1]
+    q = np.convolve(np.diff(np.append(hist, tau)), [0.5, 0.5])[:-1]
     y_h, chi_h = s.y[:, :n], s.chi[:, :n]
     dy_h = np.stack([_derivative(problem.y_minus, hist, problem.T),
                      _derivative(problem.y_plus, hist, problem.T)])

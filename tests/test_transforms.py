@@ -8,8 +8,10 @@ from scipy.integrate import quad
 
 from mlheat.errors import ConfigError, NumericalError
 from mlheat.transforms import (
+    _NEWTON_STEPS,
     Curve,
     TermStructure,
+    _Cumulative,
     _as_curve,
     bk_affine_zcb,
     bk_layer_chart,
@@ -58,6 +60,35 @@ def assert_fields_vectorize(chart, ts, state):
         assert np.array_equal(fn(ts), scalars), name
     taus = chart.tau_of_t(ts[1:-1])
     assert np.array_equal(chart.t_of_tau(taus), [chart.t_of_tau(x) for x in taus])
+
+
+class TestCumulative:
+    def test_inverse_stops_each_entry_at_rounding(self):
+        # Newton's method stops an entry once its step is at rounding
+        # level: the array call takes fewer than _NEWTON_STEPS steps, and
+        # every entry takes the same steps alone
+        calls = []
+
+        def f(u):
+            calls.append(np.size(u))
+            return 1.0 + 0.5 * np.cos(3.0 * np.asarray(u))
+
+        table = _Cumulative(f, np.array([0.0, 2.0]), 0.0)
+        t = np.linspace(0.0, 2.0, 17)
+        ys = table(t)
+        calls.clear()
+        inverse = table.inverse(ys)
+        assert len(calls) < _NEWTON_STEPS
+        assert np.max(np.abs(inverse - t)) <= 2e-15
+        assert np.array_equal(inverse, [table.inverse(y) for y in ys])
+
+    def test_chart_inverses_scalar_and_array_agree(self):
+        divergent = nondivergent_to_divergent(lambda x: 1.0 + 0.3 * np.sin(x), 1.1, 0.2)
+        zs = divergent.z_of_x(np.linspace(-2.9, 2.9, 13))  # builds both tables
+        assert np.array_equal(divergent.x_of_z(zs), [divergent.x_of_z(z) for z in zs])
+        chart = dupire_to_heat(TermStructure(r=0.02, q=0.01), lambda u: 0.04 + 0.02 * u, 1.0)
+        taus = chart.tau_of_t(np.linspace(0.05, 0.95, 13))
+        assert np.array_equal(chart.t_of_tau(taus), [chart.t_of_tau(x) for x in taus])
 
 
 class TestCurve:

@@ -1,6 +1,7 @@
 """Tests for the moving-boundary (single-layer) Volterra machinery."""
 
 import dataclasses
+import functools
 import math
 import pickle
 
@@ -96,9 +97,8 @@ def stepwise_rhs(problem, ts, om, th):
     hist, mids = ts[:-1], 0.5 * (ts[:-1] + ts[1:])
     dh, dm = tau - hist, tau - mids
     cm, cp = problem.chi_minus(ts), problem.chi_plus(ts)
-    xi = np.linspace(float(ym(0.0)), float(yp(0.0)), problem.n_xi)
-    i0 = [np.trapezoid(problem.u0(xi) * folded_kernel(tau, ymt - xi + shift, l, 1), xi)
-          for shift in (0.0, l)]
+    xi, u0w = reference_rule(problem)
+    i0 = [image_sum(tau, c - xi, l, 1) @ u0w for c in (ymt, ypt)]
     b = np.array([-cm[-1], cp[-1]]) / math.sqrt(math.pi * tau)
 
     def weak(chi):
@@ -135,29 +135,48 @@ def stepwise_rhs(problem, ts, om, th):
             i0[1] + b[1] - weak(cp) + s_p - th @ (gp * wts) + c_p)
 
 
-def brute_initial_terms(s, tau, ymt, l, images=40):
-    """``_initial_terms`` by the plain image sum: every node, |n| <= images."""
-    n = 2.0 * np.arange(-images, images + 1)
-    out = np.empty((2, len(tau)))
-    for r in range(len(tau)):
-        for e, shift in enumerate((0.0, l[r])):
-            x = (ymt[r] - s.xi + shift)[:, None] + n * l[r]
-            dk = -x / (2.0 * tau[r]) * np.exp(-x * x / (4.0 * tau[r])) / math.sqrt(math.pi * tau[r])
-            out[e, r] = dk.sum(axis=1) @ s.u0w
-    return out
+@functools.lru_cache(maxsize=4)
+def reference_rule(problem, pieces=4000, nodes=20):
+    """Nodes xi and weights times u0(xi) of a composite Gauss-Legendre rule
+    on ``pieces`` equal pieces of the strip at t = 0, ``nodes`` a piece:
+    the solver's u0 table, its breaks and its rules play no part."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    edges = np.linspace(float(problem.y_minus(0.0)), float(problem.y_plus(0.0)), pieces + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    xi = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
+    return xi, (half * w).ravel() * problem.u0(xi)
 
 
-def brute_initial_field(s, x, tau, ymt, l, images=40):
-    """The field's initial term by the plain image sum, |n| <= images, and
-    its scale, the sum of the magnitudes of its terms."""
-    n = 2.0 * l * np.arange(-images, images + 1)
+def image_sum(tau, a, l, deriv):
+    """The d-th derivative of K(tau, a, l) at the monotone offsets a by the
+    explicit image sum of exp(-x^2 / (4 tau)) / sqrt(pi tau), x = a + 2nl,
+    each image taken where it is within 14 sqrt(tau) (exp(-49) of its
+    peak) of the offsets."""
+    reach = 14.0 * math.sqrt(tau)
+    total = np.zeros(a.shape)
+    # increasing views of a and the total
+    up, out = (a, total) if a[-1] >= a[0] else (a[::-1], total[::-1])
+    for n in range(math.floor((-reach - up[-1]) / (2.0 * l)),
+                   math.ceil((reach - up[0]) / (2.0 * l)) + 1):
+        i, j = np.searchsorted(up, [-reach - 2.0 * n * l, reach - 2.0 * n * l])
+        x = up[i:j] + 2.0 * n * l
+        out[i:j] += x ** deriv * np.exp(x * x * (-0.25 / tau))
+    return total * (-0.5 / tau) ** deriv / math.sqrt(math.pi * tau)
 
-    def kernel(a):
-        a = a[:, None] + n
-        return np.exp(-a * a / (4.0 * tau)).sum(axis=1) / math.sqrt(math.pi * tau)
 
-    direct, mirror = kernel(x - s.xi), kernel(x + s.xi - 2.0 * ymt)
-    return 0.5 * (direct - mirror) @ s.u0w, 0.5 * (direct + mirror) @ np.abs(s.u0w)
+def brute_initial_terms(problem, tau, c, l):
+    """``_initial_terms`` with deriv 1 at the centres c by the reference rule."""
+    xi, u0w = reference_rule(problem)
+    return np.array([[image_sum(tau[r], c[e, r] - xi, l[r], 1) @ u0w for r in range(len(tau))]
+                     for e in range(2)])
+
+
+def brute_initial_field(problem, x, tau, ymt, l):
+    """The field's initial term by the reference rule, and its scale, the
+    integral of the magnitude of its integrand's two terms."""
+    xi, u0w = reference_rule(problem)
+    direct, mirror = image_sum(tau, x - xi, l, 0), image_sum(tau, x + xi - 2.0 * ymt, l, 0)
+    return 0.5 * (direct - mirror) @ u0w, 0.5 * (direct + mirror) @ np.abs(u0w)
 
 
 def dipping_plus(t):
@@ -175,7 +194,9 @@ INITIAL_DATA_CASES = pytest.mark.parametrize("y_minus, y_plus, u0", [
      lambda x: np.cos(3.0 * x) + 0.5),
     (-2.0, 3.0, lambda x: 1.0 + 0.1 * x + np.sin(x)),
     (0.0, dipping_plus, lambda x: 1.0 + x),
-], ids=["fixed", "translating", "width-varying", "width-5", "dip-off-grid"])
+    # kinks inside the strip, on edges of the reference rule's pieces
+    (0.0, 1.0, Curve(times=[-0.5, 0.3, 0.55, 1.5], values=[0.2, 1.0, 0.4, 0.9])),
+], ids=["fixed", "translating", "width-varying", "width-5", "dip-off-grid", "sampled-u0"])
 
 
 class TestInitialTerms:
@@ -190,12 +211,23 @@ class TestInitialTerms:
             tau, (ymt, ypt) = s.t[1:], s.y[:, 1:]
             l = ypt - ymt
             i0 = _initial_terms(s, tau, s.y[:, 1:], l, 1)
-            ref = brute_initial_terms(s, tau, ymt, l)
+            ref = brute_initial_terms(prob, tau, s.y[:, 1:], l)
             assert np.all(np.abs(i0 - ref) <= 1e-13 * np.max(np.abs(ref), axis=0))
             table_rows = tau >= (l / _REACH) ** 2
             both_sides |= table_rows.any() and not table_rows.all()
         # some march has rows on both sides of the kernel/table split
         assert both_sides
+
+    def test_sampled_u0_is_tabled_between_its_knots(self):
+        # a piecewise linear u0 takes one panel per piece inside the strip,
+        # and the start gradients are the slopes of the end pieces
+        u0 = Curve(times=[-0.5, 0.3, 0.55, 1.5], values=[0.2, 1.0, 0.4, 0.9])
+        prob = GitLayerProblem(y_minus=0.0, y_plus=1.0, chi_minus=0.0, chi_plus=0.0,
+                               u0=u0, T=1.0, M=4)
+        assert np.array_equal(_sample(prob, np.linspace(0.0, 1.0, 5)).edges, [0.0, 0.3, 0.55, 1.0])
+        g = solve_volterra_single_layer(prob)
+        assert g.omega[0] == pytest.approx(-1.0, rel=1e-13)
+        assert g.theta[0] == pytest.approx(0.5 / 0.95, rel=1e-13)
 
     def test_one_table_per_march(self, monkeypatch):
         built = []
@@ -224,7 +256,7 @@ class TestInitialTerms:
             top = _theta_orders(math.pi ** 2 * tau / l ** 2)[-1] * math.pi / l
             off_table |= theta_side and top > s.fourier.top
             for x in ymt + l * np.array([1e-3, 0.05, 0.25, 0.5, 0.77, 0.999]):
-                ref, scale = brute_initial_field(s, x, tau, ymt, l)
+                ref, scale = brute_initial_field(prob, x, tau, ymt, l)
                 i0 = _initial_terms(s, at, np.array([[x], [2.0 * ymt - x]]), np.array([l]), 0)
                 assert abs(0.5 * (i0[0, 0] - i0[1, 0]) - ref) <= 1e-13 * scale
         assert sides == {False, True}
@@ -241,8 +273,9 @@ class TestInitialTerms:
         assert calls == [prob.M]
 
     def test_unresolvable_table_is_numerical_error(self):
-        # a strip that narrows 400-fold: its theta rows need frequencies the
-        # 2001 nodes on the initial width cannot carry
+        # a strip that narrows 400-fold: its theta rows need frequencies
+        # that no table up to degree _FOURIER_MAX carries on the initial
+        # width, and that is known before any sum
         prob = GitLayerProblem(y_minus=0.0, y_plus=lambda t: 1.0 - 0.9975 * np.asarray(t),
                                chi_minus=0.0, chi_plus=0.0, u0=lambda x: 1.0 + x, T=1.0, M=4)
         with pytest.raises(NumericalError, match="Fourier table"):
@@ -443,6 +476,15 @@ class TestSolver:
         assert abs(g.omega[-1] + 1.0) <= 1e-8
         assert abs(g.theta[-1] - 1.0) <= 1e-8
 
+    @pytest.mark.parametrize("M", [50, 200, 400, 800])
+    def test_uniform_data_has_zero_gradients(self, M):
+        # u = 1 solves the problem, so every gradient is 0; the first rows
+        # see a Gaussian derivative of width sqrt(T / M) on each wall
+        prob = GitLayerProblem(y_minus=0.0, y_plus=1.0, chi_minus=1.0, chi_plus=1.0,
+                               u0=1.0, T=0.1, M=M)
+        g = solve_volterra_single_layer(prob)
+        assert max(np.max(np.abs(g.omega)), np.max(np.abs(g.theta))) <= 1e-10
+
     def test_start_gradients_of_smooth_initial_data(self):
         # u0 = sin(pi x) + 0.3 x: u0'(0) = pi + 0.3 and u0'(1) = 0.3 - pi
         prob = GitLayerProblem(
@@ -606,6 +648,11 @@ class TestCurveContract:
         for f in (0.2, 0.5, 0.8):
             x = float(a.y_minus(tau)) + f * float(a.y_plus(tau) - a.y_minus(tau))
             assert git_field_single_layer(a, ga, x, tau) == git_field_single_layer(b, gb, x, tau)
+
+    def test_quadrature_node_count_is_gone(self):
+        with pytest.raises(TypeError):
+            GitLayerProblem(y_minus=0.0, y_plus=1.0, chi_minus=0.0, chi_plus=0.0,
+                            u0=1.0, T=1.0, M=10, n_xi=2001)
 
     def test_curves_normalized_once(self):
         prob = moving_problem(20)
