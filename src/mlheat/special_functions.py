@@ -49,7 +49,10 @@ def _theta_orders(decay):
 
 
 def _image_sum(delta, a, l, deriv):
-    """Gaussian image form of the d-th a-derivative of K, for |a| <= l.
+    """Gaussian image form of the a-derivatives of K, for |a| <= l.
+
+    ``deriv`` is an order 0, 1 or 2, giving its sum, or a tuple of orders,
+    giving a list of their sums from one pass over the images.
 
     Neighbouring images differ by a Gaussian factor, so they are built by
     multiplication: with g = exp(-a^2 / (4 delta)), R+- = exp(-l (l +- a) / delta)
@@ -63,6 +66,7 @@ def _image_sum(delta, a, l, deriv):
     The two sides are built by the same operations with a and -a swapped,
     so the sum is exactly even (deriv 0, 2) or odd (deriv 1) in a.
     """
+    orders = deriv if isinstance(deriv, tuple) else (deriv,)
     delta, a, l = (np.asarray(v, dtype=float) for v in (delta, a, l))
     n_max = int(math.ceil(0.5 * _REACH * math.sqrt(np.max(delta / (l * l), initial=0.0))))
     two_delta = 2.0 * delta
@@ -71,56 +75,137 @@ def _image_sum(delta, a, l, deriv):
     g = np.exp((-0.25 / delta) * (a * a))
     ratio = np.exp(rate * span) if n_max > 1 else None
 
-    def image(x, gauss):
+    def image(d, x, gauss):
         # the d-th derivative of exp(-x^2 / (4 delta)) without its factor
         # (-2 delta)^-d, which is applied once to the total
-        if deriv == 1:
+        if d == 0:
+            return gauss
+        if d == 1:
             return x * gauss
-        if deriv == 2:
-            return (x * x - two_delta) * gauss
-        return gauss
+        term = x * x - two_delta
+        term *= gauss
+        return term
 
     def side(b):
-        # the images at x = b + 2nl, n = 1 ... n_max, and their Gaussians
+        # the images at x = b + 2nl, n = 1 ... n_max, summed in place per order
         step = np.exp(rate * np.maximum(l + b, 0.0))
         gauss = g * step
-        x = b + span if deriv else None
-        total = image(x, gauss)
+        x = b + span if max(orders) else None
+        totals = [gauss.copy() if d == 0 else image(d, x, gauss) for d in orders]
         for _ in range(1, n_max):
             step *= ratio
-            gauss = gauss * step
-            if deriv:
+            gauss *= step
+            if x is not None:
                 x += span
-            total = total + image(x, gauss)
-        return total
+            for i, d in enumerate(orders):
+                totals[i] += image(d, x, gauss)
+        return totals
 
-    plus, minus = side(a), side(-a)
-    total = image(a, g) + (plus - minus if deriv == 1 else plus + minus)
+    sums = []
     norm = np.sqrt(np.pi * delta)
-    if deriv:
-        norm = norm * (-two_delta) ** deriv
-    return total / norm
+    for d, plus, minus in zip(orders, side(a), side(-a)):
+        if d == 1:
+            plus -= minus
+        else:
+            plus += minus
+        plus += image(d, a, g)
+        plus /= norm * (-two_delta) ** d if d else norm
+        sums.append(plus)
+    return sums if isinstance(deriv, tuple) else sums[0]
 
 
 def _theta_sum(delta, a, l, deriv):
-    """Theta-series form of the d-th a-derivative of K.
+    """Theta-series form of the a-derivatives of K; ``deriv`` as ``_image_sum``.
 
     (1/l) [1 + 2 sum_k q^(k^2) cos(k w a)] with w = pi / l, q = exp(-w^2 delta),
-    differentiated term by term.
+    differentiated term by term.  The terms come by recurrence from one
+    exp, one cos and, for odd orders, one sin per element:
+    q^(k^2) = q^((k-1)^2) q^(2k-1), and with phi = w a,
+    cos((k+1) phi) = 2 cos(phi) cos(k phi) - cos((k-1) phi), and likewise
+    sin, the three-term Chebyshev recurrence.  ``folded_kernel`` takes this
+    branch at q <= exp(-pi), where it keeps at most 4 terms.
     """
+    orders = deriv if isinstance(deriv, tuple) else (deriv,)
+    delta, a, l = (np.asarray(v, dtype=float) for v in (delta, a, l))
     w = np.pi / l
     decay = w * w * delta
-    k = _theta_orders(np.min(decay))
-    weight = 2.0 * np.exp(-np.multiply.outer(decay, k * k))
-    kw = np.multiply.outer(w, k)
-    phase = kw * np.asarray(a)[..., None]
-    if deriv == 0:
-        total = 1.0 + (weight * np.cos(phase)).sum(axis=-1)
-    elif deriv == 1:
-        total = -(weight * kw * np.sin(phase)).sum(axis=-1)
-    else:
-        total = -(weight * kw * kw * np.cos(phase)).sum(axis=-1)
-    return total / l
+    # sum_k k^d q^(k^2) cos(k phi) for even d, sin(k phi) for odd
+    sums = [np.zeros(np.broadcast(delta, a, l).shape) for _ in orders]
+    q = np.exp(-decay)
+    square = q * q
+    weight = odd = q
+    phi = w * a
+    cos = np.cos(phi)
+    twice = 2.0 * cos
+    sin = np.sin(phi) if 1 in orders else None
+    cos_prev, sin_prev = 1.0, 0.0
+    for k in _theta_orders(np.min(decay)):
+        if k > 1:
+            odd = odd * square
+            weight = weight * odd
+            cos_prev, cos = cos, twice * cos - cos_prev
+            if sin is not None:
+                sin_prev, sin = sin, twice * sin - sin_prev
+        for i, d in enumerate(orders):
+            term = weight * (sin if d == 1 else cos)
+            if d:
+                term *= float(k ** d)
+            sums[i] += term
+    totals = []
+    for d, total in zip(orders, sums):
+        if d == 0:
+            total *= 2.0
+            total += 1.0
+        else:
+            total *= -2.0 * w ** d
+        total /= l
+        totals.append(total)
+    return totals if isinstance(deriv, tuple) else totals[0]
+
+
+def _folded_kernels(delta, a, l, orders):
+    """K and its a-derivatives of the given orders from one pass.
+
+    The argument checks, the fold into [-l, l], the branch split and one
+    image or theta sum serve every order in the tuple ``orders``.
+    Arguments as ``folded_kernel``; returns a list of ndarrays of their
+    broadcast shape, one per order.
+    """
+    # checked before broadcasting, so each argument is scanned at its own size
+    delta, a, l = (np.asarray(v, dtype=float) for v in (delta, a, l))
+    if not (delta > 0.0).all():
+        raise ConfigError("time lag delta must be positive")
+    if not np.isfinite(a).all():
+        raise ConfigError("offset a must be finite")
+    if not ((l > 0.0) & (l < math.inf)).all():
+        raise ConfigError("width l must be positive and finite")
+    span = 2.0 * l
+    fold = np.round(a / span)
+    fold *= span
+    a = a - fold
+    image = delta < l * l / math.pi
+    if image.all():
+        return _image_sum(delta, a, l, orders)
+    if not image.any():
+        return _theta_sum(delta, a, l, orders)
+    # the branches split element by element, from arguments copied to the
+    # full shape: a boolean mask gathers several times slower from the
+    # stride-0 views of np.broadcast_arrays
+    shape = np.broadcast(delta, a, l).shape
+    full = []
+    for v in (delta, a, l, image):
+        if v.shape != shape:
+            copy = np.empty(shape, v.dtype)
+            copy[...] = v
+            v = copy
+        full.append(v)
+    delta, a, l, image = full
+    outs = [np.empty(delta.shape) for _ in orders]
+    theta = ~image
+    for mask, branch in ((image, _image_sum), (theta, _theta_sum)):
+        for out, part in zip(outs, branch(delta[mask], a[mask], l[mask], orders)):
+            out[mask] = part
+    return outs
 
 
 def folded_kernel(delta, a, l, deriv=0):
@@ -129,7 +214,9 @@ def folded_kernel(delta, a, l, deriv=0):
     K(delta, a, l) = sum_n exp(-(a + 2 n l)^2 / (4 delta)) / sqrt(pi delta),
     of period 2l in a.  ``a`` is folded into [-l, l]; each element then
     uses the image sum when delta / l^2 < 1/pi (nome above exp(-pi)) and
-    the theta series otherwise, so both need only a handful of terms.
+    the theta series otherwise, so both need only a handful of terms; the
+    theta terms come by recurrence (``_theta_sum``), and ``_folded_kernels``
+    gives several orders from one such pass.
     All arguments broadcast; delta may be +inf (the l -> 0 limit 1/l).
     ``ConfigError`` is raised unless delta > 0, a is finite and l is
     finite and positive.
@@ -138,26 +225,7 @@ def folded_kernel(delta, a, l, deriv=0):
     """
     if deriv not in (0, 1, 2):
         raise ConfigError(f"deriv must be 0, 1 or 2, got {deriv!r}")
-    # checked before broadcasting, so each argument is scanned at its own size
-    delta, a, l = (np.asarray(v, dtype=float) for v in (delta, a, l))
-    if not np.all(delta > 0.0):
-        raise ConfigError("time lag delta must be positive")
-    if not np.all(np.isfinite(a)):
-        raise ConfigError("offset a must be finite")
-    if not np.all((l > 0.0) & (l < math.inf)):
-        raise ConfigError("width l must be positive and finite")
-    delta, a, l = np.broadcast_arrays(delta, a, l)
-    a = a - 2.0 * l * np.round(a / (2.0 * l))
-    image = delta < l * l / math.pi
-    if image.all():
-        out = _image_sum(delta, a, l, deriv)
-    elif not image.any():
-        out = _theta_sum(delta, a, l, deriv)
-    else:
-        out = np.empty(delta.shape)
-        out[image] = _image_sum(delta[image], a[image], l[image], deriv)
-        theta = ~image
-        out[theta] = _theta_sum(delta[theta], a[theta], l[theta], deriv)
+    (out,) = _folded_kernels(delta, a, l, (deriv,))
     return float(out) if out.ndim == 0 else out
 
 

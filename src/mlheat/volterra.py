@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericalError
-from .special_functions import _DECAY, _REACH, _theta_orders, folded_kernel
+from .special_functions import _DECAY, _REACH, _folded_kernels, _theta_orders, folded_kernel
 from .transforms import _CHEB, _TAIL, _as_curve, _breaks, _panels, _series_at
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -260,8 +260,11 @@ def _u0_rule(s, a, b):
 @dataclass(frozen=True)
 class _Sampled:
     """A problem sampled for the march: its curves on the time grid t and
-    at the interval midpoints, u0 as one table on the strip at t = 0."""
+    at the interval midpoints, u0 as one table on the strip at t = 0.
+    The field adds the walls' velocities on the grid (``slope``) and the
+    state of the last time it was asked at (``at``)."""
 
+    problem: GitLayerProblem
     t: np.ndarray
     # rows: the minus and the plus boundary
     y: np.ndarray
@@ -284,6 +287,21 @@ class _Sampled:
         return _FourierTable(self, (math.sqrt(_DECAY) * _REACH + 2.0 * math.pi)
                              / np.min(self.y[1] - self.y[0]))
 
+    @functools.cached_property
+    def slope(self):
+        """The walls' velocities y-', y+' on the grid, taken on first use by the field."""
+        p = self.problem
+        return np.stack([_derivative(p.y_minus, self.t, p.T), _derivative(p.y_plus, self.t, p.T)])
+
+    def at(self, tau):
+        """The field's state at tau (``_Instant``); the last one is kept, so
+        the points of one tau asked one by one share it."""
+        now = self.__dict__.get("_now")
+        if now is None or now.tau != tau:
+            # written as cached_property writes, past the frozen __setattr__
+            now = self.__dict__["_now"] = _Instant(self, tau)
+        return now
+
 
 def _sample(problem, t):
     """``problem`` sampled on the time grid t, which starts at 0."""
@@ -294,7 +312,8 @@ def _sample(problem, t):
         raise ConfigError("boundaries cross inside the horizon")
     mids = 0.5 * (t[:-1] + t[1:])
     edges, coef = _panels(problem.u0, _breaks(y[0, 0], y[1, 0], problem.u0))
-    return _Sampled(t=t, y=y, y_mid=np.stack([problem.y_minus(mids), problem.y_plus(mids)]),
+    return _Sampled(problem=problem, t=t, y=y,
+                    y_mid=np.stack([problem.y_minus(mids), problem.y_plus(mids)]),
                     chi=np.stack([problem.chi_minus(t), problem.chi_plus(t)]),
                     q=np.convolve(np.diff(t), [0.5, 0.5]), edges=edges, coef=coef)
 
@@ -346,7 +365,20 @@ class _FourierTable:
         return _CHEB.chebval(1.0 - 2.0 * w.ravel() / self.top, self.coef).reshape(w.shape)
 
 
-def _initial_terms(s, tau, c, l, deriv):
+def _table_rows(s, tau, l):
+    """The rows of ``_initial_terms`` that read the Fourier table, as a mask
+    of tau, and the theta orders k they take (None when no row is at or
+    above the split): tau >= (l / _REACH)^2 with k pi / l within the top."""
+    w = np.pi / l
+    theta = tau >= (l / _REACH) ** 2
+    k = None
+    if theta.any():
+        k = _theta_orders((w * w * tau)[theta].min())
+        theta &= k[-1] * w <= s.fourier.top
+    return theta, k
+
+
+def _initial_terms(s, tau, c, l, deriv, spectrum=None):
     """u0 against the strip kernel: int u0(xi) K^(deriv)(tau, c - xi, l) dxi.
 
     tau and l have shape (R,), the centres c shape (P, R); so has the
@@ -360,15 +392,14 @@ def _initial_terms(s, tau, c, l, deriv):
     table's top (a strip narrower than anywhere on the grid) and every row
     below the split sum K by ``_u0_rule`` over the half windows
     c + 2nl +- [0, reach], reach = _REACH sqrt(tau) <= l, of each image,
-    clipped to the strip and cut at u0's panel edges.
+    clipped to the strip and cut at u0's panel edges.  A caller holding
+    conj(F(kw)) for a single row, read at the same tau and l, passes it as
+    ``spectrum`` and the table is not read again.
     """
     out = np.zeros(c.shape)
     w = np.pi / l
     decay = w * w * tau
-    theta = tau >= (l / _REACH) ** 2
-    if theta.any():
-        k = _theta_orders(decay[theta].min())
-        theta &= k[-1] * w <= s.fourier.top
+    theta, k = _table_rows(s, tau, l)
     rows = np.flatnonzero(theta)
     if len(rows):
         # the d-th a-derivative of 2 q^(k^2) cos(kw a) is 2 q^(k^2) Re((i kw)^d exp(i kw a))
@@ -376,8 +407,14 @@ def _initial_terms(s, tau, c, l, deriv):
         new = np.append(True, np.any(key[:, 1:] != key[:, :-1], axis=0))  # runs of equal rows
         key, inv = key[:, new], np.cumsum(new) - 1
         kw = np.multiply.outer(key[0], k)
-        wave = ((1j * kw) ** deriv * np.exp(1j * kw * (key[1:, :, None] - s.fourier.mid))
-                * np.conj(s.fourier(kw))).real
+        if spectrum is None:
+            spectrum = np.conj(s.fourier(kw))
+        # exp(i kw (c - mid)) as the powers of its k = 1 term
+        wave = np.exp(1j * key[0] * (key[1:] - s.fourier.mid))
+        wave = np.repeat(wave[..., None], len(k), axis=-1).cumprod(axis=-1) * spectrum
+        wave = wave.imag if deriv % 2 else wave.real
+        if deriv:
+            wave *= -kw ** deriv
         weight = 2.0 * np.exp(-np.multiply.outer(decay[rows], k * k))
         total = (weight * wave[:, inv]).sum(axis=-1)
         if deriv == 0:
@@ -420,18 +457,17 @@ def _march_rows(s, k0, k1, i0):
     ymt, ypt = s.y[:, k]
     l = ypt - ymt
     chi = s.chi
-    # the history pairs (row r, node j < k0 + r)
+    # the history pairs (row r, node j < k0 + r), row by row: row r's
+    # pairs start at first[r]
     r, j = np.nonzero(np.arange(k1 - 1) < k[:, None])
+    first = np.cumsum(k) - k
     tau_r, ymt_r, l_r = tau[r], ymt[r], l[r]
-    ua = tau_r - t[j]
-    ub = tau_r - t[j + 1]
+    t_j, t_j1 = t[j], t[j + 1]
+    dchi = np.diff(chi)[:, j]
+    ua = tau_r - t_j
+    ub = tau_r - t_j1
     sqrt_ua = np.sqrt(ua)
     sqrt_ub = np.sqrt(ub)
-
-    def table(values):
-        out = np.zeros(values.shape[:-1] + (len(k), k1 - 1))
-        out[..., r, j] = values
-        return out
 
     # the boundary-datum singular terms
     b = np.array([-1.0, 1.0])[:, None] * chi[:, k] / np.sqrt(np.pi * tau)
@@ -441,16 +477,18 @@ def _march_rows(s, k0, k1, i0):
     # linear, each interval in closed form, linear in chi; on the final
     # interval chi(s) - chi(tau) is its slope times (s - tau)
     with np.errstate(divide="ignore"):
-        alpha = np.where(j + 1 == k[r], 0.0, 1.0 / sqrt_ua - 1.0 / sqrt_ub)
+        alpha = 1.0 / sqrt_ua - 1.0 / sqrt_ub
+    alpha[first + k - 1] = 0.0  # each row's final interval
     gamma = alpha * ua + sqrt_ua - sqrt_ub
-    slope = np.diff(chi)[:, j] / (t[j + 1] - t[j])
-    weak = table(-(alpha * (chi[:, j] - chi[:, k][:, r]) + gamma * slope) / _SQRT_PI).sum(axis=-1)
+    slope = dchi / (t_j1 - t_j)
+    weak = np.add.reduceat(-(alpha * (chi[:, j] - chi[:, k][:, r]) + gamma * slope) / _SQRT_PI,
+                           first, axis=-1)
 
     # Stieltjes terms: integral of chi d(eta) by parts, eta vanishing at
     # s = tau, -chi(0) eta(0) - sum_j eta(mid_j) (chi_{j+1} - chi_j), for
     # the eta of each equation against each boundary's data; the self
     # kernels drop the Kronecker spike of the point riding its own boundary
-    dm = tau_r - 0.5 * (t[j] + t[j + 1])
+    dm = tau_r - 0.5 * (t_j + t_j1)
     a = ymt_r - s.y_mid[:, j]
     eta = folded_kernel(dm, np.concatenate([a, a + l_r]), l_r).reshape(2, 2, -1)
     spike = 1.0 / np.sqrt(np.pi * dm)
@@ -461,7 +499,7 @@ def _march_rows(s, k0, k1, i0):
     spike0 = 1.0 / np.sqrt(np.pi * tau)
     eta0[0, 0] -= spike0
     eta0[1, 1] -= spike0
-    parts = chi[:, 0, None] * eta0 + (table(eta) * np.diff(chi)[:, None, :k1 - 1]).sum(axis=-1)
+    parts = chi[:, 0, None] * eta0 + np.add.reduceat(eta * dchi, first, axis=-1)
     stieltjes = parts[:, 1] - parts[:, 0]
 
     # moving-boundary memory: kernel = smooth * (tau-s)^(-1/2), integrated
@@ -473,10 +511,11 @@ def _march_rows(s, k0, k1, i0):
     peak_p = _self_peak(ua, ypt[r] - s.y[1, j])
     memory = 2.0 * sqrt_ua * (sqrt_ua - sqrt_ub)
     q = s.q[j]
-    K = table(np.stack([
+    K = np.zeros((2, 2, len(k), k1 - 1))
+    K[..., r, j] = np.stack([
         [peak_m * memory - q * (ups[0] + peak_m), -q * ups[1]],
         [q * ups[2], q * (ups[3] + peak_p) - peak_p * memory],
-    ]))
+    ])
 
     d = np.stack([-(i0[0] + b[0] + weak[0] + stieltjes[0]),
                   i0[1] + b[1] - weak[1] + stieltjes[1]])
@@ -627,24 +666,92 @@ def _gradient_residual(problem, gradients, refine=2):
     return max(abs(gradients.omega[-1] - rhs[0]), abs(gradients.theta[-1] - rhs[1]))
 
 
-def git_field_single_layer(problem, gradients, x, tau):
-    """Field value inside the strip at (x, tau) from solved gradients.
+class _Instant:
+    """What the field at one time tau needs besides the gradients and x:
+    the walls and their data at tau and, for tau > 0, the history nodes
+    before tau with their trapezoid weights, the walls and data there, and
+    the initial data's Fourier-table read at tau's frequencies.
+    ``_Sampled.at`` keeps the last one."""
 
-    Uses the image-sum boundary-potential representation; on the
-    boundaries themselves the representation is taken by continuity,
-    returning the boundary datum.
+    def __init__(self, s, tau):
+        problem, at = s.problem, np.array([tau])
+        self.tau = tau
+        self.ymt, self.ypt = float(problem.y_minus(at)[0]), float(problem.y_plus(at)[0])
+        self.l = self.ypt - self.ymt
+        if self.l <= 0.0:
+            raise ConfigError("boundaries cross inside the horizon")
+        self.chi = float(problem.chi_minus(at)[0]), float(problem.chi_plus(at)[0])
+        if tau > 0.0:
+            n = int(np.searchsorted(s.t, tau * (1.0 - 1e-15)))
+            hist = s.t[:n]
+            self.dh = tau - hist
+            self.q = np.convolve(np.diff(np.append(hist, tau)), [0.5, 0.5])[:-1]
+            self.y, self.chi_h = s.y[:, :n], s.chi[:, :n]
+            # the data's share of the fluxes, chi- y-' and chi+ y+'
+            self.drift = self.chi_h * s.slope[:, :n]
+            # conj(F(kw)) at tau's frequencies when the initial term reads
+            # the Fourier table there (``_initial_terms``), else None
+            l = np.array([self.l])
+            theta, k = _table_rows(s, at, l)
+            self.spectrum = None
+            if theta[0]:
+                self.spectrum = np.conj(s.fourier(np.multiply.outer(np.pi / l, k)))
+
+    def field(self, s, gradients, x):
+        """The field at interior points x, shape (P,), for tau > 0, on the sample s.
+
+        The initial term is u0 against the strip's Green function,
+        (K(tau, x - xi) - K(tau, 2 y_minus(tau) - x - xi)) / 2 with K even:
+        one ``_initial_terms`` call at every x and its mirror image.  The
+        boundary-history integrals take the trapezoid rule; every kernel
+        vanishes at s = tau for interior x, so only the history nodes count.
+        Green's identity on the moving strip: the flux through y+ is
+        (theta + chi+ y+') G(y+) and through y- is (omega - chi- y-') G(y-),
+        G = (K(x - y) - K(x + y - 2 y-(tau))) / 2; the double layer takes
+        -(K'(x - y) + K'(x + y - 2 y-(tau))) / 2.  K and K' come from one
+        kernel pass per block of points, each block about _BLOCK (point,
+        node) pairs.
+        """
+        n = len(self.dh)
+        centres = np.concatenate([x, 2.0 * self.ymt - x])[:, None]
+        i0 = _initial_terms(s, np.array([self.tau]), centres, np.array([self.l]), 0,
+                            self.spectrum)[:, 0]
+        out = 0.5 * (i0[:len(x)] - i0[len(x):])
+        f = np.stack([gradients.omega[:n] - self.drift[0], gradients.theta[:n] + self.drift[1]])
+        step = max(1, _BLOCK // n)
+        for p in range(0, len(x), step):
+            xp = x[p:p + step, None, None]
+            # offsets (direct, mirror) x point x wall (y-, y+) x node
+            a = np.stack([xp - self.y, xp + self.y - 2.0 * self.ymt])
+            kernel, slope = _folded_kernels(self.dh, a, self.l, (0, 1))
+            upsilon = 0.5 * (kernel[0] - kernel[1])
+            lam = -0.5 * (slope[0] + slope[1])
+            flux = f[0] * upsilon[:, 0] + f[1] * upsilon[:, 1]
+            flux += self.chi_h[0] * lam[:, 0] - self.chi_h[1] * lam[:, 1]
+            # summed row by row, so a point's value does not depend on its block
+            flux *= self.q
+            out[p:p + step] += flux.sum(axis=-1)
+        return out
+
+
+def git_field_single_layer(problem, gradients, x, tau):
+    """Field inside the strip at the points x, at one time tau, from solved gradients.
+
+    x is a scalar, giving a float, or an array, giving an ndarray of its
+    shape; every point takes the same path.  A point on a wall gives that
+    wall's datum (the representation taken by continuity), a point at
+    tau = 0 gives u0, and a point outside the strip raises ``ConfigError``.
 
     The history nodes are the gradient grid's nodes before tau.  A pair
     from the march of this very ``problem`` object brings the march's
-    sample of them; any other pair has the problem sampled on its grid
-    once per call, so crossing boundaries in its history are still found.
-    Only tau itself is sampled afresh.  A point then costs its initial
-    term plus two batched kernel calls over the history, O(M).  The
-    initial term is u0 against the strip's Green function,
-    (K(tau, x - xi) - K(tau, 2 y_minus(tau) - x - xi)) / 2 with K even:
-    one ``_initial_terms`` call at the centres x and its mirror image.
+    sample of them, which also keeps the walls' velocities and the state
+    of the last tau asked (``_Instant``: the walls at tau, the history
+    slice and its weights, the Fourier-table read), so points asked one by
+    one at one tau pay that once.  Any other pair has the problem sampled
+    on its grid once per call, so crossing boundaries in its history are
+    still found.  A point then costs its kernel sums: its initial term and
+    K, K' over the history, O(M).
     """
-    x = float(x)
     tau = float(tau)
     if tau < 0.0 or tau > problem.T + 1e-12 * max(problem.T, 1.0):
         raise ConfigError(f"time {tau} outside the horizon [0, {problem.T}]")
@@ -656,42 +763,19 @@ def git_field_single_layer(problem, gradients, x, tau):
         s = march[1]
     else:
         s = _sample(problem, grid)
-    at = np.array([tau])
-    ymt, ypt = float(problem.y_minus(at)[0]), float(problem.y_plus(at)[0])
-    l = ypt - ymt
-    if l <= 0.0:
-        raise ConfigError("boundaries cross inside the horizon")
-    tol = 1e-12 * max(l, 1.0)
-    if x < ymt - tol or x > ypt + tol:
-        raise ConfigError(f"point x={x} outside the strip [{ymt}, {ypt}] at tau={tau}")
-    if abs(x - ymt) <= tol:
-        return float(problem.chi_minus(at)[0])
-    if abs(x - ypt) <= tol:
-        return float(problem.chi_plus(at)[0])
-    if tau == 0.0:
-        return float(problem.u0(x))
-
-    n = int(np.searchsorted(grid, tau * (1.0 - 1e-15)))
-    hist = grid[:n]
-    dh = tau - hist
-    q = np.convolve(np.diff(np.append(hist, tau)), [0.5, 0.5])[:-1]
-    y_h, chi_h = s.y[:, :n], s.chi[:, :n]
-    dy_h = np.stack([_derivative(problem.y_minus, hist, problem.T),
-                     _derivative(problem.y_plus, hist, problem.T)])
-
-    # boundary-history integrals by the trapezoid rule; every kernel
-    # vanishes at s = tau for interior x, so only the history nodes count.
-    # Green's identity on the moving strip: the flux through y+ is
-    # (theta + chi+ y+') G(y+) and through y- is (omega - chi- y-') G(y-),
-    # G = (K(x - y) - K(x + y - 2 y-(tau))) / 2; the double layer takes
-    # -(K'(x - y) + K'(x + y - 2 y-(tau))) / 2.  Rows: y-, then y+
-    a = np.stack([x - y_h, x + y_h - 2.0 * ymt])
-    kernel = folded_kernel(dh, a, l)
-    upsilon = 0.5 * (kernel[0] - kernel[1])
-    kernel = folded_kernel(dh, a, l, 1)
-    lam = -0.5 * (kernel[0] + kernel[1])
-    flux = (gradients.omega[:n] - chi_h[0] * dy_h[0]) * upsilon[0]
-    flux += (gradients.theta[:n] + chi_h[1] * dy_h[1]) * upsilon[1]
-    double = chi_h[0] * lam[0] - chi_h[1] * lam[1]
-    i0 = _initial_terms(s, at, np.array([[x], [2.0 * ymt - x]]), np.array([l]), 0)
-    return float(0.5 * (i0[0, 0] - i0[1, 0]) + (flux + double) @ q)
+    now = s.at(tau)
+    shape = np.shape(x)
+    x = np.asarray(x, dtype=float).ravel()
+    tol = 1e-12 * max(now.l, 1.0)
+    outside = (x < now.ymt - tol) | (x > now.ypt + tol)
+    if outside.any():
+        raise ConfigError(f"point x={x[outside][0]} outside the strip [{now.ymt}, {now.ypt}] "
+                          f"at tau={tau}")
+    out = np.empty(x.shape)
+    minus = np.abs(x - now.ymt) <= tol
+    plus = ~minus & (np.abs(x - now.ypt) <= tol)
+    out[minus], out[plus] = now.chi
+    inside = ~(minus | plus)
+    if inside.any():
+        out[inside] = problem.u0(x[inside]) if tau == 0.0 else now.field(s, gradients, x[inside])
+    return float(out[0]) if shape == () else out.reshape(shape)

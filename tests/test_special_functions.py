@@ -2,13 +2,15 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlheat.errors import ConfigError
-from mlheat.special_functions import (_image_sum, _theta_sum, eta_kernel, folded_kernel,
+from mlheat.special_functions import (_folded_kernels, _image_sum, _theta_sum, eta_kernel,
+                                      folded_kernel,
                                       theta3, theta3_dz, theta3_dzz)
 
 
@@ -268,3 +270,39 @@ class TestImageSum:
             assert abs(got - _image_oracle(d, x, l, deriv)) <= 1e-14 * peak
         # the two sides of a are built alike, so the parity is bitwise
         assert np.array_equal(_image_sum(delta, -a, l, deriv), (-1) ** deriv * v)
+
+
+class TestKernelPass:
+    """The theta recurrence and the multi-order pass behind folded_kernel."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ratio=st.floats(0.3184, 5.0), l=st.floats(0.05, 20.0), frac=st.floats(-3.0, 3.0),
+           deriv=st.sampled_from([0, 1, 2]))
+    def test_theta_branch_matches_mpmath(self, ratio, l, frac, deriv):
+        # delta / l^2 >= 1/pi, nome q <= exp(-pi): the branch whose terms come
+        # by recurrence, against 30-digit jtheta through
+        # K_d(delta, a, l) = (pi / 2l)^d theta3^(d)(pi a / 2l, q) / l
+        delta, a = ratio * l * l, frac * l
+        with mpmath.workdps(30):
+            width = mpmath.mpf(l)
+            q = mpmath.exp(-mpmath.pi ** 2 * mpmath.mpf(delta) / width ** 2)
+            z = mpmath.pi * mpmath.mpf(a) / (2 * width)
+            ref = float((mpmath.pi / (2 * width)) ** deriv * mpmath.jtheta(3, z, q, deriv) / width)
+        v = folded_kernel(delta, a, l, deriv)
+        assert abs(v - ref) <= 1e-14 * max(abs(ref), l ** -(deriv + 1))
+
+    @settings(max_examples=100, deadline=None)
+    @given(l=st.floats(0.05, 20.0),
+           points=st.lists(st.tuples(st.one_of(st.floats(-4.0, 1.0), st.just(math.inf)),
+                                     st.floats(-3.0, 3.0)), min_size=1, max_size=8))
+    # across the switch at delta / l^2 = 1/pi, with the l -> 0 limit
+    @example(l=1.0, points=[(math.log10(1.0 / math.pi) - 1e-12, 0.2),
+                            (math.log10(1.0 / math.pi) + 1e-12, -0.7), (math.inf, 0.3)])
+    def test_one_pass_equals_single_orders(self, l, points):
+        # log10(delta / l^2) on both sides of the switch, mixed in one call
+        delta = 10.0 ** np.array([e for e, _ in points]) * l * l
+        a = np.array([f for _, f in points]) * l
+        for d, v in enumerate(_folded_kernels(delta, a, l, (0, 1, 2))):
+            single = folded_kernel(delta, a, l, d)
+            scale = np.maximum(np.abs(single), l ** -(d + 1.0))
+            assert np.all(np.abs(v - single) <= 2.0 * np.spacing(scale))

@@ -768,3 +768,92 @@ class TestField:
             git_field_single_layer(prob, g, -0.2, 0.5)
         with pytest.raises(ConfigError):
             git_field_single_layer(prob, g, 1.5, 0.5)
+
+
+FIELD_STRIPS = pytest.mark.parametrize("make", [
+    lambda: moving_problem(80),
+    lambda: fixed_strip("strip-green", 60),
+    lambda: caloric_problem((0.5, 0.3, 1.0, -0.7), 0.2, -0.2, 0.3, 0.7, 60),
+], ids=["moving", "fixed", "caloric"])
+
+
+class TestFieldArray:
+    """git_field_single_layer on an array of points at one tau."""
+
+    @FIELD_STRIPS
+    @pytest.mark.parametrize("block", [None, 200], ids=["one-block", "blocks"])
+    def test_array_equals_scalar_loop(self, make, block, monkeypatch):
+        prob = make()
+        g = solve_volterra_single_layer(prob)
+        if block:
+            # a few points per block of the kernel pass
+            monkeypatch.setattr(volterra, "_BLOCK", block)
+        for tau in (g.grid[7], 0.37 * prob.T, prob.T):
+            lo, hi = float(prob.y_minus(tau)), float(prob.y_plus(tau))
+            xs = lo + (hi - lo) * np.linspace(0.01, 0.99, 41)
+            v = git_field_single_layer(prob, g, xs, tau)
+            ref = np.array([git_field_single_layer(prob, g, x, tau) for x in xs])
+            assert np.all(np.abs(v - ref) <= 1e-14 * np.abs(ref))
+
+    def test_scalar_gives_float_array_gives_its_shape(self):
+        prob = moving_problem(30)
+        g = solve_volterra_single_layer(prob)
+        for x in (0.5, np.float64(0.5), np.array(0.5)):
+            assert type(git_field_single_layer(prob, g, x, 0.6)) is float
+        for xs in ([0.2, 0.4], np.array([[0.2, 0.4, 0.6], [0.3, 0.5, 0.7]]), np.array([])):
+            v = git_field_single_layer(prob, g, xs, 0.6)
+            assert isinstance(v, np.ndarray) and v.shape == np.shape(xs)
+
+    def test_rules_hold_per_element(self):
+        prob = moving_problem(40)
+        g = solve_volterra_single_layer(prob)
+        tau = 0.5
+        yp = 1.0 + 0.3 * tau
+        xs = [0.0, 0.3, yp, 0.8]
+        v = git_field_single_layer(prob, g, xs, tau)
+        assert v[0] == 0.1 and v[2] == pytest.approx(0.2 + 0.1 * tau)
+        for i in (1, 3):
+            assert v[i] == pytest.approx(git_field_single_layer(prob, g, xs[i], tau), rel=1e-14)
+        # at tau = 0 the walls give their data and the inside gives u0
+        v = git_field_single_layer(prob, g, np.array([0.0, 0.4, 1.0]), 0.0)
+        assert v[0] == 0.1 and v[2] == 0.2 and v[1] == pytest.approx(prob.u0(0.4), rel=1e-15)
+        # one point outside rejects the call
+        with pytest.raises(ConfigError, match="outside the strip"):
+            git_field_single_layer(prob, g, np.array([0.3, 1.5, 0.6]), tau)
+
+    def test_array_call_takes_one_pass_per_block_and_one_table_read(self, monkeypatch):
+        prob = moving_problem(100)
+        g = solve_volterra_single_layer(prob)
+        passes, reads = [], []
+        kernels = volterra._folded_kernels
+        monkeypatch.setattr(volterra, "_folded_kernels",
+                            lambda delta, *rest: passes.append(len(delta)) or kernels(delta, *rest))
+        call = volterra._FourierTable.__call__
+        monkeypatch.setattr(volterra._FourierTable, "__call__",
+                            lambda self, w: reads.append(w.shape) or call(self, w))
+        for P, tau in ((1, 0.6), (7, 0.7), (101, prob.T)):
+            lo, hi = float(prob.y_minus(tau)), float(prob.y_plus(tau))
+            git_field_single_layer(prob, g, lo + (hi - lo) * np.linspace(0.05, 0.95, P), tau)
+            (n,) = set(passes)  # the history nodes before tau
+            assert len(passes) == -(-P // (volterra._BLOCK // n))
+            assert len(reads) == 1
+            passes.clear()
+            reads.clear()
+
+    def test_scalar_loop_shares_the_state_of_its_tau(self, monkeypatch):
+        prob = moving_problem(100)
+        g = solve_volterra_single_layer(prob)
+        reads, slopes = [], []
+        call = volterra._FourierTable.__call__
+        monkeypatch.setattr(volterra._FourierTable, "__call__",
+                            lambda self, w: reads.append(w.shape) or call(self, w))
+        derivative = volterra._derivative
+        monkeypatch.setattr(volterra, "_derivative",
+                            lambda *args: slopes.append(args[0]) or derivative(*args))
+        for tau in (0.5 * prob.T, prob.T):
+            lo, hi = float(prob.y_minus(tau)), float(prob.y_plus(tau))
+            for x in lo + (hi - lo) * np.linspace(0.1, 0.9, 5):
+                git_field_single_layer(prob, g, x, tau)
+        # one table read per tau, and y' of each wall once for the march
+        assert len(reads) == 2
+        assert slopes == [prob.y_minus, prob.y_plus]
