@@ -64,10 +64,6 @@ class PolynomialBoundarySet:
         """Value of interior boundary i (0-based) at time(s) t."""
         return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), self.coeffs[i])
 
-    def curve(self, i):
-        """Interior boundary i as a callable of time."""
-        return lambda t: self.evaluate(i, t)
-
     @property
     def n_interior(self):
         return len(self.coeffs)
@@ -439,6 +435,63 @@ def _initial_terms(s, tau, c, l, deriv, spectrum=None):
     return out
 
 
+def _eta(delta, a, l):
+    """The Stieltjes kernels at the lags delta, shape (2, 2, n): K at the
+    offsets a, shape (2, n), of both walls from the minus wall and at
+    a + l from the plus wall, each equation's row against each wall's
+    data; the self kernels drop the Kronecker spike of the point riding
+    its own boundary."""
+    eta = folded_kernel(delta, np.concatenate([a, a + l]), l).reshape(2, 2, -1)
+    spike = 1.0 / np.sqrt(np.pi * delta)
+    eta[0, 0] -= spike
+    eta[1, 1] -= spike
+    return eta
+
+
+def _pair_weights(s, k, j):
+    """The history weights of the data terms at the pairs (row k, node
+    j < k) on the grid s.t, k and j of shape (P,): r and gamma, shape (P,),
+    and eta, shape (2, 2, P).
+
+    The weakly singular term of row k, tau = t_k, integrates
+    (chi(s) - chi(tau)) / (2 sqrt(pi (tau-s)^3)) with chi piecewise
+    linear, each interval in closed form; summed by parts it reads
+        -(sum_j r (chi_(j+1) - chi_j) + gamma slope_j - (chi_k - chi_0) / sqrt(tau)) / sqrt(pi)
+    (``_row_terms`` adds the last term), which sums the small increments
+    of chi, not chi itself.  The Stieltjes term, the integral of chi
+    d(eta) by parts with eta vanishing at s = tau, reads
+    -chi(0) eta(tau) - sum_j eta(mid_j) (chi_(j+1) - chi_j), each eta at
+    the interval's midpoint (``_eta``).
+    """
+    t = s.t
+    tau = t[k]
+    ua, ub = tau - t[j], tau - t[j + 1]
+    sqrt_ua, sqrt_ub = np.sqrt(ua), np.sqrt(ub)
+    # on the final interval, ub = 0, chi(s) - chi(tau) is its slope times
+    # s - tau: r = 1 / sqrt(ua) and alpha = 0
+    r = 1.0 / np.where(j == k - 1, sqrt_ua, sqrt_ub)
+    gamma = (1.0 / sqrt_ua - r) * ua + sqrt_ua - sqrt_ub
+    ymt = s.y[0, k]
+    l = s.y[1, k] - ymt
+    return r, gamma, _eta(tau - 0.5 * (t[j] + t[j + 1]), ymt - s.y_mid[:, j], l)
+
+
+def _row_terms(s, k, weak, parts, i0):
+    """The data terms d, shape (2, R), of the rows k, shape (R,), from
+    their history sums over ``_pair_weights``: weak, shape (2, R), of
+    r (chi_(j+1) - chi_j) + gamma slope_j and parts, shape (2, 2, R), of
+    eta (chi_(j+1) - chi_j); i0 holds the rows' initial-data terms.
+    Adds the boundary datum, eta(tau) chi(0) and (chi_k - chi_0) / sqrt(tau)."""
+    tau, chi = s.t[k], s.chi
+    ymt, ypt = s.y[:, k]
+    b = np.array([-1.0, 1.0])[:, None] * chi[:, k] / np.sqrt(np.pi * tau)
+    weak = (weak - (chi[:, k] - chi[:, :1]) / np.sqrt(tau)) / -_SQRT_PI
+    parts = parts + chi[:, 0, None] * _eta(tau, ymt - s.y[:, :1], ypt - ymt)
+    stieltjes = parts[:, 1] - parts[:, 0]
+    return np.stack([-(i0[0] + b[0] + weak[0] + stieltjes[0]),
+                     i0[1] + b[1] - weak[1] + stieltjes[1]])
+
+
 def _march_rows(s, k0, k1, i0):
     """Rows k0 <= k < k1 of the gradient equations on the grid s.t.
 
@@ -456,69 +509,32 @@ def _march_rows(s, k0, k1, i0):
     tau = t[k]
     ymt, ypt = s.y[:, k]
     l = ypt - ymt
-    chi = s.chi
     # the history pairs (row r, node j < k0 + r), row by row: row r's
     # pairs start at first[r]
     r, j = np.nonzero(np.arange(k1 - 1) < k[:, None])
     first = np.cumsum(k) - k
-    tau_r, ymt_r, l_r = tau[r], ymt[r], l[r]
-    t_j, t_j1 = t[j], t[j + 1]
-    dchi = np.diff(chi)[:, j]
-    ua = tau_r - t_j
-    ub = tau_r - t_j1
-    sqrt_ua = np.sqrt(ua)
-    sqrt_ub = np.sqrt(ub)
-
-    # the boundary-datum singular terms
-    b = np.array([-1.0, 1.0])[:, None] * chi[:, k] / np.sqrt(np.pi * tau)
-
-    # weakly singular differences: the integral of
-    # (chi(s) - chi(tau)) / (2 sqrt(pi (tau-s)^3)) with chi piecewise
-    # linear, each interval in closed form, linear in chi; on the final
-    # interval chi(s) - chi(tau) is its slope times (s - tau)
-    with np.errstate(divide="ignore"):
-        alpha = 1.0 / sqrt_ua - 1.0 / sqrt_ub
-    alpha[first + k - 1] = 0.0  # each row's final interval
-    gamma = alpha * ua + sqrt_ua - sqrt_ub
-    slope = dchi / (t_j1 - t_j)
-    weak = np.add.reduceat(-(alpha * (chi[:, j] - chi[:, k][:, r]) + gamma * slope) / _SQRT_PI,
-                           first, axis=-1)
-
-    # Stieltjes terms: integral of chi d(eta) by parts, eta vanishing at
-    # s = tau, -chi(0) eta(0) - sum_j eta(mid_j) (chi_{j+1} - chi_j), for
-    # the eta of each equation against each boundary's data; the self
-    # kernels drop the Kronecker spike of the point riding its own boundary
-    dm = tau_r - 0.5 * (t_j + t_j1)
-    a = ymt_r - s.y_mid[:, j]
-    eta = folded_kernel(dm, np.concatenate([a, a + l_r]), l_r).reshape(2, 2, -1)
-    spike = 1.0 / np.sqrt(np.pi * dm)
-    eta[0, 0] -= spike
-    eta[1, 1] -= spike
-    a = ymt - s.y[:, :1]
-    eta0 = folded_kernel(tau, np.concatenate([a, a + l]), l).reshape(2, 2, -1)
-    spike0 = 1.0 / np.sqrt(np.pi * tau)
-    eta0[0, 0] -= spike0
-    eta0[1, 1] -= spike0
-    parts = chi[:, 0, None] * eta0 + np.add.reduceat(eta * dchi, first, axis=-1)
-    stieltjes = parts[:, 1] - parts[:, 0]
+    dchi = np.diff(s.chi)[:, j]
+    w, gamma, eta = _pair_weights(s, k[r], j)
+    weak = np.add.reduceat(w * dchi + gamma * (dchi / (t[j + 1] - t[j])), first, axis=-1)
+    d = _row_terms(s, k, weak, np.add.reduceat(eta * dchi, first, axis=-1), i0)
 
     # moving-boundary memory: kernel = smooth * (tau-s)^(-1/2), integrated
     # with exact sqrt weights and left-endpoint values; regular coupling
     # by the trapezoid rule, the kernels vanishing at s = tau
-    a = ymt_r - s.y[:, j]
+    ua = tau[r] - t[j]
+    sqrt_ua = np.sqrt(ua)
+    l_r = l[r]
+    a = ymt[r] - s.y[:, j]
     ups = folded_kernel(ua, np.concatenate([a, a + l_r]), l_r, 1)
     peak_m = _self_peak(ua, a[0])
     peak_p = _self_peak(ua, ypt[r] - s.y[1, j])
-    memory = 2.0 * sqrt_ua * (sqrt_ua - sqrt_ub)
+    memory = 2.0 * sqrt_ua * (sqrt_ua - np.sqrt(tau[r] - t[j + 1]))
     q = s.q[j]
     K = np.zeros((2, 2, len(k), k1 - 1))
     K[..., r, j] = np.stack([
         [peak_m * memory - q * (ups[0] + peak_m), -q * ups[1]],
         [q * ups[2], q * (ups[3] + peak_p) - peak_p * memory],
     ])
-
-    d = np.stack([-(i0[0] + b[0] + weak[0] + stieltjes[0]),
-                  i0[1] + b[1] - weak[1] + stieltjes[1]])
     return d, K
 
 
@@ -529,58 +545,24 @@ def _lag_rows(s, i0):
 
     The coupling kernels are K' at the offsets 0 and +-l, where the odd,
     2l-periodic K' vanishes, and the memory term ``_self_peak`` is 0: the
-    double-layer term of a fixed wall drops out.  Every other term of
-    ``_march_rows`` at node j of row k depends on the lag t_k - t_j alone
-    (up to the rounding of that difference), so each kernel is evaluated
-    once per lag, ``eta`` at the half lags (t_(m-1) + t_m) / 2 and
-    ``eta0`` at t_k, against the offsets [0, -l, l, 0] of both walls from
-    the minus wall and its image; the history sums of the weakly singular
-    and the Stieltjes terms are discrete convolutions with the data.
+    double-layer term of a fixed wall drops out.  Every weight of
+    ``_pair_weights`` at node j of row k depends on the lag t_k - t_j
+    alone (up to the rounding of that difference), and row M's pairs hold
+    every lag: reversed, they are the weights by lag, and the history
+    sums are discrete convolutions with the data.
     """
-    t, chi = s.t, s.chi
-    M = len(t) - 1
-    tau, dt = t[1:], np.diff(t)
-    ym, yp = s.y[:, 0]
-    l = yp - ym
-    offsets = np.array([0.0, ym - yp, l, 0.0])[:, None]
-
-    def eta_of(delta):
-        # the Stieltjes kernels, less the Kronecker spike on the self kernels
-        eta = folded_kernel(delta, offsets, l).reshape(2, 2, -1)
-        spike = 1.0 / np.sqrt(np.pi * delta)
-        eta[0, 0] -= spike
-        eta[1, 1] -= spike
-        return eta
+    M = len(s.t) - 1
+    dchi = np.diff(s.chi)
+    slope = dchi / np.diff(s.t)
+    r, gamma, eta = (w[..., ::-1] for w in _pair_weights(s, np.full(M, M), np.arange(M)))
 
     def history(lag, data):
         # sum_{j<k} lag[k - j - 1] data[j] for every row k
         return np.convolve(lag, data)[:M]
 
-    b = np.array([-1.0, 1.0])[:, None] * chi[:, 1:] / np.sqrt(np.pi * tau)
-
-    # weakly singular differences (see ``_march_rows``), summed by parts:
-    # with alpha_m = 1/sqrt(t_m) - 1/sqrt(t_(m-1)) for m >= 2 and alpha_1 = 0,
-    # sum_{j<k} alpha_(k-j) (chi_j - chi_k) = sum_{j<k} r_(k-1-j) (chi_(j+1) - chi_j)
-    # - (chi_k - chi_0) / sqrt(t_k), r_n = 1/sqrt(t_max(n, 1)), which sums
-    # the small increments of chi, not chi itself
-    roots = np.sqrt(t)
-    r = 1.0 / roots[np.maximum(np.arange(M), 1)]
-    alpha = np.zeros(M)
-    alpha[1:] = 1.0 / roots[2:] - 1.0 / roots[1:-1]
-    gamma = alpha * tau + roots[1:] - roots[:-1]
-    dchi = np.diff(chi)
-    slope = dchi / dt
-    weak = np.stack([history(r, dchi[i]) - (chi[i, 1:] - chi[i, 0]) / roots[1:]
-                     + history(gamma, slope[i]) for i in range(2)]) / -_SQRT_PI
-
-    # Stieltjes terms: -chi(0) eta(t_k) - sum_j eta(mid lag) (chi_{j+1} - chi_j)
-    eta = eta_of(0.5 * (t[:-1] + t[1:]))
-    parts = chi[:, 0, None] * eta_of(tau) + np.stack(
-        [[history(eta[e, i], dchi[i]) for i in range(2)] for e in range(2)])
-    stieltjes = parts[:, 1] - parts[:, 0]
-
-    return np.stack([-(i0[0] + b[0] + weak[0] + stieltjes[0]),
-                     i0[1] + b[1] - weak[1] + stieltjes[1]])
+    weak = np.stack([history(r, dchi[i]) + history(gamma, slope[i]) for i in range(2)])
+    parts = np.stack([[history(eta[e, i], dchi[i]) for i in range(2)] for e in range(2)])
+    return _row_terms(s, np.arange(1, M + 1), weak, parts, i0)
 
 
 def solve_volterra_single_layer(problem):
@@ -648,14 +630,13 @@ def check_refinement(problem, rel_tol=0.10):
     return coarse, fine
 
 
-def _gradient_residual(problem, gradients, refine=2):
+def _gradient_residual(problem, gradients):
     """Self-consistency residual of a solved gradient pair at tau = T.
 
-    Evaluates the last row of the march's tables on a grid ``refine``
-    times finer against the interpolated gradients, and returns the max
-    mismatch.
+    Evaluates the last row of the march's tables on a grid twice as fine
+    against the interpolated gradients, and returns the max mismatch.
     """
-    ts = np.linspace(0.0, problem.T, refine * problem.M + 1)
+    ts = np.linspace(0.0, problem.T, 2 * problem.M + 1)
     n = len(ts) - 1
     s = _sample(problem, ts)
     i0 = _initial_terms(s, ts[n:], s.y[:, n:], s.y[1, n:] - s.y[0, n:], 1)

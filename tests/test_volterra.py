@@ -326,6 +326,17 @@ class TestLagRows:
         assert np.array_equal(g.omega[1:], d[0])
         assert np.array_equal(g.theta[1:], d[1])
 
+    def test_fixed_march_takes_the_pair_weights_of_one_row(self, monkeypatch):
+        # the lag rows read the block march's pair weights at row M's M
+        # pairs, which hold every lag, so the fixed path stays O(M)
+        pairs = []
+        pair_weights = volterra._pair_weights
+        monkeypatch.setattr(volterra, "_pair_weights",
+                            lambda s, k, j: pairs.append((k, j)) or pair_weights(s, k, j))
+        solve_volterra_single_layer(fixed_strip("caloric", 60))
+        ((k, j),) = pairs
+        assert np.array_equal(k, np.full(60, 60)) and np.array_equal(j, np.arange(60))
+
     def test_fixed_march_reads_one_row_of_the_fourier_table(self, monkeypatch):
         # every theta row of a fixed strip has the same width, so the table
         # is read on a single row of frequencies
@@ -476,12 +487,20 @@ class TestSolver:
         assert abs(g.omega[-1] + 1.0) <= 1e-8
         assert abs(g.theta[-1] - 1.0) <= 1e-8
 
-    @pytest.mark.parametrize("M", [50, 200, 400, 800])
-    def test_uniform_data_has_zero_gradients(self, M):
+    @pytest.mark.parametrize("moving, M", [
+        pytest.param(moving, M, id=f"moving-{M}" if moving else str(M))
+        for moving in (False, True) for M in (50, 200, 400, 800)])
+    def test_uniform_data_has_zero_gradients(self, moving, M):
         # u = 1 solves the problem, so every gradient is 0; the first rows
-        # see a Gaussian derivative of width sqrt(T / M) on each wall
-        prob = GitLayerProblem(y_minus=0.0, y_plus=1.0, chi_minus=1.0, chi_plus=1.0,
-                               u0=1.0, T=0.1, M=M)
+        # see a Gaussian derivative of width sqrt(T / M) on each wall. The
+        # moving strip takes the block tables, the fixed one the lag rows
+        if moving:
+            prob = GitLayerProblem(y_minus=lambda t: 0.1 + 0.1 * np.asarray(t),
+                                   y_plus=lambda t: 1.1 - 0.2 * np.asarray(t),
+                                   chi_minus=1.0, chi_plus=1.0, u0=1.0, T=1.0, M=M)
+        else:
+            prob = GitLayerProblem(y_minus=0.0, y_plus=1.0, chi_minus=1.0, chi_plus=1.0,
+                                   u0=1.0, T=0.1, M=M)
         g = solve_volterra_single_layer(prob)
         assert max(np.max(np.abs(g.omega)), np.max(np.abs(g.theta))) <= 1e-10
 
