@@ -19,7 +19,12 @@ Instead a vectorized odd-even (cyclic) reduction combines only
 non-negative terms, so the Laplace-domain values keep their relative
 accuracy however thin the layers, and the accuracy after inversion stays
 flat as N grows (3.4e-5 of the peak on the uniform strip from N = 20 to
-N = 20000).
+N = 20000).  Each level of the reduction first copies every other row
+(the eliminated excess and couplings, and the kept excess) once into
+contiguous scratch, and its arithmetic runs on those contiguous rows: on a
+row-strided view numpy runs one m-element inner loop per row, which costs
+2-3x as much.  The flux jumps, a diagnostic, are left to their first read,
+which makes a solve of its own.
 
 The (N, m) arrays of a solve (m Laplace nodes) live in one scratch
 workspace per thread: a flat float64 buffer handed out as views in LIFO
@@ -142,6 +147,11 @@ class TridiagonalSystem:
 class SolutionField:
     """Solution values, boundary values and flux diagnostics at one time.
 
+    A field from ``greens_function`` computes ``flux_jumps`` at its first
+    read and keeps it.  That read costs one more solve, made from the
+    problem's arrays as they are then, and raises NumericalError if a jump
+    is not finite; solves whose jumps are never read skip it.
+
     flux_jumps is not an error estimate: each flux is a coupling ~sigma/a
     times a difference of node values, so its rounding floor grows with N.
     On [-1, 1] with sigma 0.5, x0 0.05 and T 1 it reads 1.2e-6 / 1.9e-5 /
@@ -154,6 +164,21 @@ class SolutionField:
     values: np.ndarray
     boundary_values: np.ndarray = field(default_factory=lambda: np.empty(0))
     flux_jumps: np.ndarray = field(default_factory=lambda: np.empty(0))
+    # computes flux_jumps at its first read, in place of the array
+    _flux: object = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self._flux is not None:
+            del self.flux_jumps  # so that reads reach __getattr__
+
+    def __getattr__(self, name):
+        # reached only while flux_jumps is not yet held; threads that race
+        # to the first read each solve, for the same bits
+        flux = self.__dict__.get("_flux")
+        if name != "flux_jumps" or flux is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        jumps = self.flux_jumps = flux()
+        return jumps
 
 
 # -- scratch workspace -------------------------------------------------------
@@ -326,17 +351,24 @@ def _reduce(excess, coupling, p, r):
         joined = block[2 * ne : 2 * ne + nk + 1]
         kept = block[2 * ne + nk + 1 : 2 * n + 1]
         below = block[2 * n + 1 :]
-        tmp = out[:ne]  # out is written on the way back up
-        np.add(gone, left, tmp)
-        tmp += right
-        np.divide(left, tmp, to_left)
-        np.divide(right, tmp, to_right)
+        # every other row is copied once into contiguous rows, so that the
+        # arithmetic runs on those: the eliminated excess and the sum go
+        # to out, written only on the way back up (2 ne <= n + 2 rows),
+        # and the couplings to to_left and to_right, divided in place
+        tmp, held = out[:ne], out[ne : 2 * ne]
+        held[...] = gone
+        to_left[...] = left
+        to_right[...] = right
+        kept[...] = kept_in
+        np.add(held, to_left, tmp)
+        tmp += to_right
+        to_right /= tmp
         # rows 0 and nk join a kept node to a wall unless the product fills them
         joined[::nk] = 0.0
-        np.multiply(left, to_right, joined[1 - q : 1 - q + ne])
-        kept[0] = kept_in[0]  # for q = 0: no eliminated node on its left
-        np.add(kept_in[1 - q :], np.multiply(gone, to_right, tmp)[: nk - 1 + q], kept[1 - q :])
-        kept[: ne - q] += np.multiply(gone, to_left, tmp)[q:]
+        np.multiply(to_left, to_right, joined[1 - q : 1 - q + ne])  # to_left: still couplings
+        to_left /= tmp
+        kept[1 - q :] += np.multiply(held, to_right, tmp)[: nk - 1 + q]
+        kept[: ne - q] += np.multiply(held, to_left, tmp)[q:]
         levels.append((out, to_left, to_right, q, ne, nk))
         excess, coupling, p, n, out = kept, joined, p // 2, nk, below
     out[::2] = 0.0
@@ -344,9 +376,9 @@ def _reduce(excess, coupling, p, r):
     for up, to_left, to_right, q, ne, nk in reversed(levels):
         up[:: len(up) - 1] = 0.0
         up[1 + q : 1 + q + 2 * nk : 2] = out[1:-1]
-        x = up[2 - q : 2 - q + 2 * ne : 2]
-        np.multiply(to_left, out[1 - q : 1 - q + ne], x)
-        x += np.multiply(to_right, out[2 - q : 2 - q + ne], to_right)
+        to_left *= out[1 - q : 1 - q + ne]
+        to_left += np.multiply(to_right, out[2 - q : 2 - q + ne], to_right)
+        up[2 - q : 2 - q + 2 * ne : 2] = to_left
         out = up
     ws.top = mark
     return out
@@ -510,31 +542,44 @@ def boundary_values(problem, scheme=None):
 
 
 @_scratch
+def _flux_jumps(problem, scheme):
+    """Time-domain flux jumps at the internal boundaries, from a solve of
+    its own; ``greens_function`` leaves them to the first read."""
+    sq, _, _, excess, coupling, g = _node_values(problem, scheme)
+    w = (math.log(2.0) / problem.T) * scheme.weights
+    j = problem.source_layer
+    res = _flux_residual(excess, coupling, sq, g, j) @ (w * sq)
+    jumps = np.concatenate((res[: j - 1], res[j:]))
+    if not math.isfinite(float(jumps.sum())):
+        raise NumericalError("non-finite flux jumps after Laplace inversion")
+    return jumps
+
+
+@_scratch
 def greens_function(problem, scheme=None, xs=None):
     """Time-domain Green's function on the abscissas ``xs``.
 
-    One batched solve covers all Stehfest nodes; the field, boundary
-    values and flux-jump diagnostics are inverted together.
+    One batched solve covers all Stehfest nodes, and the field and the
+    boundary values are inverted from it.  The flux jumps are computed
+    when first read (``SolutionField``).
     """
     if scheme is None:
         scheme = stehfest_weights()
     b = problem.medium.boundaries
     xs = np.linspace(b[0], b[-1], 101) if xs is None else np.asarray(xs, dtype=float)
-    sq, nodes, sigmas, excess, coupling, g = _node_values(problem, scheme)
+    sq, nodes, sigmas, _, _, g = _node_values(problem, scheme)
     w = (math.log(2.0) / problem.T) * scheme.weights
     j = problem.source_layer
     vals = _field(nodes, sigmas, sq, g, xs) @ w
     f = g @ w
     fvals = np.concatenate((f[1:j], f[j + 1 : -1]))
-    res = _flux_residual(excess, coupling, sq, g, j) @ (w * sq)
-    jumps = np.concatenate((res[: j - 1], res[j:]))
     # a single non-finite entry poisons these sums
-    if not math.isfinite(float(vals.sum()) + float(fvals.sum()) + float(jumps.sum())):
+    if not math.isfinite(float(vals.sum()) + float(fvals.sum())):
         raise NumericalError("non-finite values after Laplace inversion")
     return SolutionField(
         time=problem.T,
         xs=xs,
         values=vals,
         boundary_values=fvals,
-        flux_jumps=jumps,
+        _flux=functools.partial(_flux_jumps, problem, scheme),
     )

@@ -104,15 +104,15 @@ class GradientPair:
 
     omega[k] = -du/dx at the left boundary, theta[k] = +du/dx at the
     right boundary, both at time t_k.  A pair from
-    ``solve_volterra_single_layer`` also carries the problem it solved and
-    the march's sample of it on ``grid`` (``_march``), which
-    ``git_field_single_layer`` reuses for that same problem object.
+    ``solve_volterra_single_layer`` also carries the march's sample of its
+    problem on ``grid`` (``_march``, which holds that problem), and
+    ``git_field_single_layer`` reuses it for that same problem object.
     """
 
     omega: np.ndarray
     theta: np.ndarray
     grid: np.ndarray
-    _march: tuple = dataclasses.field(default=None, repr=False, compare=False)
+    _march: object = dataclasses.field(default=None, repr=False, compare=False)
 
     def __getstate__(self):
         # the problem's callables need not pickle; a copy samples afresh
@@ -609,7 +609,7 @@ def solve_volterra_single_layer(problem):
     if not np.all(np.isfinite(hist)):
         raise NumericalError("gradient march produced non-finite values")
     omega, theta = hist.T.copy()
-    return GradientPair(omega=omega, theta=theta, grid=t, _march=(problem, s))
+    return GradientPair(omega=omega, theta=theta, grid=t, _march=s)
 
 
 def check_refinement(problem, rel_tol=0.10):
@@ -739,10 +739,8 @@ def git_field_single_layer(problem, gradients, x, tau):
     grid = gradients.grid
     if tau > grid[-1] + 1e-12 * max(problem.T, 1.0):
         raise ConfigError("gradient grid does not cover the requested time")
-    march = gradients._march
-    if march is not None and march[0] is problem and march[1].t is grid:
-        s = march[1]
-    else:
+    s = gradients._march
+    if s is None or s.problem is not problem or s.t is not grid:
         s = _sample(problem, grid)
     now = s.at(tau)
     shape = np.shape(x)

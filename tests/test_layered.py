@@ -176,6 +176,50 @@ class TestSolveTridiagonal:
             solve_tridiagonal(sys)
 
 
+class TestReduce:
+    """The odd-even reduction against the dgtsv oracle at every parity."""
+
+    @staticmethod
+    def random_system(n, m, rng):
+        """A batch of m dominant excess/coupling systems on n nodes."""
+        excess = rng.uniform(0.5, 2.0, (n, m))
+        coupling = rng.uniform(0.0, 1.0, (n + 1, m))
+        coupling[0] = coupling[-1] = 0.0
+        return excess, coupling
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_every_source_node_matches_dgtsv(self, n):
+        # odd and even n, and a kept parity q of 0 and 1 at every level
+        rng = np.random.default_rng(n)
+        reduce = layered._scratch(lambda *args: layered._reduce(*args).copy())
+        m = 3
+        for p in range(n):
+            excess, coupling = self.random_system(n, m, rng)
+            r = rng.uniform(0.5, 2.0, m)
+            g = reduce(excess, coupling, p, r)
+            assert g.shape == (n + 2, m)
+            assert np.all(g[0] == 0.0) and np.all(g[-1] == 0.0)
+            for k in range(m):
+                rhs = np.zeros(n)
+                rhs[p] = r[k]
+                want = solve_tridiagonal(TridiagonalSystem(
+                    diag=excess[:, k] + coupling[:-1, k] + coupling[1:, k],
+                    offdiag=-coupling[1:-1, k], rhs=rhs, lam=1.0))
+                assert np.max(np.abs(g[1:-1, k] - want)) <= 1e-13 * np.max(np.abs(want))
+            self.assert_held_rows_fit(n, p)
+        assert layered._local.ws.top == 0
+
+    @staticmethod
+    def assert_held_rows_fit(n, p):
+        # each level parks its sum and eliminated excess, 2 ne rows, in
+        # the n + 2 rows of its solution, which are written on the way up
+        while n > 1:
+            q = p % 2
+            ne = (n + q) // 2  # the nodes of parity 1 - q among 0..n-1
+            assert 2 * ne <= n + 2
+            n, p = n - ne, p // 2
+
+
 class TestBoundaryValues:
     def test_mirror_symmetry(self):
         med_a = LayeredMedium(np.array([-1.0, 0.0, 1.0]), np.array([0.4, 0.9]))
@@ -427,6 +471,72 @@ class TestRandomMedia:
         # so the trapezoid rule needs a grid finer than FINE
         xs = np.linspace(-1.0, 1.0, 16001)
         assert np.trapezoid(profile(*problem, xs), xs) <= 1.0 + 1e-4
+
+
+class TestLazyFluxJumps:
+    """greens_function leaves the flux jumps to their first read."""
+
+    PROBLEM = GreensProblem(medium=random_medium(300, 7), x0=0.05, T=0.2)
+    XS = np.linspace(-1.0, 1.0, 51)
+
+    @staticmethod
+    def count_residuals(monkeypatch):
+        calls = []
+        residual = layered._flux_residual
+        monkeypatch.setattr(layered, "_flux_residual",
+                            lambda *args: calls.append(1) or residual(*args))
+        return calls
+
+    def test_computed_once_at_the_first_read(self, monkeypatch):
+        calls = self.count_residuals(monkeypatch)
+        sol = greens_function(self.PROBLEM, xs=self.XS)
+        assert calls == []
+        first = sol.flux_jumps
+        assert len(calls) == 1
+        assert sol.flux_jumps is first
+        assert len(calls) == 1
+        assert first.shape == (self.PROBLEM.medium.n_layers - 1,)
+
+    def test_late_read_equals_an_immediate_read(self):
+        immediate = greens_function(self.PROBLEM, xs=self.XS).flux_jumps
+        sol = greens_function(self.PROBLEM, xs=self.XS)
+        greens_function(GreensProblem(random_medium(4000, 8), x0=-0.3, T=0.4))
+        assert np.array_equal(sol.flux_jumps, immediate)
+
+    def test_reads_in_other_threads_equal_an_immediate_read(self):
+        # four threads race to the first read of each field; one that
+        # finds the jumps missing solves for them itself
+        immediate = greens_function(self.PROBLEM, xs=self.XS).flux_jumps
+        fields = [greens_function(self.PROBLEM, xs=self.XS) for _ in range(10)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                reads = [pool.submit(lambda sol=sol: sol.flux_jumps)
+                         for sol in fields for _ in range(4)]
+                late = [read.result(timeout=60) for read in reads]
+        finally:
+            sys.setswitchinterval(interval)
+        for jumps in late + [sol.flux_jumps for sol in fields]:
+            assert np.array_equal(jumps, immediate)
+
+    def test_non_finite_jumps_raise_at_the_read(self, monkeypatch):
+        monkeypatch.setattr(layered, "_flux_residual",
+                            lambda excess, *args: np.full(excess.shape, math.nan))
+        sol = greens_function(self.PROBLEM, xs=self.XS)
+        assert np.all(np.isfinite(sol.values))
+        with pytest.raises(NumericalError, match="non-finite flux jumps"):
+            sol.flux_jumps
+        assert layered._local.ws.top == 0
+
+    def test_given_jumps_are_kept(self):
+        jumps = np.array([1.0, -2.0])
+        sol = layered.SolutionField(time=1.0, xs=np.zeros(1), values=np.zeros(1),
+                                    flux_jumps=jumps)
+        assert sol.flux_jumps is jumps
+        assert layered.SolutionField(1.0, np.zeros(1), np.zeros(1)).flux_jumps.shape == (0,)
+        with pytest.raises(AttributeError, match="no attribute 'flux_jump'"):
+            sol.flux_jump
 
 
 class TestWorkspace:

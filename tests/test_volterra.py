@@ -320,7 +320,7 @@ class TestLagRows:
         # with no coupling the gradients after the start are the lag rows
         prob = fixed_strip(name, 60)
         g = solve_volterra_single_layer(prob)
-        s = g._march[1]
+        s = g._march
         i0 = _initial_terms(s, s.t[1:], s.y[:, 1:], s.y[1, 1:] - s.y[0, 1:], 1)
         d = volterra._lag_rows(s, i0)
         assert np.array_equal(g.omega[1:], d[0])
