@@ -2,8 +2,9 @@
 
 The unknown boundary gradients of a heat problem on a (possibly moving)
 strip y_minus(t) < x < y_plus(t) with unit diffusivity satisfy a coupled
-pair of Volterra equations of the second kind.  The kernels are image sums
-over reflected heat kernels with a complementary Jacobi-theta form: the
+pair of Volterra equations of the second kind, marched over one list of
+history pairs (time row, earlier node).  The kernels are image sums over
+reflected heat kernels with a complementary Jacobi-theta form: the
 image series converges fast for small time lags, the theta series for
 large lags.  Once the gradients are known the field anywhere inside the
 strip follows by quadrature of a boundary-potential representation.
@@ -140,8 +141,9 @@ def build_internal_boundaries(chi_minus, chi_plus, N, degree, T):
 
     Each interior boundary interpolates the uniform N-split of the two
     external curves at degree + 1 time samples: t = 0 and t = T always,
-    plus the minimal-gap time for degree >= 2 and a mid-horizon sample
-    for degree 3.  Non-crossing is verified on a 200-point time sample.
+    then the first degree - 1 of the minimal-gap time (a node of the
+    200-point time sample on which non-crossing is verified), T/2, T/3 and
+    2T/3 (never nodes) that lie more than 1e-9 T from the samples taken.
     """
     if degree not in (1, 2, 3):
         raise ConfigError(f"degree must be 1, 2 or 3, got {degree}")
@@ -156,17 +158,11 @@ def build_internal_boundaries(chi_minus, chi_plus, N, degree, T):
         raise ConfigError("external boundaries cross: chi_minus < chi_plus required on [0, T]")
 
     samples = [0.0, T]
-    if degree >= 2:
-        t_min = float(grid[np.argmin(cp_g - cm_g)])
-        candidates = [t_min, 0.5 * T, T / 3.0, 2.0 * T / 3.0]
-    else:
-        candidates = []
-    if degree == 3:
-        candidates += [0.5 * T, 0.25 * T, 0.75 * T]
-    for c in candidates:
+    t_min = float(grid[np.argmin(cp_g - cm_g)])
+    for c in [t_min, 0.5 * T, T / 3.0, 2.0 * T / 3.0]:
         if len(samples) == degree + 1:
             break
-        if all(abs(c - s) > 1e-9 * max(T, 1.0) for s in samples):
+        if all(abs(c - s) > 1e-9 * T for s in samples):
             samples.append(c)
     ts = np.sort(np.array(samples))
     vander = np.vander(ts, degree + 1, increasing=True)
@@ -219,15 +215,15 @@ def git_kernel_set(tau, s, y_minus, y_plus, xi):
 
 
 # ----------------------------------------------------------------------
-# the gradient equations as kernel tables
+# the gradient equations over history pairs
 # ----------------------------------------------------------------------
 
-# (row, node) entries per block of kernel tables.  A block's tables and
-# batched kernel calls peak near a hundred doubles per history pair, so
-# its temporaries stay under about 3 MB (a block holds at least one row,
-# so they grow with M beyond M = 4096).  The image sum holds a few arrays
-# of the batch's size, not one per image, so bigger blocks mean fewer
-# numpy passes per march for little more memory.
+# (row, node) history pairs per block of the march (point, node in the
+# field).  A block's pair arrays and batched kernel calls peak near a
+# hundred doubles per pair, so its temporaries stay under about 3 MB (a
+# block holds at least one row, so they grow with M beyond M = 4096). The
+# image sum holds a few arrays of the batch's size, not one per image, so
+# bigger blocks mean fewer numpy passes per march for little more memory.
 _BLOCK = 4096
 
 # degrees of u0's Fourier table, the first tried and the largest (strips that
@@ -495,14 +491,14 @@ def _row_terms(s, k, weak, parts, i0):
 def _march_rows(s, k0, k1, i0):
     """Rows k0 <= k < k1 of the gradient equations on the grid s.t.
 
-    Row k reads
-        omega_k = d[0] + sum_{j<k} (K[0, 0, j] omega_j + K[0, 1, j] theta_j)
-        theta_k = d[1] + sum_{j<k} (K[1, 0, j] omega_j + K[1, 1, j] theta_j)
+    Row k reads, p its pair (k, j)
+        omega_k = d[0] + sum_{j<k} (K[0, p, 0] omega_j + K[0, p, 1] theta_j)
+        theta_k = d[1] + sum_{j<k} (K[1, p, 0] omega_j + K[1, p, 1] theta_j)
     with t_k = tau: every kernel carries zero weight at s = tau, so the
     sums stop short of k and the march is one forward substitution.
-    Returns d, shape (2, R), and K, shape (2, 2, R, k1 - 1), zero where
-    j >= k; R = k1 - k0.  i0 holds the rows' initial-data terms,
-    ``_initial_terms`` at the centres s.y[:, k] with deriv 1.
+    Returns d, shape (2, R), and K, shape (2, P, 2), over the P pairs in
+    the row-by-row order of ``_pair_weights``; R = k1 - k0.  i0 holds the
+    rows' initial-data terms, ``_initial_terms`` at s.y[:, k] with deriv 1.
     """
     t = s.t
     k = np.arange(k0, k1)
@@ -530,11 +526,11 @@ def _march_rows(s, k0, k1, i0):
     peak_p = _self_peak(ua, ypt[r] - s.y[1, j])
     memory = 2.0 * sqrt_ua * (sqrt_ua - np.sqrt(tau[r] - t[j + 1]))
     q = s.q[j]
-    K = np.zeros((2, 2, len(k), k1 - 1))
-    K[..., r, j] = np.stack([
-        [peak_m * memory - q * (ups[0] + peak_m), -q * ups[1]],
-        [q * ups[2], q * (ups[3] + peak_p) - peak_p * memory],
-    ])
+    # columns of the unknowns omega, theta, each over the equations e
+    K = np.stack([
+        [peak_m * memory - q * (ups[0] + peak_m), q * ups[2]],
+        [-q * ups[1], q * (ups[3] + peak_p) - peak_p * memory],
+    ], axis=-1)
     return d, K
 
 
@@ -570,9 +566,9 @@ def solve_volterra_single_layer(problem):
 
     Every kernel carries zero weight at s = tau, so the equations read
     omega = b + K_oo omega + K_ot theta and theta = c + K_to omega + K_tt theta
-    with strictly lower-triangular K: one forward substitution.  On walls
-    that move, the tables are built in blocks of rows (``_march_rows``),
-    so the march costs O(M^2) kernel evaluations in a few batched calls
+    with row k coupled to the nodes j < k only: one forward substitution.
+    On walls that move, K over a block's history pairs (``_march_rows``)
+    makes the march O(M^2) kernel evaluations in a few batched calls
     per block.  On walls constant on the grid the coupling kernels vanish
     and every other kernel depends on the lag alone, so the gradients are
     the data terms of the rows (``_lag_rows``): O(M) kernel evaluations
@@ -598,13 +594,13 @@ def solve_volterra_single_layer(problem):
     else:
         k0 = 1
         while k0 <= M:
-            # R rows hold about R (k0 + R) <= _BLOCK table entries
+            # R rows, R (k0 + R) <= _BLOCK, hold fewer than _BLOCK pairs
             k1 = min(M + 1, k0 + max(1, (math.isqrt(k0 * k0 + 4 * _BLOCK) - k0) // 2))
             d, K = _march_rows(s, k0, k1, i0[:, k0 - 1:k1 - 1])
-            # rows as (2, R, node, 2); rebinding K frees the table before the next block
-            K = K.transpose(0, 2, 3, 1).copy()
+            f = 0
             for r, k in enumerate(range(k0, k1)):
-                hist[k] = d[:, r] + K[:, r, :k].reshape(2, 2 * k) @ hist[:k].ravel()
+                hist[k] = d[:, r] + K[:, f:f + k].reshape(2, 2 * k) @ hist[:k].ravel()
+                f += k
             k0 = k1
     if not np.all(np.isfinite(hist)):
         raise NumericalError("gradient march produced non-finite values")
@@ -633,8 +629,8 @@ def check_refinement(problem, rel_tol=0.10):
 def _gradient_residual(problem, gradients):
     """Self-consistency residual of a solved gradient pair at tau = T.
 
-    Evaluates the last row of the march's tables on a grid twice as fine
-    against the interpolated gradients, and returns the max mismatch.
+    Evaluates the last row of the march's equations on a grid twice as
+    fine against the interpolated gradients, and returns the max mismatch.
     """
     ts = np.linspace(0.0, problem.T, 2 * problem.M + 1)
     n = len(ts) - 1
@@ -643,7 +639,7 @@ def _gradient_residual(problem, gradients):
     d, K = _march_rows(s, n, n + 1, i0)
     om = np.interp(ts[:-1], gradients.grid, gradients.omega)
     th = np.interp(ts[:-1], gradients.grid, gradients.theta)
-    rhs = d[:, 0] + K[:, 0, 0] @ om + K[:, 1, 0] @ th
+    rhs = d[:, 0] + K[..., 0] @ om + K[..., 1] @ th
     return max(abs(gradients.omega[-1] - rhs[0]), abs(gradients.theta[-1] - rhs[1]))
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from mlheat import cli
 from mlheat.cli import main
-from mlheat.transforms import TermStructure, bk_affine_zcb, nondivergent_to_divergent
+from mlheat.transforms import (TermStructure, bk_affine_zcb, nondivergent_to_divergent,
+                               verhulst_chart)
 
 
 def write_config(tmp_path, name, payload):
@@ -233,6 +234,22 @@ class TestTransform:
         assert list(rows[:, 1]) == [chart.x_of_z(z) for z in rows[:, 0]]
         assert list(rows[:, 2]) == [chart.sigma_sq_of_z(z) for z in rows[:, 0]]
 
+    def test_verhulst_columns_are_the_chart(self, tmp_path):
+        ts = {"kappa": 0.3, "theta": 0.05, "sigma": 0.2, "s": 0.01}
+        payload = dict(ts, R=1.2, i=1, N=4, L=1.5, horizon=1.0, state=0.7, samples=5)
+        cfg = write_config(tmp_path, "verhulst.json", payload)
+        out = tmp_path / "verhulst.csv"
+        assert main(["transform", "verhulst", "--config", cfg, "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header == ["t", "tau", "x", "multiplier", "nu"]
+        t = np.linspace(0.0, 1.0, 5)
+        assert np.array_equal(rows[:, 0], t)
+        chart = verhulst_chart(TermStructure(**ts), 1.2, 1, 4, 1.5, 1.0)
+        assert np.array_equal(rows[:, 1], chart.tau_of_t(t))
+        assert np.array_equal(rows[:, 2], chart.x_of_state(t, 0.7))
+        assert np.array_equal(rows[:, 3], chart.multiplier(t, 0.7))
+        assert np.array_equal(rows[:, 4], chart.nu(t))
+
     @pytest.mark.parametrize("kind, payload, missing", [
         ("dupire", {"r": 0.02, "q": 0.01, "v": 0.04, "T": 1.0}, "T"),
         ("dupire", {"r": 0.02, "q": 0.01, "v": 0.04, "T": 1.0}, "v"),
@@ -322,6 +339,21 @@ class TestBoundaries:
         rc = main(["boundaries", "--config", cfg])
         assert rc == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_short_horizon(self, tmp_path, capsys, degree):
+        # a horizon far below 1 still finds its interior samples: exit 0
+        payload = {"chi_minus": -1.0, "chi_plus": [1.0, 1.0], "N": 3, "degree": degree,
+                   "T": 1e-9}
+        cfg = write_config(tmp_path, "bnd.json", payload)
+        out = tmp_path / "bnd.csv"
+        assert main(["boundaries", "--config", cfg, "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        header, rows = read_csv(out)
+        assert header == ["t", "y_1", "y_2"] and rows.shape == (200, 3)
+        for i in (1, 2):
+            split = -1.0 + i / 3.0 * (2.0 + rows[:, 0])
+            assert np.allclose(rows[:, i], split, rtol=0.0, atol=1e-14)
 
     def test_invalid_degree_is_config_error(self, tmp_path):
         payload = {"chi_minus": -1.0, "chi_plus": 1.0, "N": 4, "degree": 5, "T": 2.0}

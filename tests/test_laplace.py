@@ -88,6 +88,22 @@ class TestInversion:
             errs[m] = abs(v - exact)
         assert errs[16] <= errs[8]
 
+    def test_array_valued_transform_is_componentwise(self):
+        # an ndarray-valued F gives the scalar inversions of its components
+        # to the rounding of the order-16 sum, m eps lam sum_k |w_k F(k lam)|,
+        # not bitwise: the array and the scalar sums run in different orders
+        fs = [lambda lam: 1.0 / lam, lambda lam: 1.0 / lam**2, lambda lam: 1.0 / (lam + 1.0),
+              lambda lam: np.exp(-np.sqrt(lam)) / lam]
+        sch = stehfest_weights(16)
+        for T in (0.5, 2.0, 7.0):
+            got = invert_laplace(lambda lam: np.array([f(lam) for f in fs]), T)
+            assert isinstance(got, np.ndarray) and got.shape == (len(fs),)
+            lam = math.log(2.0) / T
+            for v, f in zip(got, fs):
+                rounding = sch.m * np.finfo(float).eps * lam * np.sum(
+                    np.abs(sch.weights * f(np.arange(1, sch.m + 1) * lam)))
+                assert abs(v - invert_laplace(f, T)) <= rounding
+
     def test_non_finite_transform_reported(self):
         with pytest.raises(NumericalError):
             invert_laplace(lambda lam: float("nan"), 1.0)

@@ -300,10 +300,11 @@ class TestLagRows:
     @pytest.mark.parametrize("M", [25, 60, 200])
     @pytest.mark.parametrize("name", ["strip-green", "caloric", "width-5"])
     def test_rows_match_march_rows(self, name, M):
-        # the lag form's data terms equal the block tables' d to rounding,
-        # and the tables' coupling K is rounding too: on fixed walls it is
+        # the lag form's data terms equal the block march's d to rounding,
+        # and the block's coupling K is rounding too: on fixed walls it is
         # K' at the offsets 0 and +-l, where the odd, 2l-periodic K'
-        # vanishes; the lags lie on both sides of the image/theta switch
+        # vanishes; the lags lie on both sides of the image/theta switch.
+        # K holds row k's k pairs after those of the rows before it
         prob = fixed_strip(name, M)
         s = _sample(prob, np.linspace(0.0, prob.T, M + 1))
         l = s.y[1, 0] - s.y[0, 0]
@@ -313,7 +314,7 @@ class TestLagRows:
         scale = np.max(np.abs(d), axis=0)
         assert np.all(scale > 0.0)
         assert np.all(np.abs(volterra._lag_rows(s, i0) - d) <= 1e-14 * scale)
-        assert np.all(np.abs(K) <= 1e-15 * scale[:, None])
+        assert np.all(np.abs(K) <= 1e-15 * np.repeat(scale, np.arange(1, M + 1))[:, None])
 
     @pytest.mark.parametrize("name", ["strip-green", "caloric", "width-5"])
     def test_fixed_march_is_its_data_terms(self, name):
@@ -376,6 +377,17 @@ class TestBuildInternalBoundaries:
                 v = bset.evaluate(i, ts)
                 assert np.all(v > lo) and np.all(v < hi)
 
+    @pytest.mark.parametrize("degree", [2, 3])
+    def test_short_horizon(self, degree):
+        # the samples are kept apart by 1e-9 T, so a horizon far below 1
+        # still finds its degree - 1 interior samples
+        T = 1e-9
+        bset = build_internal_boundaries(-1.0, lambda t: 1.0 + np.asarray(t), 3, degree, T)
+        ts = np.linspace(0.0, T, 9)
+        for i in range(bset.n_interior):
+            split = -1.0 + (i + 1) / 3.0 * (2.0 + ts)
+            assert np.allclose(bset.evaluate(i, ts), split, rtol=0.0, atol=1e-14)
+
     def test_crossing_externals_rejected(self):
         with pytest.raises(ConfigError):
             build_internal_boundaries(lambda t: t, lambda t: 1.0 - 2.0 * t, 3, 1, 1.0)
@@ -389,6 +401,32 @@ class TestBuildInternalBoundaries:
         for T in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ConfigError, match="horizon"):
                 build_internal_boundaries(-1.0, 1.0, 4, 1, T)
+
+
+class TestArguments:
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf])
+    def test_horizon_must_be_positive_and_finite(self, T):
+        with pytest.raises(ConfigError, match="horizon"):
+            dataclasses.replace(moving_problem(), T=T)
+
+    @pytest.mark.parametrize("M", [1, 0, -3])
+    def test_at_least_two_steps(self, M):
+        with pytest.raises(ConfigError, match="time steps"):
+            dataclasses.replace(moving_problem(), M=M)
+
+    @pytest.mark.parametrize("tau", [-1e-3, 0.81])
+    def test_field_time_outside_the_horizon(self, tau):
+        prob = moving_problem(25)
+        g = solve_volterra_single_layer(prob)
+        with pytest.raises(ConfigError, match="outside the horizon"):
+            git_field_single_layer(prob, g, 0.5, tau)
+
+    def test_field_time_past_the_gradient_grid(self):
+        # gradients marched to T = 0.4 do not reach tau = 0.6 of a longer problem
+        short = dataclasses.replace(moving_problem(25), T=0.4)
+        g = solve_volterra_single_layer(short)
+        with pytest.raises(ConfigError, match="does not cover"):
+            git_field_single_layer(moving_problem(25), g, 0.5, 0.6)
 
 
 class TestKernels:
@@ -430,7 +468,7 @@ class TestKernels:
         assert k.ups0_plus == 0.0
 
     def test_kernel_set_matches_march_tables(self):
-        # one row of the march's coupling table K on a linear moving strip,
+        # one row of the march's coupling K on a linear moving strip,
         # rebuilt node by node from the six kernels and the self peaks;
         # its lags tau - s take both the image and the theta form
         prob = GitLayerProblem(y_minus=lambda t: 0.1 + 0.2 * np.asarray(t),
@@ -452,7 +490,30 @@ class TestKernels:
             q = s.q[j]
             ref[:, :, j] = [[peak_m * memory - q * at_plus.ups0_minus, -q * at_plus.ups_minus],
                             [q * at_minus.ups_plus, q * at_minus.ups0_plus - peak_p * memory]]
-        assert np.all(np.abs(K[:, :, 0] - ref) <= 1e-14 * np.abs(ref))
+        # K[e, j, i] is ref[e, i, j]: the row's pairs j against the unknown i
+        ref = ref.transpose(0, 2, 1)
+        assert np.all(np.abs(K - ref) <= 1e-14 * np.abs(ref))
+
+    def test_march_rows_hold_pairs_row_by_row(self, monkeypatch):
+        # a block's coupling K lists its pairs (row k, node j < k) row by
+        # row, in the order _pair_weights takes them; each row's entries
+        # are those of a block of that row alone, to rounding (the image
+        # and theta orders are taken per batch)
+        prob = moving_problem(40)
+        s = _sample(prob, np.linspace(0.0, prob.T, prob.M + 1))
+        pairs = []
+        pair_weights = volterra._pair_weights
+        monkeypatch.setattr(volterra, "_pair_weights",
+                            lambda s, k, j: pairs.append((k, j)) or pair_weights(s, k, j))
+        rows = np.arange(7, 19)
+        d, K = volterra._march_rows(s, 7, 19, np.zeros((2, len(rows))))
+        assert d.shape == (2, len(rows)) and K.shape == (2, rows.sum(), 2)
+        ((k, j),) = pairs
+        assert np.array_equal(k, np.repeat(rows, rows))
+        assert np.array_equal(j, np.concatenate([np.arange(n) for n in rows]))
+        alone = np.concatenate([volterra._march_rows(s, n, n + 1, np.zeros((2, 1)))[1]
+                                for n in rows], axis=1)
+        assert np.all(np.abs(K - alone) <= 1e-14 * np.max(np.abs(alone)))
 
     def test_spike_only_at_exact_boundary_point(self):
         base = git_kernel_set(0.6, 0.1, 0.0, 1.0, 0.5)
