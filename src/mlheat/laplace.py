@@ -4,8 +4,8 @@ The inversion rule on the real axis is
 
     f(T) ~= Lam * sum_{k=1..m} St_k F(k Lam),    Lam = ln 2 / T,
 
-with combinatorial weights St_k depending only on the (even) order m.  A
-numerical forward transform is provided as a test oracle.
+with weights St_k depending only on the (even) order m; ``StehfestScheme.invert``
+applies it.  A numerical forward transform is provided as a test oracle.
 """
 
 import functools
@@ -38,15 +38,16 @@ class StehfestScheme:
     m: int
     weights: np.ndarray
 
-    def __post_init__(self):
-        # cached by the hot solver paths
-        sqrt_ks = np.sqrt(np.arange(1.0, self.m + 1))
-        sqrt_ks.flags.writeable = False
-        object.__setattr__(self, "_sqrt_ks", sqrt_ks)
-
     def nodes(self, T):
         """Laplace abscissas k*ln2/T, k = 1..m."""
         return np.arange(1, self.m + 1) * (math.log(2.0) / T)
+
+    def invert(self, values, T):
+        """f(T) from the transform at ``nodes(T)`` on the last axis, summed in
+        one order for every shape, so an array gets the bits of its rows (an
+        input that is not C-contiguous is copied: numpy sums strided rows otherwise)."""
+        w = (math.log(2.0) / T) * self.weights
+        return np.vecdot(np.ascontiguousarray(values, dtype=float), w)
 
 
 def stehfest_weights(m=DEFAULT_ORDER):
@@ -95,25 +96,20 @@ def _stehfest_scheme(m):
 def invert_laplace(F, T, scheme=None):
     """Invert the Laplace transform ``F`` at time ``T``.
 
-    ``F`` may return a scalar or an ndarray (inverted componentwise).
+    ``F`` may return a scalar or an ndarray (inverted componentwise, bitwise).
     """
     if not (np.isfinite(T) and T > 0.0):
         raise ConfigError(f"time T must be positive, got {T}")
     if scheme is None:
         scheme = stehfest_weights()
-    lam = math.log(2.0) / T
     vals = []
-    for k in range(1, scheme.m + 1):
-        v = np.asarray(F(k * lam), dtype=float)
+    for lam in scheme.nodes(T).tolist():
+        v = np.asarray(F(lam), dtype=float)
         if not np.all(np.isfinite(v)):
-            raise NumericalError(
-                f"transform evaluation non-finite at lambda = {k * lam!r}"
-            )
+            raise NumericalError(f"transform evaluation non-finite at lambda = {lam!r}")
         vals.append(v)
-    out = lam * np.tensordot(scheme.weights, np.stack(vals), axes=1)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    out = scheme.invert(np.stack(vals, axis=-1), T)
+    return float(out) if out.ndim == 0 else out
 
 
 def forward_laplace_numeric(f, lam, t_max=None, tol=1e-12):

@@ -5,8 +5,8 @@ on (y_{i-1}, y_i].  In Laplace space the field in a layer is a sinh
 interpolation of its two end values.  The source x0 splits its layer in
 two, so the values at the internal boundaries and at x0 solve one
 symmetric tridiagonal M-matrix system: flux continuity at each boundary
-and a unit flux jump at x0.  Time-domain values come from Gaver-Stehfest
-inversion; one solve covers all Stehfest nodes.
+and a unit flux jump at x0.  One solve covers all Stehfest nodes, inverted by
+``StehfestScheme.invert``, so a point asked alone gets the bits it gets in a grid.
 
 There is one path, in one numerical form.  The system is held in
 excess/coupling form (Grassmann-Taksar-Heyman): a segment with
@@ -154,8 +154,8 @@ class SolutionField:
 
     flux_jumps is not an error estimate: each flux is a coupling ~sigma/a
     times a difference of node values, so its rounding floor grows with N.
-    On [-1, 1] with sigma 0.5, x0 0.05 and T 1 it reads 1.2e-6 / 1.9e-5 /
-    2.8e-4 / 2.6e-3 of the peak at N = 20 / 200 / 2000 / 20000, while the
+    On [-1, 1] with sigma 0.5, x0 0.05 and T 1 it reads 1.0e-6 / 2.5e-5 /
+    1.9e-4 / 3.0e-3 of the peak at N = 20 / 200 / 2000 / 20000, while the
     true error is 3.4e-5 at each.
     """
 
@@ -522,7 +522,7 @@ def _node_values(problem, scheme):
     values with the walls, shape (N+2, m); row j is the source.  The
     arrays of shape (N, m) and up are workspace arrays.
     """
-    sq = math.sqrt(math.log(2.0) / problem.T) * scheme._sqrt_ks
+    sq = np.sqrt(scheme.nodes(problem.T))
     nodes, sigmas, excess, coupling = _system(problem, sq)
     g = _reduce(excess, coupling, problem.source_layer - 1, 1.0 / sq)
     return sq, nodes, sigmas, excess, coupling, g
@@ -533,8 +533,7 @@ def boundary_values(problem, scheme=None):
     """Time-domain internal-boundary values f_i(T), i = 1..N-1."""
     if scheme is None:
         scheme = stehfest_weights()
-    g = _node_values(problem, scheme)[-1]
-    f = g @ ((math.log(2.0) / problem.T) * scheme.weights)
+    f = scheme.invert(_node_values(problem, scheme)[-1], problem.T)
     if not np.all(np.isfinite(f)):
         raise NumericalError("non-finite Laplace-domain boundary values")
     j = problem.source_layer  # drop the walls and the source
@@ -546,9 +545,9 @@ def _flux_jumps(problem, scheme):
     """Time-domain flux jumps at the internal boundaries, from a solve of
     its own; ``greens_function`` leaves them to the first read."""
     sq, _, _, excess, coupling, g = _node_values(problem, scheme)
-    w = (math.log(2.0) / problem.T) * scheme.weights
     j = problem.source_layer
-    res = _flux_residual(excess, coupling, sq, g, j) @ (w * sq)
+    res = _flux_residual(excess, coupling, sq, g, j)
+    res = scheme.invert(np.multiply(res, sq, res), problem.T)
     jumps = np.concatenate((res[: j - 1], res[j:]))
     if not math.isfinite(float(jumps.sum())):
         raise NumericalError("non-finite flux jumps after Laplace inversion")
@@ -568,10 +567,9 @@ def greens_function(problem, scheme=None, xs=None):
     b = problem.medium.boundaries
     xs = np.linspace(b[0], b[-1], 101) if xs is None else np.asarray(xs, dtype=float)
     sq, nodes, sigmas, _, _, g = _node_values(problem, scheme)
-    w = (math.log(2.0) / problem.T) * scheme.weights
     j = problem.source_layer
-    vals = _field(nodes, sigmas, sq, g, xs) @ w
-    f = g @ w
+    vals = scheme.invert(_field(nodes, sigmas, sq, g, xs), problem.T)
+    f = scheme.invert(g, problem.T)
     fvals = np.concatenate((f[1:j], f[j + 1 : -1]))
     # a single non-finite entry poisons these sums
     if not math.isfinite(float(vals.sum()) + float(fvals.sum())):

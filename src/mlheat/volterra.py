@@ -144,6 +144,7 @@ def build_internal_boundaries(chi_minus, chi_plus, N, degree, T):
     then the first degree - 1 of the minimal-gap time (a node of the
     200-point time sample on which non-crossing is verified), T/2, T/3 and
     2T/3 (never nodes) that lie more than 1e-9 T from the samples taken.
+    A T whose power T**degree underflows is a NumericalError.
     """
     if degree not in (1, 2, 3):
         raise ConfigError(f"degree must be 1, 2 or 3, got {degree}")
@@ -168,9 +169,11 @@ def build_internal_boundaries(chi_minus, chi_plus, N, degree, T):
     vander = np.vander(ts, degree + 1, increasing=True)
     cm_s, cp_s = cm(ts), cp(ts)
     coeffs = np.empty((N - 1, degree + 1))
-    for i in range(1, N):
-        targets = cm_s + (i / N) * (cp_s - cm_s)
-        coeffs[i - 1] = np.linalg.solve(vander, targets)
+    try:
+        for i in range(1, N):
+            coeffs[i - 1] = np.linalg.solve(vander, cm_s + (i / N) * (cp_s - cm_s))
+    except np.linalg.LinAlgError:
+        raise NumericalError(f"singular degree-{degree} interpolation in t at T = {T!r}")
 
     curves = [cm_g]
     for i in range(N - 1):

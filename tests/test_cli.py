@@ -123,12 +123,18 @@ class TestRejectedValues:
         ("green", {"boundaries": 5}, {"solver": {}}),
         ("green", {"sigma": [1.0, 2.0]}, {}),
         ("compare", {}, {"fd": {"N_x": "many", "M_t": 40}}),
+        ("green", {"boundaries": [0.0, 0.5, 1.0]}, {}),
+        ("green", {"sigma": None}, {}),
+        ("green", {}, {"eval": {"grid": 0}}),
+        ("green", {}, {"problem": [0.0, 1.0]}),
     ], ids=["odd-m", "x0-outside", "x0-on-boundary", "T-nonpositive", "decreasing-boundaries",
             "negative-sigma", "abscissa-outside", "fd-nx-3", "zero-layers", "x0-not-a-number",
-            "layers-not-a-number", "scalar-boundaries", "list-sigma", "fd-nx-not-a-number"])
+            "layers-not-a-number", "scalar-boundaries", "list-sigma", "fd-nx-not-a-number",
+            "layers-contradict-boundaries", "no-sigma", "zero-grid", "problem-not-an-object"])
     def test_rejected_value_exits_2(self, tmp_path, capsys, command, problem, extra):
-        payload = {"problem": dict({"y0": 0.0, "yN": 1.0, "sigma": 1.0, "x0": 0.3, "T": 0.1},
-                                   **problem),
+        # a key given as None is left out
+        problem = dict({"y0": 0.0, "yN": 1.0, "sigma": 1.0, "x0": 0.3, "T": 0.1}, **problem)
+        payload = {"problem": {k: v for k, v in problem.items() if v is not None},
                    "solver": {"layers": 4}, **extra}
         cfg = write_config(tmp_path, "bad.json", payload)
         assert main([command, "--config", cfg]) == 2
@@ -234,6 +240,20 @@ class TestTransform:
         assert list(rows[:, 1]) == [chart.x_of_z(z) for z in rows[:, 0]]
         assert list(rows[:, 2]) == [chart.sigma_sq_of_z(z) for z in rows[:, 0]]
 
+    def test_divergent_constant_xi_is_linear(self, tmp_path):
+        # a constant Xi = v maps x = (z - c2) v^2 / c1, sigma^2 = c1^2 / v^2
+        v, c1, c2 = 0.8, 1.3, 0.1
+        payload = {"xi": {"kind": "constant", "value": v}, "c1": c1, "c2": c2,
+                   "z_min": -1.0, "z_max": 2.0, "samples": 7}
+        cfg = write_config(tmp_path, "div.json", payload)
+        out = tmp_path / "div.csv"
+        assert main(["transform", "divergent", "--config", cfg, "--out", str(out)]) == 0
+        header, rows = read_csv(out)
+        assert header == ["z", "x_of_z", "sigma_sq"]
+        assert np.array_equal(rows[:, 0], np.linspace(-1.0, 2.0, 7))
+        assert np.allclose(rows[:, 1], (rows[:, 0] - c2) * v * v / c1, rtol=1e-13, atol=1e-15)
+        assert np.all(rows[:, 2] == c1 * c1 / v**2)
+
     def test_verhulst_columns_are_the_chart(self, tmp_path):
         ts = {"kappa": 0.3, "theta": 0.05, "sigma": 0.2, "s": 0.01}
         payload = dict(ts, R=1.2, i=1, N=4, L=1.5, horizon=1.0, state=0.7, samples=5)
@@ -288,8 +308,9 @@ class TestTransform:
                        "c1": 1.0}),
         ("dupire", {"r": 0.02, "v": 0.04, "T": 1.0, "samples": -3}),
         ("dupire", {"r": 0.02, "v": 0.04, "T": 1.0, "samples": 0}),
+        ("divergent", {"xi": {"kind": "linear", "a": 0.8}, "c1": 1.0}),
     ], ids=["dupire-v", "dupire-r", "bk-a", "verhulst-i", "divergent-xi",
-            "samples-negative", "samples-zero"])
+            "samples-negative", "samples-zero", "divergent-xi-kind"])
     def test_non_numeric_param_is_config_error(self, tmp_path, capsys, kind, payload):
         cfg = write_config(tmp_path, "p.json", payload)
         assert main(["transform", kind, "--config", cfg]) == 2
@@ -355,14 +376,23 @@ class TestBoundaries:
             split = -1.0 + i / 3.0 * (2.0 + rows[:, 0])
             assert np.allclose(rows[:, i], split, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("degree, T", [(3, 1e-110), (2, 1e-200), (3, 1e-200)])
+    def test_underflowing_horizon_is_numerical_failure(self, tmp_path, capsys, degree, T):
+        payload = {"chi_minus": -1.0, "chi_plus": [1.0, 1.0], "N": 3, "degree": degree, "T": T}
+        cfg = write_config(tmp_path, "bnd.json", payload)
+        assert main(["boundaries", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("numerical failure: ")
+        assert "Traceback" not in captured.err
+
     def test_invalid_degree_is_config_error(self, tmp_path):
         payload = {"chi_minus": -1.0, "chi_plus": 1.0, "N": 4, "degree": 5, "T": 2.0}
         cfg = write_config(tmp_path, "bad.json", payload)
         assert main(["boundaries", "--config", cfg]) == 2
 
     @pytest.mark.parametrize("bad", [{"N": "four"}, {"T": [1.0, 2.0]},
-                                     {"chi_plus": ["a", 1.0]}, {"T": math.nan}],
-                             ids=["N", "T", "chi_plus", "T-nan"])
+                                     {"chi_plus": ["a", 1.0]}, {"T": math.nan}, {"N": 1}],
+                             ids=["N", "T", "chi_plus", "T-nan", "N-1"])
     def test_non_numeric_value_is_config_error(self, tmp_path, capsys, bad):
         payload = dict({"chi_minus": -1.0, "chi_plus": 1.0, "N": 4, "degree": 1, "T": 2.0},
                        **bad)

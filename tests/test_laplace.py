@@ -90,19 +90,23 @@ class TestInversion:
 
     def test_array_valued_transform_is_componentwise(self):
         # an ndarray-valued F gives the scalar inversions of its components
-        # to the rounding of the order-16 sum, m eps lam sum_k |w_k F(k lam)|,
-        # not bitwise: the array and the scalar sums run in different orders
+        # bit for bit: StehfestScheme.invert sums every shape in one order
         fs = [lambda lam: 1.0 / lam, lambda lam: 1.0 / lam**2, lambda lam: 1.0 / (lam + 1.0),
               lambda lam: np.exp(-np.sqrt(lam)) / lam]
-        sch = stehfest_weights(16)
         for T in (0.5, 2.0, 7.0):
             got = invert_laplace(lambda lam: np.array([f(lam) for f in fs]), T)
             assert isinstance(got, np.ndarray) and got.shape == (len(fs),)
-            lam = math.log(2.0) / T
-            for v, f in zip(got, fs):
-                rounding = sch.m * np.finfo(float).eps * lam * np.sum(
-                    np.abs(sch.weights * f(np.arange(1, sch.m + 1) * lam)))
-                assert abs(v - invert_laplace(f, T)) <= rounding
+            assert np.array_equal(got, [invert_laplace(f, T) for f in fs])
+
+    def test_invert_sums_every_shape_in_one_order(self):
+        # leading axes, a Fortran-ordered copy and a strided view all give
+        # the bits of their rows inverted one by one
+        sch = stehfest_weights()
+        vals = np.random.default_rng(3).standard_normal((6, 5, sch.m)) * 1e3
+        rows = np.array([[sch.invert(v, 0.7) for v in block] for block in vals])
+        assert np.array_equal(sch.invert(vals, 0.7), rows)
+        assert np.array_equal(sch.invert(np.asfortranarray(vals), 0.7), rows)
+        assert np.array_equal(sch.invert(vals[:, ::2], 0.7), rows[:, ::2])
 
     def test_non_finite_transform_reported(self):
         with pytest.raises(NumericalError):

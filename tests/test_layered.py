@@ -388,6 +388,26 @@ def random_medium(n, seed):
     return LayeredMedium(boundaries, rng.uniform(0.1, 2.0, n))
 
 
+class TestOneInversionOrder:
+    """The Stehfest sum runs in one order for every shape, so a point
+    asked alone or in a sub-batch gets the bits it gets in the whole grid,
+    and boundary_values() those of greens_function()."""
+
+    XS = np.linspace(-1.0, 1.0, 201)
+
+    @pytest.mark.parametrize("kind", ["uniform", "random"])
+    @pytest.mark.parametrize("n_layers", [20, 200, 2000])
+    def test_points_in_any_batch_equal_the_grid(self, n_layers, kind):
+        med = uniform_medium(n_layers) if kind == "uniform" else random_medium(n_layers, 5)
+        problem = GreensProblem(medium=med, x0=0.05, T=1.0)
+        whole = greens_function(problem, xs=self.XS)
+        for size in (1, 2, 7):
+            parts = [greens_function(problem, xs=self.XS[i:i + size]).values
+                     for i in range(0, len(self.XS), size)]
+            assert np.array_equal(np.concatenate(parts), whole.values), size
+        assert np.array_equal(boundary_values(problem), whole.boundary_values)
+
+
 @st.composite
 def random_problems(draw):
     """A random medium of 2 to 2000 layers, a random source and a horizon

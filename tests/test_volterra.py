@@ -388,6 +388,14 @@ class TestBuildInternalBoundaries:
             split = -1.0 + (i + 1) / 3.0 * (2.0 + ts)
             assert np.allclose(bset.evaluate(i, ts), split, rtol=0.0, atol=1e-14)
 
+    @pytest.mark.parametrize("degree, T", [(3, 1e-110), (2, 1e-200), (3, 1e-200)])
+    def test_underflowing_horizon_is_numerical_error(self, degree, T):
+        # T**degree underflows the Vandermonde matrix in raw t, which is
+        # then singular
+        msg = f"degree-{degree} interpolation in t at T = {T!r}"
+        with pytest.raises(NumericalError, match=msg):
+            build_internal_boundaries(-1.0, lambda t: 1.0 + np.asarray(t), 3, degree, T)
+
     def test_crossing_externals_rejected(self):
         with pytest.raises(ConfigError):
             build_internal_boundaries(lambda t: t, lambda t: 1.0 - 2.0 * t, 3, 1, 1.0)
