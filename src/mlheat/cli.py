@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from .analytic import StripProblem, strip_green
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, integral
 from .fd import FdGrid, fd_solve
 from .laplace import DEFAULT_ORDER, stehfest_weights
 from .layered import GreensProblem, LayeredMedium, greens_function
@@ -46,30 +46,53 @@ def _write_csv(path, columns):
             fh.write(text)
 
 
+REQUIRED = object()  # the default of a key a block must give
+
+
 def _floats(value):
     """A number or a list of numbers as an at least 1-D float array."""
     return np.atleast_1d(np.asarray(value, dtype=float))
 
 
-def _as(kind, value, what):
-    """``kind(value)``, kind being float, int or ``_floats``; a value it
-    cannot convert is a ConfigError, never Python's own exception."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {what} {value!r}: {exc}") from exc
+def _curve(value):
+    """A number as a constant, else polynomial coefficients in t, lowest first."""
+    if isinstance(value, (int, float)):
+        return float(value)
+    coeffs = _floats(value)
+    return lambda t: np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), coeffs)
 
 
-def _check_keys(block, allowed, where):
-    unknown = set(block) - set(allowed)
+def _block(value):
+    """A nested block, left for its own schema to read."""
+    return value
+
+
+def _read(block, where, **keys):
+    """The values of a config block by its schema, as a dict.
+
+    Each keyword maps an allowed key to ``(kind, default)``: ``kind`` (float,
+    ``integral``, ``_floats``, ``_curve`` or a nested reader) converts a given
+    value, the default stands for an absent one, and ``REQUIRED`` makes the
+    key mandatory.  A block that is not a JSON object, an unknown or missing
+    key and a value its kind cannot convert are each a ConfigError.
+    """
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(block).__name__}")
+    unknown = set(block) - set(keys)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def _require_keys(block, required, where):
-    for key in required:
+    values = {}
+    for key, (kind, default) in keys.items():
         if key not in block:
-            raise ConfigError(f"missing {key!r} in {where}")
+            if default is REQUIRED:
+                raise ConfigError(f"missing {key!r} in {where}")
+            values[key] = default
+            continue
+        try:
+            values[key] = kind(block[key])
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad {key!r} in {where}: {exc}") from exc
+    return values
 
 
 def _load_config(path):
@@ -81,78 +104,62 @@ def _load_config(path):
 
 
 def _build_problem(cfg):
-    """GreensProblem and Stehfest order from the config's problem/solver blocks."""
-    _check_keys(cfg, ("problem", "solver", "fd", "eval", "output"), "config")
-    prob = cfg.get("problem")
-    if not isinstance(prob, dict):
-        raise ConfigError("config must contain a 'problem' object")
-    _check_keys(prob, ("boundaries", "y0", "yN", "sigmas", "sigma", "x0", "T"), "problem")
-    solver = cfg.get("solver", {})
-    _check_keys(solver, ("m", "layers"), "solver")
+    """GreensProblem, Stehfest order and the top-level blocks of a green/compare config."""
+    cfg = _read(cfg, "config", problem=(_block, REQUIRED), solver=(_block, {}),
+                fd=(_block, {}), eval=(_block, {}))
+    prob = _read(cfg["problem"], "problem", boundaries=(_floats, None), y0=(float, None),
+                 yN=(float, None), sigmas=(_floats, None), sigma=(float, None),
+                 x0=(float, REQUIRED), T=(float, REQUIRED))
+    solver = _read(cfg["solver"], "solver", m=(integral, DEFAULT_ORDER), layers=(integral, None))
 
-    layers = solver.get("layers")
-    if layers is not None:
-        layers = _as(int, layers, "solver.layers")
-    if "boundaries" in prob:
-        boundaries = _as(_floats, prob["boundaries"], "problem.boundaries")
+    layers, boundaries = solver["layers"], prob["boundaries"]
+    if boundaries is not None:
         if layers is not None and layers != len(boundaries) - 1:
             raise ConfigError(
                 f"layers={layers} contradicts the {len(boundaries) - 1}-layer 'boundaries' list"
             )
     else:
-        _require_keys(prob, ("y0", "yN"), "problem without 'boundaries'")
-        _require_keys(solver, ("layers",), "solver for a uniform split")
-        boundaries = np.linspace(_as(float, prob["y0"], "problem.y0"),
-                                 _as(float, prob["yN"], "problem.yN"), max(layers, 0) + 1)
+        for key, value, where in (("y0", prob["y0"], "problem without 'boundaries'"),
+                                  ("yN", prob["yN"], "problem without 'boundaries'"),
+                                  ("layers", layers, "solver for a uniform split")):
+            if value is None:
+                raise ConfigError(f"missing {key!r} in {where}")
+        boundaries = np.linspace(prob["y0"], prob["yN"], max(layers, 0) + 1)
 
-    if "sigmas" in prob:
-        sigmas = _as(_floats, prob["sigmas"], "problem.sigmas")
-    elif "sigma" in prob:
-        sigmas = np.full(max(len(boundaries) - 1, 0), _as(float, prob["sigma"], "problem.sigma"))
+    if prob["sigmas"] is not None:
+        sigmas = prob["sigmas"]
+    elif prob["sigma"] is not None:
+        sigmas = np.full(max(len(boundaries) - 1, 0), prob["sigma"])
     else:
         raise ConfigError("problem needs 'sigmas' (per layer) or a scalar 'sigma'")
-    _require_keys(prob, ("x0", "T"), "problem")
 
     medium = LayeredMedium(boundaries=boundaries, sigmas=sigmas)
-    green = GreensProblem(medium=medium, x0=_as(float, prob["x0"], "problem.x0"),
-                          T=_as(float, prob["T"], "problem.T"))
-    return green, _as(int, solver.get("m", DEFAULT_ORDER), "solver.m")
+    return GreensProblem(medium=medium, x0=prob["x0"], T=prob["T"]), solver["m"], cfg
 
 
-def _eval_grid(cfg, medium):
-    block = cfg.get("eval", {})
-    _check_keys(block, ("grid", "abscissas"), "eval")
-    if "abscissas" in block:
-        return _as(_floats, block["abscissas"], "eval.abscissas")
-    n = _as(int, block.get("grid", 101), "eval.grid")
-    if n < 1:
-        raise ConfigError(f"eval grid must have at least 1 point, got {n}")
-    return np.linspace(medium.boundaries[0], medium.boundaries[-1], n)
-
-
-def cmd_green(args):
-    cfg = _load_config(args.config)
-    problem, m = _build_problem(cfg)
-    xs = _eval_grid(cfg, problem.medium)
+def cmd_green(cfg, args):
+    problem, m, cfg = _build_problem(cfg)
+    grid = _read(cfg["eval"], "eval", grid=(integral, 101), abscissas=(_floats, None))
+    xs = grid["abscissas"]
+    if xs is None:
+        if grid["grid"] < 1:
+            raise ConfigError(f"eval grid must have at least 1 point, got {grid['grid']}")
+        b = problem.medium.boundaries
+        xs = np.linspace(b[0], b[-1], grid["grid"])
     t0 = time.perf_counter()
     scheme = stehfest_weights(m)
     t1 = time.perf_counter()
     fld = greens_function(problem, scheme=scheme, xs=xs)
     t2 = time.perf_counter()
     print(f"precompute_ms={(t1 - t0) * 1e3:.3f} solve_ms={(t2 - t1) * 1e3:.3f}", file=sys.stderr)
-    _write_csv(args.out or cfg.get("output"), {"x": xs, "u": fld.values})
-    return 0
+    return {"x": xs, "u": fld.values}
 
 
-def cmd_compare(args):
-    cfg = _load_config(args.config)
-    problem, m = _build_problem(cfg)
-    fd_block = cfg.get("fd", {})
-    _check_keys(fd_block, ("N_x", "M_t"), "fd")
-    _require_keys(fd_block, ("N_x", "M_t"), "fd")
+def cmd_compare(cfg, args):
+    problem, m, cfg = _build_problem(cfg)
+    fd_block = _read(cfg["fd"], "fd", N_x=(integral, REQUIRED), M_t=(integral, REQUIRED))
     scheme = stehfest_weights(m)
-    grid = FdGrid.for_problem(problem, _as(int, fd_block["N_x"], "fd.N_x"),
-                              _as(int, fd_block["M_t"], "fd.M_t"))
+    grid = FdGrid.for_problem(problem, fd_block["N_x"], fd_block["M_t"])
     t0 = time.perf_counter()
     ml = greens_function(problem, scheme=scheme, xs=grid.xs)
     t1 = time.perf_counter()
@@ -168,110 +175,81 @@ def cmd_compare(args):
         columns["u_analytic"] = strip_green(strip, grid.xs)
     scale = float(np.max(np.abs(ml.values)))
     columns["rel_diff_pct"] = 100.0 * (fd.values - ml.values) / scale
-    _write_csv(args.out or cfg.get("output"), columns)
-    return 0
+    return columns
 
 
-def _term_structure(params):
-    fields = {k: _as(float, params[k], k)
-              for k in ("r", "q", "kappa", "theta", "sigma", "s") if k in params}
-    return TermStructure(**fields)
+_XI_KEYS = {"exp": {"a": (float, REQUIRED)}, "constant": {"value": (float, REQUIRED)},
+            "sampled": {"x": (_floats, REQUIRED), "values": (_floats, REQUIRED)}}
 
 
-def _xi_from_params(spec):
-    _check_keys(spec, ("kind", "a", "value", "x", "values"), "xi")
-    kind = spec.get("kind")
-    if kind == "exp":
-        _require_keys(spec, ("a",), "exp xi")
-        a = _as(float, spec["a"], "xi.a")
+def _xi(spec):
+    """Xi(x) of a divergent chart from its xi block: exp (a), constant (value)
+    or sampled (x, values)."""
+    # a block that is not an object is left for _read to reject
+    keys = _XI_KEYS.get(spec.get("kind")) if isinstance(spec, dict) else {}
+    if keys is None:
+        raise ConfigError(f"unknown xi kind {spec.get('kind')!r} "
+                          "(expected exp, constant or sampled)")
+    xi = _read(spec, "xi", kind=(str, REQUIRED), **keys)
+    if xi["kind"] == "exp":
+        a = xi["a"]
         return lambda x: np.exp(-a * x / 2.0)
-    if kind == "constant":
-        _require_keys(spec, ("value",), "constant xi")
-        return _as(float, spec["value"], "xi.value")
-    if kind == "sampled":
-        _require_keys(spec, ("x", "values"), "sampled xi")
-        return Curve(_as(_floats, spec["x"], "xi.x"), _as(_floats, spec["values"], "xi.values"))
-    raise ConfigError(f"unknown xi kind {kind!r} (expected exp, constant or sampled)")
+    if xi["kind"] == "constant":
+        return xi["value"]
+    return Curve(xi["x"], xi["values"])
 
 
-def cmd_transform(args):
-    params = _load_config(args.config)
+_RATES = {k: (float, None) for k in ("kappa", "theta", "sigma", "s")}
+_TRANSFORM_KEYS = {
+    "dupire": dict(r=(float, None), q=(float, None), v=(float, REQUIRED), T=(float, REQUIRED),
+                   state=(float, 1.0)),
+    "bk": dict(_RATES, a=(float, 0.0), b=(float, 0.0), S=(float, REQUIRED), z=(float, 0.0),
+               R=(float, 1.0)),
+    "verhulst": dict(_RATES, R=(float, 1.0), i=(integral, REQUIRED), N=(integral, REQUIRED),
+                     L=(float, 1.0), horizon=(float, REQUIRED), state=(float, 0.5)),
+    "divergent": dict(xi=(_xi, REQUIRED), c1=(float, REQUIRED), c2=(float, 0.0),
+                      z_min=(float, 0.0), z_max=(float, 1.0)),
+}
+
+
+def cmd_transform(cfg, args):
     kind = args.kind
-    samples = _as(int, params.pop("samples", 41), "samples")
+    p = _read(cfg, f"{kind} params", samples=(integral, 41), **_TRANSFORM_KEYS[kind])
+    samples = p["samples"]
     if samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
-    out = args.out or params.pop("output", None)
+    ts = TermStructure(**{k: p[k] for k in ("r", "q", "kappa", "theta", "sigma", "s")
+                          if p.get(k) is not None})
 
     if kind == "dupire":
-        _check_keys(params, ("r", "q", "v", "T", "state"), "dupire params")
-        _require_keys(params, ("T", "v"), "dupire params")
-        T = _as(float, params["T"], "T")
-        chart = dupire_to_heat(_term_structure(params), _as(float, params["v"], "v"), T)
-        state = _as(float, params.get("state", 1.0), "state")
-        t = np.linspace(0.0, T, samples)
-        columns = {"t": t, "tau": chart.tau_of_t(t), "x": chart.x_of_state(t, state),
-                   "multiplier": chart.multiplier(t, state)}
-    elif kind == "bk":
-        _check_keys(params, ("kappa", "theta", "sigma", "s", "a", "b", "S", "z", "R"),
-                    "bk params")
-        _require_keys(params, ("S",), "bk params")
-        S = _as(float, params["S"], "S")
-        z = _as(float, params.get("z", 0.0), "z")
-        R = _as(float, params.get("R", 1.0), "R")
-        chart = bk_layer_chart(_term_structure(params), _as(float, params.get("a", 0.0), "a"),
-                               _as(float, params.get("b", 0.0), "b"), S)
-        t = np.linspace(0.0, S, samples)
+        chart = dupire_to_heat(ts, p["v"], p["T"])
+        t, state = np.linspace(0.0, p["T"], samples), p["state"]
+        return {"t": t, "tau": chart.tau_of_t(t), "x": chart.x_of_state(t, state),
+                "multiplier": chart.multiplier(t, state)}
+    if kind == "bk":
+        chart = bk_layer_chart(ts, p["a"], p["b"], p["S"])
+        t, z = np.linspace(0.0, p["S"], samples), p["z"]
         # the bond value is the chart's multiplier at the state R e^z (bk_affine_zcb)
-        columns = {"t": t, "tau": chart.tau_of_t(t), "x": chart.x_of_state(t, z),
-                   "multiplier": chart.multiplier(t, z),
-                   "F": chart.multiplier(t, R * math.exp(z))}
-    elif kind == "verhulst":
-        _check_keys(params, ("kappa", "theta", "sigma", "s", "R", "i", "N", "L",
-                             "horizon", "state"), "verhulst params")
-        _require_keys(params, ("horizon", "i", "N"), "verhulst params")
-        horizon = _as(float, params["horizon"], "horizon")
-        chart = verhulst_chart(_term_structure(params), _as(float, params.get("R", 1.0), "R"),
-                               _as(int, params["i"], "i"), _as(int, params["N"], "N"),
-                               _as(float, params.get("L", 1.0), "L"), horizon)
-        state = _as(float, params.get("state", 0.5), "state")
-        t = np.linspace(0.0, horizon, samples)
-        columns = {"t": t, "tau": chart.tau_of_t(t), "x": chart.x_of_state(t, state),
-                   "multiplier": chart.multiplier(t, state), "nu": chart.nu(t)}
-    elif kind == "divergent":
-        _check_keys(params, ("xi", "c1", "c2", "z_min", "z_max"), "divergent params")
-        _require_keys(params, ("c1",), "divergent params")
-        xi = _as_curve(_xi_from_params(params.get("xi", {})))
-        c1 = _as(float, params["c1"], "c1")
-        chart = nondivergent_to_divergent(xi, c1, _as(float, params.get("c2", 0.0), "c2"))
-        z = np.linspace(_as(float, params.get("z_min", 0.0), "z_min"),
-                        _as(float, params.get("z_max", 1.0), "z_max"), samples)
-        x = chart.x_of_z(z)
-        # sigma^2 = c1^2 / Xi(x)^2 at the inverted samples (sigma_sq_of_z inverts again)
-        columns = {"z": z, "x_of_z": x, "sigma_sq": c1 * c1 / xi(x) ** 2}
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown transform kind {kind!r}")
-    _write_csv(out, columns)
-    return 0
+        return {"t": t, "tau": chart.tau_of_t(t), "x": chart.x_of_state(t, z),
+                "multiplier": chart.multiplier(t, z),
+                "F": chart.multiplier(t, p["R"] * math.exp(z))}
+    if kind == "verhulst":
+        chart = verhulst_chart(ts, p["R"], p["i"], p["N"], p["L"], p["horizon"])
+        t, state = np.linspace(0.0, p["horizon"], samples), p["state"]
+        return {"t": t, "tau": chart.tau_of_t(t), "x": chart.x_of_state(t, state),
+                "multiplier": chart.multiplier(t, state), "nu": chart.nu(t)}
+    xi, c1 = _as_curve(p["xi"]), p["c1"]
+    chart = nondivergent_to_divergent(xi, c1, p["c2"])
+    z = np.linspace(p["z_min"], p["z_max"], samples)
+    x = chart.x_of_z(z)
+    # sigma^2 = c1^2 / Xi(x)^2 at the inverted samples (sigma_sq_of_z inverts again)
+    return {"z": z, "x_of_z": x, "sigma_sq": c1 * c1 / xi(x) ** 2}
 
 
-def cmd_boundaries(args):
-    params = _load_config(args.config)
-    _check_keys(params, ("chi_minus", "chi_plus", "N", "degree", "T", "output"),
-                "boundaries params")
-    _require_keys(params, ("chi_minus", "chi_plus", "N", "degree", "T"), "boundaries params")
-
-    def curve(name):
-        spec = params[name]
-        if isinstance(spec, (int, float)):
-            return float(spec)
-        coeffs = _as(_floats, spec, f"{name} coefficients")
-        return lambda t: np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), coeffs)
-
-    cm = curve("chi_minus")
-    cp = curve("chi_plus")
-    T = _as(float, params["T"], "T")
-    n = _as(int, params["N"], "N")
-    degree = _as(int, params["degree"], "degree")
+def cmd_boundaries(cfg, args):
+    p = _read(cfg, "boundaries params", chi_minus=(_curve, REQUIRED), chi_plus=(_curve, REQUIRED),
+              N=(integral, REQUIRED), degree=(integral, REQUIRED), T=(float, REQUIRED))
+    n, degree, T = p["N"], p["degree"], p["T"]
     if n < 2:
         raise ConfigError(f"N must be at least 2, got {n}")
     if degree not in (1, 2, 3):
@@ -279,7 +257,7 @@ def cmd_boundaries(args):
     if not (math.isfinite(T) and T > 0.0):
         raise ConfigError(f"T must be positive and finite, got {T}")
     try:
-        bset = build_internal_boundaries(cm, cp, n, degree, T)
+        bset = build_internal_boundaries(p["chi_minus"], p["chi_plus"], n, degree, T)
     except ConfigError as exc:
         # params are well-formed at this point; a failed construction is a
         # numerical outcome (crossing boundaries), not a config problem
@@ -288,9 +266,7 @@ def cmd_boundaries(args):
         print(f"boundary_{i + 1}_coeffs=" + ",".join(map(repr, coeffs.tolist())),
               file=sys.stderr)
     t = np.linspace(0.0, T, 200)
-    columns = {"t": t, **{f"y_{i + 1}": bset.evaluate(i, t) for i in range(bset.n_interior)}}
-    _write_csv(args.out or params.get("output"), columns)
-    return 0
+    return {"t": t, **{f"y_{i + 1}": bset.evaluate(i, t) for i in range(bset.n_interior)}}
 
 
 # built once per process: parse_args leaves the parser as it found it
@@ -321,7 +297,13 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _load_config(args.config)
+        # every command's config may name its CSV; the commands' schemas leave it out
+        output = cfg.pop("output", None) if isinstance(cfg, dict) else None
+        if not isinstance(output, (str, type(None))):
+            raise ConfigError(f"bad 'output' in config: {output!r} is not a path")
+        _write_csv(args.out or output, args.func(cfg, args))
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._lazy import lazy_attributes
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, integral
 from .layered import SolutionField
 
 # scipy.linalg is imported at the first FD solve, not with the package
@@ -39,6 +39,7 @@ class FdGrid:
 
     @classmethod
     def for_problem(cls, problem, N_x, M_t):
+        N_x, M_t = integral(N_x, "N_x"), integral(M_t, "M_t")
         if N_x < 5:
             raise ConfigError(f"need at least 5 space nodes, got {N_x}")
         if M_t < _RANNACHER_STEPS + 1:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lazy import lazy_attributes
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, integral
 
 # Nothing here calls quad any more.  It stays an attribute, imported on
 # lookup, only because the benchmark's tracer wraps ``transforms.quad``.
@@ -335,6 +335,7 @@ def verhulst_chart(ts, R, i, N, L, horizon):
     effective level nu_i(t) = y(t)^2 (i + 1/2)^2 / N^2, y = a/L.  The
     heat clock tau depends on the layer, hence layer_clock is set.
     """
+    i, N = integral(i, "i"), integral(N, "N")
     if not 0 <= i < N:
         raise ConfigError(f"layer index {i} outside 0..{N - 1}")
     barrier = _as_curve(L)

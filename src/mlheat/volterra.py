@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, integral
 from .special_functions import _DECAY, _REACH, _folded_kernels, _theta_orders, folded_kernel
 from .transforms import _CHEB, _TAIL, _as_curve, _breaks, _panels, _series_at
 
@@ -77,9 +77,9 @@ class GitLayerProblem:
     y_minus, y_plus: boundary positions, functions of t;
     chi_minus, chi_plus: Dirichlet data, functions of t;
     u0: initial data, a function of x on [y_minus(0), y_plus(0)];
-    T: horizon; M: uniform time steps.  Each function may be a constant, a
-    Curve or a callable, scalar-only callables included; it is stored as a
-    curve (``transforms._as_curve``).
+    T: horizon; M: uniform time steps, an integral number.  Each function
+    may be a constant, a Curve or a callable, scalar-only callables
+    included; it is stored as a curve (``transforms._as_curve``).
     """
 
     y_minus: object
@@ -93,6 +93,7 @@ class GitLayerProblem:
     def __post_init__(self):
         if not (self.T > 0.0 and math.isfinite(self.T)):
             raise ConfigError(f"horizon T must be positive and finite, got {self.T}")
+        object.__setattr__(self, "M", integral(self.M, "M"))
         if self.M < 2:
             raise ConfigError(f"need at least 2 time steps, got M={self.M}")
         for name in ("y_minus", "y_plus", "chi_minus", "chi_plus", "u0"):
@@ -146,6 +147,7 @@ def build_internal_boundaries(chi_minus, chi_plus, N, degree, T):
     2T/3 (never nodes) that lie more than 1e-9 T from the samples taken.
     A T whose power T**degree underflows is a NumericalError.
     """
+    N, degree = integral(N, "N"), integral(degree, "degree")
     if degree not in (1, 2, 3):
         raise ConfigError(f"degree must be 1, 2 or 3, got {degree}")
     if N < 2:
@@ -720,7 +722,8 @@ def git_field_single_layer(problem, gradients, x, tau):
     x is a scalar, giving a float, or an array, giving an ndarray of its
     shape; every point takes the same path.  A point on a wall gives that
     wall's datum (the representation taken by continuity), a point at
-    tau = 0 gives u0, and a point outside the strip raises ``ConfigError``.
+    tau = 0 gives u0, and a point outside the strip or a tau outside
+    [0, T] (NaN included) raises ``ConfigError``.
 
     The history nodes are the gradient grid's nodes before tau.  A pair
     from the march of this very ``problem`` object brings the march's
@@ -733,7 +736,7 @@ def git_field_single_layer(problem, gradients, x, tau):
     K, K' over the history, O(M).
     """
     tau = float(tau)
-    if tau < 0.0 or tau > problem.T + 1e-12 * max(problem.T, 1.0):
+    if not 0.0 <= tau <= problem.T + 1e-12 * max(problem.T, 1.0):
         raise ConfigError(f"time {tau} outside the horizon [0, {problem.T}]")
     grid = gradients.grid
     if tau > grid[-1] + 1e-12 * max(problem.T, 1.0):

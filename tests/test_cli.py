@@ -69,6 +69,17 @@ class TestGreen:
         assert rows[0, 0] == -1.0
         assert rows[0, 1] == 0.0
 
+    def test_integral_float_settings_run_as_integers(self, tmp_path):
+        # "layers": 4.0 runs 4 layers: the same bytes as "layers": 4
+        outs = []
+        for layers, m, grid in ((4, 16, 11), (4.0, 16.0, 11.0)):
+            payload = dict(GREEN_CFG, solver={"m": m, "layers": layers}, eval={"grid": grid})
+            outs.append(tmp_path / f"green_{layers!r}.csv")
+            cfg = write_config(tmp_path, "green.json", payload)
+            assert main(["green", "--config", cfg, "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert read_csv(outs[0])[1].shape == (11, 2)
+
     def test_sigma_length_mismatch_is_config_error(self, tmp_path, capsys):
         payload = {
             "problem": {"boundaries": [0.0, 0.5, 1.0], "sigmas": [0.5, 0.6, 0.7],
@@ -127,10 +138,20 @@ class TestRejectedValues:
         ("green", {"sigma": None}, {}),
         ("green", {}, {"eval": {"grid": 0}}),
         ("green", {}, {"problem": [0.0, 1.0]}),
+        ("green", {}, {"solver": 5}),
+        ("green", {}, {"eval": 3}),
+        ("compare", {}, {"fd": 7}),
+        ("green", {}, {"solver": {"layers": 4.7}}),
+        ("green", {}, {"solver": {"m": 16.5, "layers": 4}}),
+        ("green", {}, {"eval": {"grid": 5.9}}),
+        ("compare", {}, {"fd": {"N_x": 40.5, "M_t": 40}}),
+        ("green", {}, {"output": 5}),
     ], ids=["odd-m", "x0-outside", "x0-on-boundary", "T-nonpositive", "decreasing-boundaries",
             "negative-sigma", "abscissa-outside", "fd-nx-3", "zero-layers", "x0-not-a-number",
             "layers-not-a-number", "scalar-boundaries", "list-sigma", "fd-nx-not-a-number",
-            "layers-contradict-boundaries", "no-sigma", "zero-grid", "problem-not-an-object"])
+            "layers-contradict-boundaries", "no-sigma", "zero-grid", "problem-not-an-object",
+            "solver-not-an-object", "eval-not-an-object", "fd-not-an-object", "layers-4.7",
+            "m-16.5", "grid-5.9", "fd-nx-40.5", "output-not-a-path"])
     def test_rejected_value_exits_2(self, tmp_path, capsys, command, problem, extra):
         # a key given as None is left out
         problem = dict({"y0": 0.0, "yN": 1.0, "sigma": 1.0, "x0": 0.3, "T": 0.1}, **problem)
@@ -309,8 +330,13 @@ class TestTransform:
         ("dupire", {"r": 0.02, "v": 0.04, "T": 1.0, "samples": -3}),
         ("dupire", {"r": 0.02, "v": 0.04, "T": 1.0, "samples": 0}),
         ("divergent", {"xi": {"kind": "linear", "a": 0.8}, "c1": 1.0}),
+        ("divergent", {"xi": 1.0, "c1": 1.0}),
+        ("bk", [1.0]),
+        ("dupire", {"r": 0.02, "v": 0.04, "T": 1.0, "samples": 2.5}),
+        ("verhulst", {"horizon": 1.0, "i": 0.5, "N": 4}),
     ], ids=["dupire-v", "dupire-r", "bk-a", "verhulst-i", "divergent-xi",
-            "samples-negative", "samples-zero", "divergent-xi-kind"])
+            "samples-negative", "samples-zero", "divergent-xi-kind", "xi-not-an-object",
+            "params-a-list", "samples-2.5", "verhulst-i-0.5"])
     def test_non_numeric_param_is_config_error(self, tmp_path, capsys, kind, payload):
         cfg = write_config(tmp_path, "p.json", payload)
         assert main(["transform", kind, "--config", cfg]) == 2
@@ -391,11 +417,14 @@ class TestBoundaries:
         assert main(["boundaries", "--config", cfg]) == 2
 
     @pytest.mark.parametrize("bad", [{"N": "four"}, {"T": [1.0, 2.0]},
-                                     {"chi_plus": ["a", 1.0]}, {"T": math.nan}, {"N": 1}],
-                             ids=["N", "T", "chi_plus", "T-nan", "N-1"])
+                                     {"chi_plus": ["a", 1.0]}, {"T": math.nan}, {"N": 1},
+                                     {"N": 3.9}, {"degree": 2.5}, [1.0]],
+                             ids=["N", "T", "chi_plus", "T-nan", "N-1", "N-3.9", "degree-2.5",
+                                  "params-a-list"])
     def test_non_numeric_value_is_config_error(self, tmp_path, capsys, bad):
-        payload = dict({"chi_minus": -1.0, "chi_plus": 1.0, "N": 4, "degree": 1, "T": 2.0},
-                       **bad)
+        # a list stands for the whole params file
+        payload = bad if isinstance(bad, list) else dict(
+            {"chi_minus": -1.0, "chi_plus": 1.0, "N": 4, "degree": 1, "T": 2.0}, **bad)
         cfg = write_config(tmp_path, "bad.json", payload)
         assert main(["boundaries", "--config", cfg]) == 2
         err = capsys.readouterr().err

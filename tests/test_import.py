@@ -24,9 +24,10 @@ import pytest
 
 import mlheat.fd
 import mlheat.layered
-from mlheat import (ConfigError, FdGrid, GreensProblem, LayeredMedium, StripProblem,
-                    assemble_system, eta_kernel, fd_solve, solve_tridiagonal,
-                    stehfest_weights, theta3)
+from mlheat import (ConfigError, FdGrid, GitLayerProblem, GreensProblem, LayeredMedium,
+                    StripProblem, TermStructure, assemble_system, build_internal_boundaries,
+                    eta_kernel, fd_solve, git_field_single_layer, solve_tridiagonal,
+                    solve_volterra_single_layer, stehfest_weights, theta3, verhulst_chart)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -129,6 +130,15 @@ def _medium():
     return LayeredMedium(np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0]))
 
 
+def _strip(M=4):
+    return GitLayerProblem(0.0, 1.0, 0.0, 0.0, 0.0, T=1.0, M=M)
+
+
+def _field_at_nan_time():
+    problem = _strip()
+    return git_field_single_layer(problem, solve_volterra_single_layer(problem), 0.3, math.nan)
+
+
 @pytest.mark.parametrize("call", [
     lambda: LayeredMedium(np.array([0.0, 1.0, 0.5]), np.array([1.0, 1.0])),
     lambda: LayeredMedium(np.array([0.0, 1.0]), np.array([1.0, 2.0])),
@@ -140,8 +150,18 @@ def _medium():
     lambda: theta3(0.0, 1.0),
     lambda: theta3(math.nan, 0.5),
     lambda: eta_kernel(0.1, 1.0, 1.0, "both"),
+    _field_at_nan_time,
+    lambda: _strip(M=2.5),
+    lambda: _strip(M="5"),
+    lambda: FdGrid.for_problem(GreensProblem(_medium(), x0=0.3, T=1.0), 40.5, 40),
+    lambda: FdGrid.for_problem(GreensProblem(_medium(), x0=0.3, T=1.0), 41, 40.5),
+    lambda: build_internal_boundaries(-1.0, 1.0, 3.5, 1, 1.0),
+    lambda: verhulst_chart(TermStructure(), 1.0, 0.5, 4, 1.0, 1.0),
+    lambda: verhulst_chart(TermStructure(), 1.0, 0, 4.5, 1.0, 1.0),
 ], ids=["decreasing-boundaries", "sigma-count", "x0-on-boundary", "negative-T",
-        "odd-stehfest", "fd-nx-3", "x0-outside-strip", "nome-1", "nan-phase", "eta-parity"])
+        "odd-stehfest", "fd-nx-3", "x0-outside-strip", "nome-1", "nan-phase", "eta-parity",
+        "field-nan-time", "volterra-M-2.5", "volterra-M-string", "fd-nx-40.5", "fd-mt-40.5",
+        "boundaries-N-3.5", "verhulst-i-0.5", "verhulst-N-4.5"])
 def test_rejected_input_raises_config_error(call):
     with pytest.raises(ConfigError):
         call()
