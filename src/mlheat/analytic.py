@@ -5,8 +5,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._workspace import _local, _scratch
 from .errors import ConfigError
-from .special_functions import _theta_orders, folded_kernel
+from .special_functions import _folded_kernels, _theta_orders
 
 
 @dataclass(frozen=True)
@@ -30,6 +31,7 @@ class StripProblem:
             raise ConfigError(f"horizon T must be positive, got {self.T}")
 
 
+@_scratch
 def strip_green(problem, x):
     """Green's function of the strip at time T.
 
@@ -40,19 +42,26 @@ def strip_green(problem, x):
     u = (2/l) sum_k q^(k^2) sin(k w (x0 - y0)) sin(k w (x - y0)),
     w = pi / l, q = exp(-w^2 sigma^2 T), whose terms do not cancel, so a
     decayed profile and the values near the walls keep full relative
-    precision.
+    precision.  The temporaries come from the workspace.
     """
     x = np.asarray(x, dtype=float)
     if not np.all((x >= problem.y0) & (x <= problem.yN)):
         raise ConfigError("evaluation point outside the strip")
+    ws = _local.ws
     l = problem.yN - problem.y0
     delta = problem.sigma ** 2 * problem.T
     if delta < l * l / math.pi:
-        direct = folded_kernel(delta, x - problem.x0, l)
-        image = folded_kernel(delta, x + problem.x0 - 2.0 * problem.y0, l)
-        return 0.5 * (direct - image)
+        direct, image, a = ws.take_many(3, *x.shape)
+        _folded_kernels(delta, np.subtract(x, problem.x0, a), l, (0,), [direct])
+        np.add(x, problem.x0, a)
+        _folded_kernels(delta, np.subtract(a, 2.0 * problem.y0, a), l, (0,), [image])
+        u = np.subtract(direct, image)
+        u *= 0.5
+        return float(u) if u.ndim == 0 else u
     w = math.pi / l
     decay = w * w * delta
     k = _theta_orders(decay)
     weight = 2.0 / l * np.exp(-decay * k * k) * np.sin(k * w * (problem.x0 - problem.y0))
-    return np.sin(np.multiply.outer(x - problem.y0, k * w)) @ weight
+    phase = ws.take(*x.shape, len(k))
+    np.multiply.outer(np.subtract(x, problem.y0, ws.take(*x.shape)), k * w, out=phase)
+    return np.sin(phase, phase) @ weight

@@ -48,16 +48,36 @@ def _write_csv(path, columns):
 
 REQUIRED = object()  # the default of a key a block must give
 
+# the most layers, grid points, FD nodes or steps, samples or strips a config
+# may ask for; a larger count would only fail in numpy's allocation or run
+# for hours
+MAX_COUNT = 100_000
+
+
+def _number(value):
+    """A JSON number as a float; a boolean, a string or null is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _count(value):
+    """An integral number up to MAX_COUNT."""
+    n = integral(value)
+    if n > MAX_COUNT:
+        raise ConfigError(f"{value!r} exceeds the limit of {MAX_COUNT}")
+    return n
+
 
 def _floats(value):
-    """A number or a list of numbers as an at least 1-D float array."""
-    return np.atleast_1d(np.asarray(value, dtype=float))
+    """A number or a list of numbers as a 1-D float array."""
+    return np.array([_number(v) for v in (value if isinstance(value, list) else [value])])
 
 
 def _curve(value):
     """A number as a constant, else polynomial coefficients in t, lowest first."""
-    if isinstance(value, (int, float)):
-        return float(value)
+    if not isinstance(value, list):
+        return _number(value)
     coeffs = _floats(value)
     return lambda t: np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), coeffs)
 
@@ -70,11 +90,12 @@ def _block(value):
 def _read(block, where, **keys):
     """The values of a config block by its schema, as a dict.
 
-    Each keyword maps an allowed key to ``(kind, default)``: ``kind`` (float,
-    ``integral``, ``_floats``, ``_curve`` or a nested reader) converts a given
-    value, the default stands for an absent one, and ``REQUIRED`` makes the
-    key mandatory.  A block that is not a JSON object, an unknown or missing
-    key and a value its kind cannot convert are each a ConfigError.
+    Each keyword maps an allowed key to ``(kind, default)``: ``kind``
+    (``_number``, ``integral``, ``_count``, ``_floats``, ``_curve`` or a
+    nested reader) converts a given value, the default stands for an absent
+    one, and ``REQUIRED`` makes the key mandatory.  A block that is not a
+    JSON object, an unknown or missing key and a value its kind cannot
+    convert are each a ConfigError.
     """
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(block).__name__}")
@@ -107,10 +128,10 @@ def _build_problem(cfg):
     """GreensProblem, Stehfest order and the top-level blocks of a green/compare config."""
     cfg = _read(cfg, "config", problem=(_block, REQUIRED), solver=(_block, {}),
                 fd=(_block, {}), eval=(_block, {}))
-    prob = _read(cfg["problem"], "problem", boundaries=(_floats, None), y0=(float, None),
-                 yN=(float, None), sigmas=(_floats, None), sigma=(float, None),
-                 x0=(float, REQUIRED), T=(float, REQUIRED))
-    solver = _read(cfg["solver"], "solver", m=(integral, DEFAULT_ORDER), layers=(integral, None))
+    prob = _read(cfg["problem"], "problem", boundaries=(_floats, None), y0=(_number, None),
+                 yN=(_number, None), sigmas=(_floats, None), sigma=(_number, None),
+                 x0=(_number, REQUIRED), T=(_number, REQUIRED))
+    solver = _read(cfg["solver"], "solver", m=(integral, DEFAULT_ORDER), layers=(_count, None))
 
     layers, boundaries = solver["layers"], prob["boundaries"]
     if boundaries is not None:
@@ -139,7 +160,7 @@ def _build_problem(cfg):
 
 def cmd_green(cfg, args):
     problem, m, cfg = _build_problem(cfg)
-    grid = _read(cfg["eval"], "eval", grid=(integral, 101), abscissas=(_floats, None))
+    grid = _read(cfg["eval"], "eval", grid=(_count, 101), abscissas=(_floats, None))
     xs = grid["abscissas"]
     if xs is None:
         if grid["grid"] < 1:
@@ -157,7 +178,7 @@ def cmd_green(cfg, args):
 
 def cmd_compare(cfg, args):
     problem, m, cfg = _build_problem(cfg)
-    fd_block = _read(cfg["fd"], "fd", N_x=(integral, REQUIRED), M_t=(integral, REQUIRED))
+    fd_block = _read(cfg["fd"], "fd", N_x=(_count, REQUIRED), M_t=(_count, REQUIRED))
     scheme = stehfest_weights(m)
     grid = FdGrid.for_problem(problem, fd_block["N_x"], fd_block["M_t"])
     t0 = time.perf_counter()
@@ -178,7 +199,7 @@ def cmd_compare(cfg, args):
     return columns
 
 
-_XI_KEYS = {"exp": {"a": (float, REQUIRED)}, "constant": {"value": (float, REQUIRED)},
+_XI_KEYS = {"exp": {"a": (_number, REQUIRED)}, "constant": {"value": (_number, REQUIRED)},
             "sampled": {"x": (_floats, REQUIRED), "values": (_floats, REQUIRED)}}
 
 
@@ -199,22 +220,22 @@ def _xi(spec):
     return Curve(xi["x"], xi["values"])
 
 
-_RATES = {k: (float, None) for k in ("kappa", "theta", "sigma", "s")}
+_RATES = {k: (_number, None) for k in ("kappa", "theta", "sigma", "s")}
 _TRANSFORM_KEYS = {
-    "dupire": dict(r=(float, None), q=(float, None), v=(float, REQUIRED), T=(float, REQUIRED),
-                   state=(float, 1.0)),
-    "bk": dict(_RATES, a=(float, 0.0), b=(float, 0.0), S=(float, REQUIRED), z=(float, 0.0),
-               R=(float, 1.0)),
-    "verhulst": dict(_RATES, R=(float, 1.0), i=(integral, REQUIRED), N=(integral, REQUIRED),
-                     L=(float, 1.0), horizon=(float, REQUIRED), state=(float, 0.5)),
-    "divergent": dict(xi=(_xi, REQUIRED), c1=(float, REQUIRED), c2=(float, 0.0),
-                      z_min=(float, 0.0), z_max=(float, 1.0)),
+    "dupire": dict(r=(_number, None), q=(_number, None), v=(_number, REQUIRED),
+                   T=(_number, REQUIRED), state=(_number, 1.0)),
+    "bk": dict(_RATES, a=(_number, 0.0), b=(_number, 0.0), S=(_number, REQUIRED),
+               z=(_number, 0.0), R=(_number, 1.0)),
+    "verhulst": dict(_RATES, R=(_number, 1.0), i=(integral, REQUIRED), N=(integral, REQUIRED),
+                     L=(_number, 1.0), horizon=(_number, REQUIRED), state=(_number, 0.5)),
+    "divergent": dict(xi=(_xi, REQUIRED), c1=(_number, REQUIRED), c2=(_number, 0.0),
+                      z_min=(_number, 0.0), z_max=(_number, 1.0)),
 }
 
 
 def cmd_transform(cfg, args):
     kind = args.kind
-    p = _read(cfg, f"{kind} params", samples=(integral, 41), **_TRANSFORM_KEYS[kind])
+    p = _read(cfg, f"{kind} params", samples=(_count, 41), **_TRANSFORM_KEYS[kind])
     samples = p["samples"]
     if samples < 1:
         raise ConfigError(f"samples must be at least 1, got {samples}")
@@ -248,7 +269,7 @@ def cmd_transform(cfg, args):
 
 def cmd_boundaries(cfg, args):
     p = _read(cfg, "boundaries params", chi_minus=(_curve, REQUIRED), chi_plus=(_curve, REQUIRED),
-              N=(integral, REQUIRED), degree=(integral, REQUIRED), T=(float, REQUIRED))
+              N=(_count, REQUIRED), degree=(integral, REQUIRED), T=(_number, REQUIRED))
     n, degree, T = p["N"], p["degree"], p["T"]
     if n < 2:
         raise ConfigError(f"N must be at least 2, got {n}")

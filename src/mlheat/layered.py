@@ -26,25 +26,25 @@ row-strided view numpy runs one m-element inner loop per row, which costs
 2-3x as much.  The flux jumps, a diagnostic, are left to their first read,
 which makes a solve of its own.
 
-The (N, m) arrays of a solve (m Laplace nodes) live in one scratch
-workspace per thread: a flat float64 buffer handed out as views in LIFO
-order.  Each public entry releases what it took when it returns or
-raises, and every array it returns is a fresh one, never a view of the
-workspace.  The buffer grows only between calls, to a call's high-water
-mark plus 1/8, and never shrinks, so a thread keeps about the scratch of
-its largest solve (23 MB at N = 20000 with m = 16); later solves of that
-size reuse those pages instead of faulting fresh ones in.
+The (N, m) arrays of a solve (m Laplace nodes) live in the package's one
+scratch workspace per thread (``_workspace``), which the kernel series and
+the Volterra march share.  Each public entry releases what it took when it
+returns or raises, and every array it returns is a fresh one, never a view
+of the workspace.  The buffer grows only between calls and never shrinks,
+so a thread keeps about the scratch of its largest call (23 MB for a solve
+at N = 20000 with m = 16); later solves of that size reuse those pages
+instead of faulting fresh ones in.
 """
 
 import functools
 import math
 import sys as _sys  # solve_tridiagonal's argument is named sys
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._lazy import lazy_attributes
+from ._workspace import _local, _scratch
 from .errors import ConfigError, NumericalError
 from .laplace import stehfest_weights
 
@@ -179,70 +179,6 @@ class SolutionField:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         jumps = self.flux_jumps = flux()
         return jumps
-
-
-# -- scratch workspace -------------------------------------------------------
-
-
-class _Workspace:
-    """Scratch for one thread: a flat float64 buffer handed out in LIFO order.
-
-    ``take`` bumps the top and returns a view of the buffer; resetting
-    ``top`` to an earlier value releases everything taken since.  A take
-    that does not fit gets a fresh array, but the top still counts it, so
-    once the outermost frame is released the buffer grows to the call's
-    high-water mark plus 1/8.  The new buffer is not written then: its
-    pages come in with the next call, after the fresh arrays of this one
-    have gone back to the allocator.
-    """
-
-    def __init__(self):
-        self.buf = np.empty(0)
-        self.size = 0
-        self.top = 0  # elements in use
-        self.peak = 0  # largest top that did not fit
-
-    def take(self, rows, m):
-        lo = self.top
-        hi = self.top = lo + rows * m
-        if hi <= self.size:
-            return self.buf[lo:hi].reshape(rows, m)
-        if hi > self.peak:
-            self.peak = hi
-        return np.empty((rows, m))
-
-    def release(self, mark):
-        self.top = mark
-        if mark == 0 and self.peak > self.size:
-            self.buf = None  # drop the old buffer before taking the new one
-            self.size = self.peak + self.peak // 8
-            self.buf = np.empty(self.size)
-
-
-class _PerThread(threading.local):
-    """One workspace per thread, made on the thread's first solve."""
-
-    def __init__(self):
-        self.ws = _Workspace()
-
-
-_local = _PerThread()
-
-
-def _scratch(fn):
-    """Make ``fn`` a workspace frame: what it takes is released when it
-    returns or raises, so it must return nothing that views the buffer."""
-
-    @functools.wraps(fn)
-    def frame(*args, **kwargs):
-        ws = _local.ws
-        mark = ws.top
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            ws.release(mark)
-
-    return frame
 
 
 # -- the node system in excess/coupling form --------------------------------

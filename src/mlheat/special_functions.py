@@ -15,12 +15,20 @@ function
 
 its z-derivatives and the layer kernels ``eta_even`` / ``eta_odd`` are
 thin calls to it.
+
+The sums take their temporaries from the package's per-thread scratch
+workspace (``_workspace``), as the layered solve does, and write their
+results to arrays the caller passes; the public functions pass fresh ones,
+so what they return is never a view of the workspace, and the Volterra
+march passes workspace views.  A thread keeps the scratch of its largest
+evaluation resident, about 17 doubles per element of the broadcast shape.
 """
 
 import math
 
 import numpy as np
 
+from ._workspace import _local, _scratch
 from .errors import ConfigError
 
 # Truncation.  Theta terms with q^(k^2) below exp(-_DECAY) are dropped;
@@ -48,11 +56,21 @@ def _theta_orders(decay):
     return np.arange(1, int(math.ceil(math.sqrt(_DECAY / decay))) + 1)
 
 
-def _image_sum(delta, a, l, deriv):
+def _power(x, d, out):
+    """x ** d as the ** operator takes it: an array by multiplication into
+    ``out``, a 0-d one as a numpy scalar, by pow(), whose square can differ
+    from x * x in the last bit."""
+    return x[()] ** d if x.ndim == 0 else np.power(x, d, out)
+
+
+def _image_sum(delta, a, l, deriv, outs=None):
     """Gaussian image form of the a-derivatives of K, for |a| <= l.
 
     ``deriv`` is an order 0, 1 or 2, giving its sum, or a tuple of orders,
-    giving a list of their sums from one pass over the images.
+    giving a list of their sums from one pass over the images.  The sums
+    are written to ``outs``, one array of the arguments' broadcast shape
+    per order, or to fresh arrays when it is None; the temporaries come
+    from the workspace.
 
     Neighbouring images differ by a Gaussian factor, so they are built by
     multiplication: with g = exp(-a^2 / (4 delta)), R+- = exp(-l (l +- a) / delta)
@@ -68,54 +86,77 @@ def _image_sum(delta, a, l, deriv):
     """
     orders = deriv if isinstance(deriv, tuple) else (deriv,)
     delta, a, l = (np.asarray(v, dtype=float) for v in (delta, a, l))
-    n_max = int(math.ceil(0.5 * _REACH * math.sqrt(np.max(delta / (l * l), initial=0.0))))
-    two_delta = 2.0 * delta
-    span = 2.0 * l
-    rate = -l / delta
-    g = np.exp((-0.25 / delta) * (a * a))
-    ratio = np.exp(rate * span) if n_max > 1 else None
+    shape = np.broadcast(delta, a, l).shape
+    if outs is None:
+        outs = [np.empty(shape) for _ in orders]
+    ws = _local.ws
+    mark = ws.top
+    rate, ratio = ws.take_many(2, *np.broadcast(delta, l).shape)
+    np.divide(delta, np.multiply(l, l, rate), rate)
+    n_max = int(math.ceil(0.5 * _REACH * math.sqrt(rate.max(initial=0.0))))
+    np.negative(np.divide(l, delta, rate), rate)  # -l / delta
+    two_delta, per_delta, den = ws.take_many(3, *delta.shape)
+    np.multiply(2.0, delta, two_delta)
+    span = np.multiply(2.0, l, ws.take(*l.shape))
+    if n_max > 1:
+        np.exp(np.multiply(rate, span, ratio), ratio)
+    # -a (for the minus side) at the full shape, like every array below
+    g, step, gauss, x, term, b, *minus = ws.take_many(6 + len(orders), *shape)
+    np.multiply(a, a, g)
+    np.exp(np.multiply(np.divide(-0.25, delta, per_delta), g, g), g)
+    odd = max(orders)
 
-    def image(d, x, gauss):
+    def image(d, x, gauss, out):
         # the d-th derivative of exp(-x^2 / (4 delta)) without its factor
         # (-2 delta)^-d, which is applied once to the total
         if d == 0:
             return gauss
         if d == 1:
-            return x * gauss
-        term = x * x - two_delta
-        term *= gauss
-        return term
+            return np.multiply(x, gauss, out)
+        np.multiply(x, x, out)
+        out -= two_delta
+        out *= gauss
+        return out
 
-    def side(b):
+    def side(b, totals):
         # the images at x = b + 2nl, n = 1 ... n_max, summed in place per order
-        step = np.exp(rate * np.maximum(l + b, 0.0))
-        gauss = g * step
-        x = b + span if max(orders) else None
-        totals = [gauss.copy() if d == 0 else image(d, x, gauss) for d in orders]
+        np.exp(np.multiply(rate, np.maximum(np.add(l, b, step), 0.0, out=step), step), step)
+        np.multiply(g, step, gauss)
+        if odd:
+            np.add(b, span, x)
+        for d, total in zip(orders, totals):
+            if d == 0:
+                total[...] = gauss
+            else:
+                image(d, x, gauss, total)
         for _ in range(1, n_max):
-            step *= ratio
-            gauss *= step
-            if x is not None:
-                x += span
-            for i, d in enumerate(orders):
-                totals[i] += image(d, x, gauss)
-        return totals
+            np.multiply(step, ratio, step)
+            np.multiply(gauss, step, gauss)
+            if odd:
+                np.add(x, span, x)
+            for d, total in zip(orders, totals):
+                total += image(d, x, gauss, term)
 
-    sums = []
-    norm = np.sqrt(np.pi * delta)
-    for d, plus, minus in zip(orders, side(a), side(-a)):
+    side(a, outs)
+    side(np.negative(a, b), minus)
+    norm = np.sqrt(np.multiply(np.pi, delta, per_delta), per_delta)
+    for d, plus, other in zip(orders, outs, minus):
         if d == 1:
-            plus -= minus
+            plus -= other
         else:
-            plus += minus
-        plus += image(d, a, g)
-        plus /= norm * (-two_delta) ** d if d else norm
-        sums.append(plus)
-    return sums if isinstance(deriv, tuple) else sums[0]
+            plus += other
+        plus += image(d, a, g, term)
+        if d:
+            plus /= np.multiply(norm, _power(np.negative(two_delta, den), d, den), den)
+        else:
+            plus /= norm
+    ws.top = mark
+    return outs if isinstance(deriv, tuple) else outs[0]
 
 
-def _theta_sum(delta, a, l, deriv):
-    """Theta-series form of the a-derivatives of K; ``deriv`` as ``_image_sum``.
+def _theta_sum(delta, a, l, deriv, outs=None):
+    """Theta-series form of the a-derivatives of K; ``deriv`` and ``outs``
+    as ``_image_sum``.
 
     (1/l) [1 + 2 sum_k q^(k^2) cos(k w a)] with w = pi / l, q = exp(-w^2 delta),
     differentiated term by term.  The terms come by recurrence from one
@@ -127,49 +168,71 @@ def _theta_sum(delta, a, l, deriv):
     """
     orders = deriv if isinstance(deriv, tuple) else (deriv,)
     delta, a, l = (np.asarray(v, dtype=float) for v in (delta, a, l))
-    w = np.pi / l
-    decay = w * w * delta
+    shape = np.broadcast(delta, a, l).shape
+    if outs is None:
+        outs = [np.empty(shape) for _ in orders]
+    ws = _local.ws
+    mark = ws.top
+    w, scale = ws.take_many(2, *l.shape)
+    np.divide(np.pi, l, w)
+    odd, square, weight = ws.take_many(3, *np.broadcast(delta, l).shape)
+    decay = np.multiply(w, w, odd)
+    decay *= delta
+    ks = _theta_orders(decay.min())
     # sum_k k^d q^(k^2) cos(k phi) for even d, sin(k phi) for odd
-    sums = [np.zeros(np.broadcast(delta, a, l).shape) for _ in orders]
-    q = np.exp(-decay)
-    square = q * q
-    weight = odd = q
-    phi = w * a
-    cos = np.cos(phi)
-    twice = 2.0 * cos
-    sin = np.sin(phi) if 1 in orders else None
-    cos_prev, sin_prev = 1.0, 0.0
-    for k in _theta_orders(np.min(decay)):
+    for total in outs:
+        total.fill(0.0)
+    q = np.exp(np.negative(decay, odd), odd)
+    np.multiply(q, q, square)
+    weight[...] = q
+    # cos(k phi) and sin(k phi) at k - 1, k and k + 1, then 2 cos(phi)
+    phase = np.broadcast(a, l).shape
+    waves = ws.take_many(7 if 1 in orders else 4, *phase)
+    cos, twice = waves[:3], waves[3]
+    np.multiply(w, a, twice)
+    np.cos(twice, cos[1])
+    cos[0].fill(1.0)
+    sin = None
+    if 1 in orders:
+        sin = waves[4:]
+        np.sin(twice, sin[1])
+        sin[0].fill(0.0)
+    np.multiply(2.0, cos[1], twice)
+    term = ws.take(*shape)
+    now = 1
+    for k in ks:
         if k > 1:
-            odd = odd * square
-            weight = weight * odd
-            cos_prev, cos = cos, twice * cos - cos_prev
-            if sin is not None:
-                sin_prev, sin = sin, twice * sin - sin_prev
-        for i, d in enumerate(orders):
-            term = weight * (sin if d == 1 else cos)
+            odd *= square
+            weight *= odd
+            new = (now + 1) % 3
+            for wave in (cos, sin) if sin is not None else (cos,):
+                np.multiply(twice, wave[now], wave[new])
+                wave[new] -= wave[now - 1]
+            now = new
+        for d, total in zip(orders, outs):
+            np.multiply(weight, (sin if d == 1 else cos)[now], term)
             if d:
                 term *= float(k ** d)
-            sums[i] += term
-    totals = []
-    for d, total in zip(orders, sums):
+            total += term
+    for d, total in zip(orders, outs):
         if d == 0:
             total *= 2.0
             total += 1.0
         else:
-            total *= -2.0 * w ** d
+            total *= np.multiply(-2.0, _power(w, d, scale), scale)
         total /= l
-        totals.append(total)
-    return totals if isinstance(deriv, tuple) else totals[0]
+    ws.top = mark
+    return outs if isinstance(deriv, tuple) else outs[0]
 
 
-def _folded_kernels(delta, a, l, orders):
+def _folded_kernels(delta, a, l, orders, outs=None):
     """K and its a-derivatives of the given orders from one pass.
 
     The argument checks, the fold into [-l, l], the branch split and one
     image or theta sum serve every order in the tuple ``orders``.
-    Arguments as ``folded_kernel``; returns a list of ndarrays of their
-    broadcast shape, one per order.
+    Arguments as ``folded_kernel``; the results, one per order, of their
+    broadcast shape, are written to ``outs`` or to fresh arrays when it is
+    None, and returned as a list.  The temporaries come from the workspace.
     """
     # checked before broadcasting, so each argument is scanned at its own size
     delta, a, l = (np.asarray(v, dtype=float) for v in (delta, a, l))
@@ -179,35 +242,43 @@ def _folded_kernels(delta, a, l, orders):
         raise ConfigError("offset a must be finite")
     if not ((l > 0.0) & (l < math.inf)).all():
         raise ConfigError("width l must be positive and finite")
-    span = 2.0 * l
-    fold = np.round(a / span)
-    fold *= span
-    a = a - fold
-    image = delta < l * l / math.pi
-    if image.all():
-        return _image_sum(delta, a, l, orders)
-    if not image.any():
-        return _theta_sum(delta, a, l, orders)
-    # the branches split element by element, from arguments copied to the
-    # full shape: a boolean mask gathers several times slower from the
-    # stride-0 views of np.broadcast_arrays
     shape = np.broadcast(delta, a, l).shape
-    full = []
-    for v in (delta, a, l, image):
-        if v.shape != shape:
-            copy = np.empty(shape, v.dtype)
-            copy[...] = v
-            v = copy
-        full.append(v)
-    delta, a, l, image = full
-    outs = [np.empty(delta.shape) for _ in orders]
-    theta = ~image
-    for mask, branch in ((image, _image_sum), (theta, _theta_sum)):
-        for out, part in zip(outs, branch(delta[mask], a[mask], l[mask], orders)):
-            out[mask] = part
+    if outs is None:
+        outs = [np.empty(shape) for _ in orders]
+    ws = _local.ws
+    mark = ws.top
+    span = np.multiply(2.0, l, ws.take(*l.shape))
+    fold = np.divide(a, span, ws.take(*np.broadcast(a, l).shape))
+    np.rint(fold, fold)
+    fold *= span
+    a = np.subtract(a, fold, fold)
+    cut = np.divide(np.multiply(l, l, span), math.pi, span)
+    image = np.less(delta, cut, ws.take_mask(*shape))
+    if image.all():
+        _image_sum(delta, a, l, orders, outs)
+    elif not image.any():
+        _theta_sum(delta, a, l, orders, outs)
+    else:
+        # the branches split element by element, from the arguments copied
+        # as rows of one array of the full shape, so that one call gathers
+        # a branch's three
+        args = ws.take(3, *shape)
+        args[0], args[1], args[2] = delta, a, l
+        args = args.reshape(3, -1)
+        theta = np.logical_not(image, ws.take_mask(*shape))
+        for mask, branch in ((image, _image_sum), (theta, _theta_sum)):
+            inner = ws.top
+            part = ws.take(3 + len(orders), np.count_nonzero(mask))
+            args.compress(mask.reshape(-1), 1, part[:3])
+            branch(part[0], part[1], part[2], orders, list(part[3:]))
+            for out, values in zip(outs, part[3:]):
+                out[mask] = values
+            ws.top = inner
+    ws.top = mark
     return outs
 
 
+@_scratch
 def folded_kernel(delta, a, l, deriv=0):
     """The reflected heat kernel K(delta, a, l) or its a-derivative of order ``deriv``.
 

@@ -9,6 +9,14 @@ image series converges fast for small time lags, the theta series for
 large lags.  Once the gradients are known the field anywhere inside the
 strip follows by quadrature of a boundary-potential representation.
 
+The march builds its coupling block by block, each block's history pairs
+at once, and the field its kernel passes block by block of points; every
+array the size of a block comes from the package's per-thread scratch
+workspace (``_workspace``) and is released at the end of its block, so a
+thread keeps one block's scratch resident (about 3.5 MB at _BLOCK pairs)
+and later blocks and calls reuse those pages.  The public functions
+release what they took when they return or raise and return fresh arrays.
+
 Also provided: construction of polynomial internal boundaries that split a
 moving strip into uniform sub-strips.
 """
@@ -20,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._workspace import _local, _scratch
 from .errors import ConfigError, NumericalError, integral
 from .special_functions import _DECAY, _REACH, _folded_kernels, _theta_orders, folded_kernel
 from .transforms import _CHEB, _TAIL, _as_curve, _breaks, _panels, _series_at
@@ -39,10 +48,24 @@ def _derivative(f, t, T):
 # ----------------------------------------------------------------------
 
 def _self_peak(delta, dy):
-    """dy / (2 sqrt(pi delta^3)) * exp(-dy^2 / (4 delta)) (the n = 0 image)."""
+    """dy / (2 sqrt(pi delta^3)) * exp(-dy^2 / (4 delta)) (the n = 0 image),
+    as a workspace array."""
     delta = np.asarray(delta, dtype=float)
     dy = np.asarray(dy, dtype=float)
-    return dy / (2.0 * np.sqrt(np.pi * delta) * delta) * np.exp(-(dy * dy) / (4.0 * delta))
+    ws = _local.ws
+    shape = np.broadcast(delta, dy).shape
+    peak = ws.take(*shape)
+    mark = ws.top
+    gauss, four = ws.take(*shape), ws.take(*delta.shape)
+    np.sqrt(np.multiply(np.pi, delta, peak), peak)
+    np.multiply(2.0, peak, peak)
+    peak *= delta
+    np.divide(dy, peak, peak)
+    np.negative(np.multiply(dy, dy, gauss), gauss)
+    np.exp(np.divide(gauss, np.multiply(4.0, delta, four), gauss), gauss)
+    peak *= gauss
+    ws.top = mark
+    return peak
 
 
 # ----------------------------------------------------------------------
@@ -419,33 +442,53 @@ def _initial_terms(s, tau, c, l, deriv, spectrum=None):
         out[:, rows] = total / l[rows]
     rows = np.flatnonzero(~theta)
     if len(rows):
+        ws = _local.ws
+        mark = ws.top
         lo, hi = s.edges[0], s.edges[-1]
         cr, span = c[:, rows, None], 2.0 * l[rows, None]
         reach = np.minimum(_REACH * np.sqrt(tau[rows, None]), l[rows, None])
         # images c + 2nl of each centre, n from first; windows out of reach are empty
         first, last = np.ceil((lo - reach - cr) / span), np.floor((hi + reach - cr) / span)
-        centre = cr + span * (first + np.arange(int(np.max(last - first)) + 1))
-        ends = centre + np.multiply.outer([-1.0, 0.0, 1.0], reach)[:, None]
-        cut = np.clip(s.edges, ends[:2].reshape(-1, 1), ends[1:].reshape(-1, 1))
-        piece, j = np.nonzero(cut[:, 1:] > cut[:, :-1])
+        images = np.arange(int(np.max(last - first)) + 1)
+        centre = np.add(first, images, ws.take(*cr.shape[:2], len(images)))
+        np.add(cr, np.multiply(span, centre, centre), centre)
+        ends = ws.take(3, *centre.shape)
+        np.add(centre, np.multiply.outer([-1.0, 0.0, 1.0], reach)[:, None], ends)
+        cut = np.clip(s.edges, ends[:2].reshape(-1, 1), ends[1:].reshape(-1, 1),
+                      out=ws.take(2 * centre.size, len(s.edges)))
+        piece, j = np.nonzero(np.greater(cut[:, 1:], cut[:, :-1],
+                                         ws.take_mask(len(cut), len(s.edges) - 1)))
         xi, u0w = _u0_rule(s, cut[piece, j], cut[piece, j + 1])
         at = piece % centre.size // centre.shape[-1]
         r = rows[at % len(rows), None]
-        terms = u0w * folded_kernel(tau[r], cr.ravel()[at, None] - xi, l[r], deriv)
+        offsets = np.subtract(cr.ravel()[at, None], xi, xi)
+        terms = _folded_kernels(tau[r], offsets, l[r], (deriv,), [ws.take(*xi.shape)])[0]
+        terms *= u0w
         out[:, rows] = np.bincount(at, terms.sum(axis=1), minlength=cr.size).reshape(-1, len(rows))
+        ws.top = mark
     return out
 
 
-def _eta(delta, a, l):
+def _eta(delta, a, l, eta=None):
     """The Stieltjes kernels at the lags delta, shape (2, 2, n): K at the
     offsets a, shape (2, n), of both walls from the minus wall and at
     a + l from the plus wall, each equation's row against each wall's
     data; the self kernels drop the Kronecker spike of the point riding
-    its own boundary."""
-    eta = folded_kernel(delta, np.concatenate([a, a + l]), l).reshape(2, 2, -1)
-    spike = 1.0 / np.sqrt(np.pi * delta)
+    its own boundary.  Written to ``eta``, or to a workspace array."""
+    ws = _local.ws
+    n = a.shape[-1]
+    if eta is None:
+        eta = ws.take(2, 2, n)
+    mark = ws.top
+    offsets = ws.take(4, n)
+    offsets[:2] = a
+    np.add(a, l, offsets[2:])
+    _folded_kernels(delta, offsets, l, (0,), [eta.reshape(4, n)])
+    spike = np.sqrt(np.multiply(np.pi, delta, offsets[0]), offsets[0])
+    np.divide(1.0, spike, spike)
     eta[0, 0] -= spike
     eta[1, 1] -= spike
+    ws.top = mark
     return eta
 
 
@@ -464,17 +507,44 @@ def _pair_weights(s, k, j):
     -chi(0) eta(tau) - sum_j eta(mid_j) (chi_(j+1) - chi_j), each eta at
     the interval's midpoint (``_eta``).
     """
-    t = s.t
-    tau = t[k]
-    ua, ub = tau - t[j], tau - t[j + 1]
-    sqrt_ua, sqrt_ub = np.sqrt(ua), np.sqrt(ub)
+    t, n = s.t, len(j)
+    ws = _local.ws
+    r, gamma = ws.take_many(2, n)
+    eta = ws.take(2, 2, n)
+    mark = ws.top
+    # the arguments of _eta below what only r and gamma need
+    mid, l = ws.take_many(2, n)
+    a = ws.take(2, n)
+    inner = ws.top
+    tau, t_j, t_next, ua, ub, sqrt_ua, sqrt_ub = ws.take_many(7, n)
+    t.take(k, out=tau, mode="clip")
+    t.take(j, out=t_j, mode="clip")
+    after = np.add(j, 1, ws.take(n).view(np.intp))
+    t.take(after, out=t_next, mode="clip")
+    np.subtract(tau, t_j, ua)
+    np.subtract(tau, t_next, ub)
+    np.sqrt(ua, sqrt_ua)
+    np.sqrt(ub, sqrt_ub)
     # on the final interval, ub = 0, chi(s) - chi(tau) is its slope times
     # s - tau: r = 1 / sqrt(ua) and alpha = 0
-    r = 1.0 / np.where(j == k - 1, sqrt_ua, sqrt_ub)
-    gamma = (1.0 / sqrt_ua - r) * ua + sqrt_ua - sqrt_ub
-    ymt = s.y[0, k]
-    l = s.y[1, k] - ymt
-    return r, gamma, _eta(tau - 0.5 * (t[j] + t[j + 1]), ymt - s.y_mid[:, j], l)
+    r[...] = sqrt_ub
+    np.copyto(r, sqrt_ua, where=np.equal(after, k, ws.take_mask(n)))
+    np.divide(1.0, r, r)
+    np.divide(1.0, sqrt_ua, gamma)
+    gamma -= r
+    gamma *= ua
+    gamma += sqrt_ua
+    gamma -= sqrt_ub
+    np.add(t_j, t_next, mid)
+    mid *= 0.5
+    np.subtract(tau, mid, mid)
+    ymt = s.y[0].take(k, out=ua, mode="clip")
+    np.subtract(s.y[1].take(k, out=l, mode="clip"), ymt, l)
+    np.subtract(ymt, s.y_mid.take(j, axis=1, out=a, mode="clip"), a)
+    ws.top = inner
+    _eta(mid, a, l, eta)
+    ws.top = mark
+    return r, gamma, eta
 
 
 def _row_terms(s, k, weak, parts, i0):
@@ -504,38 +574,68 @@ def _march_rows(s, k0, k1, i0):
     Returns d, shape (2, R), and K, shape (2, P, 2), over the P pairs in
     the row-by-row order of ``_pair_weights``; R = k1 - k0.  i0 holds the
     rows' initial-data terms, ``_initial_terms`` at s.y[:, k] with deriv 1.
+    K and every array the size of the block's pairs are workspace arrays.
     """
     t = s.t
     k = np.arange(k0, k1)
-    tau = t[k]
-    ymt, ypt = s.y[:, k]
-    l = ypt - ymt
-    # the history pairs (row r, node j < k0 + r), row by row: row r's
+    n = (k0 + k1 - 1) * (k1 - k0) // 2
+    ws = _local.ws
+    K = ws.take(2, n, 2)
+    base = ws.top
+    # the history pairs (row k_p, node j < k_p), row by row: row r's
     # pairs start at first[r]
-    r, j = np.nonzero(np.arange(k1 - 1) < k[:, None])
     first = np.cumsum(k) - k
-    dchi = np.diff(s.chi)[:, j]
-    w, gamma, eta = _pair_weights(s, k[r], j)
-    weak = np.add.reduceat(w * dchi + gamma * (dchi / (t[j + 1] - t[j])), first, axis=-1)
-    d = _row_terms(s, k, weak, np.add.reduceat(eta * dchi, first, axis=-1), i0)
+    # summed from their steps: k_p steps by 1 where a row starts, j
+    # returns to 0 there and steps by 1 within a row
+    k_p, j = ws.take(2, n).view(np.intp)
+    k_p.fill(0)
+    k_p[0], k_p[first[1:]] = k0, 1
+    j.fill(1)
+    j[0], j[first[1:]] = 0, 1 - k[:-1]
+    np.cumsum(k_p, out=k_p)
+    np.cumsum(j, out=j)
+    mark = ws.top
+    dchi = np.diff(s.chi).take(j, axis=1, out=ws.take(2, n), mode="clip")
+    w, gamma, eta = _pair_weights(s, k_p, j)
+    weak = np.divide(dchi, np.diff(t).take(j, out=ws.take(n), mode="clip"), ws.take(2, n))
+    weak *= gamma
+    weak += np.multiply(w, dchi, ws.take(2, n))
+    eta *= dchi
+    d = _row_terms(s, k, np.add.reduceat(weak, first, axis=-1),
+                   np.add.reduceat(eta, first, axis=-1), i0)
+    ws.top = mark
 
     # moving-boundary memory: kernel = smooth * (tau-s)^(-1/2), integrated
     # with exact sqrt weights and left-endpoint values; regular coupling
     # by the trapezoid rule, the kernels vanishing at s = tau
-    ua = tau[r] - t[j]
-    sqrt_ua = np.sqrt(ua)
-    l_r = l[r]
-    a = ymt[r] - s.y[:, j]
-    ups = folded_kernel(ua, np.concatenate([a, a + l_r]), l_r, 1)
+    tau, ua, sqrt_ua, ymt, ypt, l, memory, q, tmp = ws.take_many(9, n)
+    t.take(k_p, out=tau, mode="clip")
+    np.subtract(tau, t.take(j, out=tmp, mode="clip"), ua)
+    np.sqrt(ua, sqrt_ua)
+    s.y[0].take(k_p, out=ymt, mode="clip")
+    s.y[1].take(k_p, out=ypt, mode="clip")
+    np.subtract(ypt, ymt, l)
+    offsets = ws.take(4, n)
+    a = s.y.take(j, axis=1, out=offsets[:2], mode="clip")
+    np.subtract(ymt, a, a)
+    np.add(a, l, offsets[2:])
+    ups = _folded_kernels(ua, offsets, l, (1,), [ws.take(4, n)])[0]
     peak_m = _self_peak(ua, a[0])
-    peak_p = _self_peak(ua, ypt[r] - s.y[1, j])
-    memory = 2.0 * sqrt_ua * (sqrt_ua - np.sqrt(tau[r] - t[j + 1]))
-    q = s.q[j]
+    peak_p = _self_peak(ua, np.subtract(ypt, s.y[1].take(j, out=tmp, mode="clip"), tmp))
+    # ymt is done with: it takes tau - t_(j+1)
+    lag = t.take(np.add(j, 1, ws.take(n).view(np.intp)), out=ymt, mode="clip")
+    np.sqrt(np.subtract(tau, lag, lag), lag)
+    np.multiply(2.0, sqrt_ua, memory)
+    memory *= np.subtract(sqrt_ua, lag, lag)
+    s.q.take(j, out=q, mode="clip")
     # columns of the unknowns omega, theta, each over the equations e
-    K = np.stack([
-        [peak_m * memory - q * (ups[0] + peak_m), q * ups[2]],
-        [-q * ups[1], q * (ups[3] + peak_p) - peak_p * memory],
-    ], axis=-1)
+    np.multiply(q, np.add(ups[0], peak_m, tmp), tmp)
+    np.subtract(np.multiply(peak_m, memory, K[0, :, 0]), tmp, K[0, :, 0])
+    np.multiply(q, ups[2], K[1, :, 0])
+    np.multiply(np.negative(q, tmp), ups[1], K[0, :, 1])
+    np.multiply(q, np.add(ups[3], peak_p, tmp), tmp)
+    np.subtract(tmp, np.multiply(peak_p, memory, peak_p), K[1, :, 1])
+    ws.top = base
     return d, K
 
 
@@ -566,6 +666,7 @@ def _lag_rows(s, i0):
     return _row_terms(s, np.arange(1, M + 1), weak, parts, i0)
 
 
+@_scratch
 def solve_volterra_single_layer(problem):
     """March the coupled gradient equations forward on the uniform grid.
 
@@ -597,6 +698,8 @@ def solve_volterra_single_layer(problem):
     if np.all(s.y == s.y[:, :1]) and np.all(s.y_mid == s.y[:, :1]):
         hist[1:] = _lag_rows(s, i0).T
     else:
+        ws = _local.ws
+        mark = ws.top
         k0 = 1
         while k0 <= M:
             # R rows, R (k0 + R) <= _BLOCK, hold fewer than _BLOCK pairs
@@ -606,6 +709,7 @@ def solve_volterra_single_layer(problem):
             for r, k in enumerate(range(k0, k1)):
                 hist[k] = d[:, r] + K[:, f:f + k].reshape(2, 2 * k) @ hist[:k].ravel()
                 f += k
+            ws.top = mark
             k0 = k1
     if not np.all(np.isfinite(hist)):
         raise NumericalError("gradient march produced non-finite values")
@@ -631,6 +735,7 @@ def check_refinement(problem, rel_tol=0.10):
     return coarse, fine
 
 
+@_scratch
 def _gradient_residual(problem, gradients):
     """Self-consistency residual of a solved gradient pair at tau = T.
 
@@ -701,21 +806,34 @@ class _Instant:
         out = 0.5 * (i0[:len(x)] - i0[len(x):])
         f = np.stack([gradients.omega[:n] - self.drift[0], gradients.theta[:n] + self.drift[1]])
         step = max(1, _BLOCK // n)
+        ws = _local.ws
+        mark = ws.top
         for p in range(0, len(x), step):
             xp = x[p:p + step, None, None]
+            size = len(xp)
             # offsets (direct, mirror) x point x wall (y-, y+) x node
-            a = np.stack([xp - self.y, xp + self.y - 2.0 * self.ymt])
-            kernel, slope = _folded_kernels(self.dh, a, self.l, (0, 1))
-            upsilon = 0.5 * (kernel[0] - kernel[1])
-            lam = -0.5 * (slope[0] + slope[1])
-            flux = f[0] * upsilon[:, 0] + f[1] * upsilon[:, 1]
-            flux += self.chi_h[0] * lam[:, 0] - self.chi_h[1] * lam[:, 1]
+            a, kernel, slope = ws.take_many(3, 2, size, 2, n)
+            np.subtract(xp, self.y, a[0])
+            np.subtract(np.add(xp, self.y, a[1]), 2.0 * self.ymt, a[1])
+            _folded_kernels(self.dh, a, self.l, (0, 1), [kernel, slope])
+            upsilon = np.subtract(kernel[0], kernel[1], kernel[0])
+            upsilon *= 0.5
+            lam = np.add(slope[0], slope[1], slope[0])
+            lam *= -0.5
+            flux, term, double = ws.take_many(3, size, n)
+            np.multiply(f[0], upsilon[:, 0], flux)
+            flux += np.multiply(f[1], upsilon[:, 1], term)
+            np.multiply(self.chi_h[0], lam[:, 0], double)
+            double -= np.multiply(self.chi_h[1], lam[:, 1], term)
+            flux += double
             # summed row by row, so a point's value does not depend on its block
             flux *= self.q
             out[p:p + step] += flux.sum(axis=-1)
+            ws.top = mark
         return out
 
 
+@_scratch
 def git_field_single_layer(problem, gradients, x, tau):
     """Field inside the strip at the points x, at one time tau, from solved gradients.
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mlheat import layered
+from mlheat import _workspace, layered
 from mlheat.analytic import StripProblem, strip_green
 from mlheat.errors import ConfigError, NumericalError
 from mlheat.laplace import stehfest_weights
@@ -191,7 +191,7 @@ class TestReduce:
     def test_every_source_node_matches_dgtsv(self, n):
         # odd and even n, and a kept parity q of 0 and 1 at every level
         rng = np.random.default_rng(n)
-        reduce = layered._scratch(lambda *args: layered._reduce(*args).copy())
+        reduce = _workspace._scratch(lambda *args: layered._reduce(*args).copy())
         m = 3
         for p in range(n):
             excess, coupling = self.random_system(n, m, rng)
@@ -207,7 +207,7 @@ class TestReduce:
                     offdiag=-coupling[1:-1, k], rhs=rhs, lam=1.0))
                 assert np.max(np.abs(g[1:-1, k] - want)) <= 1e-13 * np.max(np.abs(want))
             self.assert_held_rows_fit(n, p)
-        assert layered._local.ws.top == 0
+        assert _workspace._local.ws.top == 0
 
     @staticmethod
     def assert_held_rows_fit(n, p):
@@ -547,7 +547,7 @@ class TestLazyFluxJumps:
         assert np.all(np.isfinite(sol.values))
         with pytest.raises(NumericalError, match="non-finite flux jumps"):
             sol.flux_jumps
-        assert layered._local.ws.top == 0
+        assert _workspace._local.ws.top == 0
 
     def test_given_jumps_are_kept(self):
         jumps = np.array([1.0, -2.0])
@@ -584,7 +584,7 @@ class TestWorkspace:
 
     @staticmethod
     def assert_released():
-        assert layered._local.ws.top == 0
+        assert _workspace._local.ws.top == 0
 
     @staticmethod
     def assert_same(got, want):

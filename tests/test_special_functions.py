@@ -1,6 +1,8 @@
 """Tests for the Jacobi theta functions and layer image kernels."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mlheat import _workspace
+from mlheat.analytic import StripProblem, strip_green
 from mlheat.errors import ConfigError
 from mlheat.special_functions import (_folded_kernels, _image_sum, _theta_sum, eta_kernel,
                                       folded_kernel,
@@ -306,3 +310,77 @@ class TestKernelPass:
             single = folded_kernel(delta, a, l, d)
             scale = np.maximum(np.abs(single), l ** -(d + 1.0))
             assert np.all(np.abs(v - single) <= 2.0 * np.spacing(scale))
+
+
+class TestWorkspace:
+    """The kernel entries take their scratch from the per-thread workspace.
+
+    Each releases it on return and on error and returns fresh arrays, so
+    a call is bit-identical whatever ran before it and leaves earlier
+    results untouched.
+    """
+
+    @staticmethod
+    def outputs(seed, n):
+        """Every kernel entry on n random arguments on both sides of the
+        image/theta switch, and the strip Green's function on both of its
+        paths."""
+        rng = np.random.default_rng(seed)
+        delta, l = 10.0 ** rng.uniform(-3.0, 1.0, n), rng.uniform(0.2, 2.0, n)
+        a = rng.uniform(-3.0, 3.0, (3, n))
+        z, q = rng.uniform(-4.0, 4.0, n), rng.uniform(0.0, 0.999, n)
+        out = {f"kernel{d}": folded_kernel(delta, a, l, d) for d in (0, 1, 2)}
+        out.update((f.__name__, f(z, q)) for f in (theta3, theta3_dz, theta3_dzz))
+        out["eta"] = np.array([eta_kernel(dt, 0.7, 0.5, parity)
+                               for dt in delta[:20] for parity in ("even", "odd")])
+        xs = np.linspace(-1.0, 2.0, n)
+        for T in (0.05, 3.0):
+            out[f"strip{T}"] = strip_green(StripProblem(-1.0, 2.0, 0.8, 0.3, T), xs)
+        return out
+
+    @staticmethod
+    def assert_released():
+        ws = _workspace._local.ws
+        assert ws.top == 0 and ws.depth == 0
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+    def test_calls_do_not_see_each_other(self):
+        first = self.outputs(1, 3000)
+        first_kept = {k: v.copy() for k, v in first.items()}
+        other = self.outputs(2, 700)
+        other_kept = {k: v.copy() for k, v in other.items()}
+        self.assert_same(self.outputs(1, 3000), first_kept)
+        self.assert_same(first, first_kept)
+        self.assert_released()
+        with pytest.raises(ConfigError, match="delta must be positive"):
+            folded_kernel(np.array([0.1, 0.0]), 0.3, 1.0)
+        self.assert_released()
+        with pytest.raises(ConfigError, match="outside the strip"):
+            strip_green(StripProblem(-1.0, 2.0, 0.8, 0.3, 1.0), np.array([0.0, 3.0]))
+        self.assert_released()
+        self.assert_same(self.outputs(1, 3000), first_kept)
+        self.assert_same(first, first_kept)
+        self.assert_same(other, other_kept)
+
+    def test_threads_match_the_serial_calls(self):
+        sizes = ((1, 3000), (2, 40), (3, 1500), (4, 700))
+        serial = [self.outputs(*size) for size in sizes]
+
+        def evaluate_many(size):
+            return [self.outputs(*size) for _ in range(10)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-call as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(evaluate_many, sizes, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        for want, runs in zip(serial, threaded):
+            for got in runs:
+                self.assert_same(got, want)

@@ -3,14 +3,18 @@
 import dataclasses
 import functools
 import math
+import os
 import pickle
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from mlheat.analytic import StripProblem, strip_green
 from mlheat.errors import ConfigError, NumericalError
-from mlheat import volterra
+from mlheat import _workspace, volterra
 from mlheat.special_functions import (_REACH, _image_sum, _theta_orders, _theta_sum,
                                      folded_kernel, theta3_dz)
 from mlheat.transforms import Curve, _as_curve
@@ -945,3 +949,123 @@ class TestFieldArray:
         # one table read per tau, and y' of each wall once for the march
         assert len(reads) == 2
         assert slopes == [prob.y_minus, prob.y_plus]
+
+
+# one moving march plus a 101-point field at M = 200, warmed twice, then
+# the minor page faults of a third; in a fresh interpreter, because a large
+# free earlier in a process raises glibc's dynamic thresholds and hides
+# temporaries that go back to the system at the end of every block
+FAULTS = """
+import math, resource
+import numpy as np
+from mlheat import GitLayerProblem, git_field_single_layer, solve_volterra_single_layer
+problem = GitLayerProblem(y_minus=0.0, y_plus=lambda t: 1.0 + 0.3 * t, chi_minus=0.1,
+                          chi_plus=lambda t: 0.2 + 0.1 * t,
+                          u0=lambda x: 0.1 + 0.1 * x + math.sin(math.pi * x), T=0.8, M=200)
+xs = np.linspace(0.005, 1.235, 101)
+
+def run():
+    git_field_single_layer(problem, solve_volterra_single_layer(problem), xs, problem.T)
+
+# the first call sizes the workspace; the second brings its pages in
+for _ in range(2):
+    run()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestWorkspace:
+    """The march and the field take their scratch from the per-thread
+    workspace that the kernels and the layered solve share.
+
+    Each public entry releases it on return and on error and returns
+    fresh arrays, so a call is bit-identical whatever ran before it and
+    leaves earlier results untouched.
+    """
+
+    @staticmethod
+    def outputs(problem):
+        """Every array the march and the field return for ``problem``."""
+        g = solve_volterra_single_layer(problem)
+        lo, hi = float(problem.y_minus(problem.T)), float(problem.y_plus(problem.T))
+        xs = lo + (hi - lo) * np.linspace(0.02, 0.98, 41)
+        return {"omega": g.omega, "theta": g.theta,
+                "field": git_field_single_layer(problem, g, xs, problem.T),
+                "early": np.array(git_field_single_layer(problem, g, 0.5, 0.2 * problem.T)),
+                "residual": np.array(_gradient_residual(problem, g))}
+
+    @staticmethod
+    def assert_released():
+        ws = _workspace._local.ws
+        assert ws.top == 0 and ws.depth == 0
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), key
+
+    def test_calls_do_not_see_each_other(self, monkeypatch):
+        a = moving_problem(120)
+        b = caloric_problem((0.0, 0.0, 0.0, 1.0), 0.2, -0.2, 0.3, 0.7, 45)
+        first = self.outputs(a)
+        first_kept = {k: v.copy() for k, v in first.items()}
+        other = self.outputs(b)
+        other_kept = {k: v.copy() for k, v in other.items()}
+        self.assert_same(self.outputs(a), first_kept)
+        self.assert_same(first, first_kept)
+        self.assert_released()
+        # calls that raise release the scratch: a point outside the strip,
+        # and a march that fails inside a block, after its tables are taken
+        g = solve_volterra_single_layer(b)
+        with pytest.raises(ConfigError, match="outside the strip"):
+            git_field_single_layer(b, g, np.array([0.3, 5.0]), b.T)
+        self.assert_released()
+
+        def failing(*args):
+            raise NumericalError("inside a block")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(volterra, "_self_peak", failing)
+            with pytest.raises(NumericalError, match="inside a block"):
+                solve_volterra_single_layer(a)
+        self.assert_released()
+        self.assert_same(self.outputs(a), first_kept)
+        self.assert_same(first, first_kept)
+        self.assert_same(other, other_kept)
+
+    def test_threads_match_the_serial_calls(self):
+        problems = [moving_problem(M) for M in (90, 30, 60)]
+        problems.append(caloric_problem((0.5, 0.3, 1.0, -0.7), 0.0, 0.0, 0.0, 0.7, 60))
+        serial = [self.outputs(p) for p in problems]
+
+        def solve_many(problem):
+            return [self.outputs(problem) for _ in range(4)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads mid-march as often as possible
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(solve_many, problems, timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        for want, runs in zip(serial, threaded):
+            for got in runs:
+                self.assert_same(got, want)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts minor page faults with getrusage")
+    def test_march_and_field_take_no_fresh_pages(self):
+        # each block's kernel temporaries, allocated afresh, went back to
+        # the system at the end of the block and faulted in again in the
+        # next: about 4300 minor faults per call
+        pytest.importorskip("resource")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", FAULTS], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        faults = int(proc.stdout.split()[-1])
+        assert faults <= 200, f"{faults} minor page faults in one march and field at M = 200"
