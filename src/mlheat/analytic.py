@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._workspace import _local, _scratch
-from .errors import ConfigError
+from .errors import ConfigError, number, positive
 from .special_functions import _folded_kernels, _theta_orders
 
 
@@ -21,14 +21,13 @@ class StripProblem:
     T: float
 
     def __post_init__(self):
+        for name, rule in (("y0", number), ("yN", number), ("sigma", positive), ("x0", number),
+                           ("T", positive)):
+            object.__setattr__(self, name, rule(getattr(self, name), name))
         if not self.y0 < self.x0 < self.yN:
             raise ConfigError(
                 f"source x0={self.x0} must lie strictly inside ({self.y0}, {self.yN})"
             )
-        if not (np.isfinite(self.sigma) and self.sigma > 0.0):
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
-        if not (np.isfinite(self.T) and self.T > 0.0):
-            raise ConfigError(f"horizon T must be positive, got {self.T}")
 
 
 @_scratch

@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from .analytic import StripProblem, strip_green
-from .errors import ConfigError, NumericalError, integral
+from .errors import ConfigError, NumericalError, integral, number, positive
 from .fd import FdGrid, fd_solve
 from .laplace import DEFAULT_ORDER, stehfest_weights
 from .layered import GreensProblem, LayeredMedium, greens_function
@@ -48,17 +48,10 @@ def _write_csv(path, columns):
 
 REQUIRED = object()  # the default of a key a block must give
 
-# the most layers, grid points, FD nodes or steps, samples or strips a config
-# may ask for; a larger count would only fail in numpy's allocation or run
-# for hours
+# the largest integer setting a config may give (layers, grid points, FD nodes
+# or steps, samples, strips, Stehfest order, degree, layer index); a larger
+# count would only fail in numpy's allocation or run for hours
 MAX_COUNT = 100_000
-
-
-def _number(value):
-    """A JSON number as a float; a boolean, a string or null is rejected."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"expected a number, got {value!r}")
-    return float(value)
 
 
 def _count(value):
@@ -71,13 +64,13 @@ def _count(value):
 
 def _floats(value):
     """A number or a list of numbers as a 1-D float array."""
-    return np.array([_number(v) for v in (value if isinstance(value, list) else [value])])
+    return np.array([number(v) for v in (value if isinstance(value, list) else [value])])
 
 
 def _curve(value):
     """A number as a constant, else polynomial coefficients in t, lowest first."""
     if not isinstance(value, list):
-        return _number(value)
+        return number(value)
     coeffs = _floats(value)
     return lambda t: np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), coeffs)
 
@@ -91,8 +84,8 @@ def _read(block, where, **keys):
     """The values of a config block by its schema, as a dict.
 
     Each keyword maps an allowed key to ``(kind, default)``: ``kind``
-    (``_number``, ``integral``, ``_count``, ``_floats``, ``_curve`` or a
-    nested reader) converts a given value, the default stands for an absent
+    (``number``, ``positive``, ``_count``, ``_floats``, ``_curve`` or a nested
+    reader) converts a given value, the default stands for an absent
     one, and ``REQUIRED`` makes the key mandatory.  A block that is not a
     JSON object, an unknown or missing key and a value its kind cannot
     convert are each a ConfigError.
@@ -128,10 +121,10 @@ def _build_problem(cfg):
     """GreensProblem, Stehfest order and the top-level blocks of a green/compare config."""
     cfg = _read(cfg, "config", problem=(_block, REQUIRED), solver=(_block, {}),
                 fd=(_block, {}), eval=(_block, {}))
-    prob = _read(cfg["problem"], "problem", boundaries=(_floats, None), y0=(_number, None),
-                 yN=(_number, None), sigmas=(_floats, None), sigma=(_number, None),
-                 x0=(_number, REQUIRED), T=(_number, REQUIRED))
-    solver = _read(cfg["solver"], "solver", m=(integral, DEFAULT_ORDER), layers=(_count, None))
+    prob = _read(cfg["problem"], "problem", boundaries=(_floats, None), y0=(number, None),
+                 yN=(number, None), sigmas=(_floats, None), sigma=(number, None),
+                 x0=(number, REQUIRED), T=(number, REQUIRED))
+    solver = _read(cfg["solver"], "solver", m=(_count, DEFAULT_ORDER), layers=(_count, None))
 
     layers, boundaries = solver["layers"], prob["boundaries"]
     if boundaries is not None:
@@ -199,7 +192,7 @@ def cmd_compare(cfg, args):
     return columns
 
 
-_XI_KEYS = {"exp": {"a": (_number, REQUIRED)}, "constant": {"value": (_number, REQUIRED)},
+_XI_KEYS = {"exp": {"a": (number, REQUIRED)}, "constant": {"value": (number, REQUIRED)},
             "sampled": {"x": (_floats, REQUIRED), "values": (_floats, REQUIRED)}}
 
 
@@ -220,16 +213,16 @@ def _xi(spec):
     return Curve(xi["x"], xi["values"])
 
 
-_RATES = {k: (_number, None) for k in ("kappa", "theta", "sigma", "s")}
+_RATES = {k: (number, None) for k in ("kappa", "theta", "sigma", "s")}
 _TRANSFORM_KEYS = {
-    "dupire": dict(r=(_number, None), q=(_number, None), v=(_number, REQUIRED),
-                   T=(_number, REQUIRED), state=(_number, 1.0)),
-    "bk": dict(_RATES, a=(_number, 0.0), b=(_number, 0.0), S=(_number, REQUIRED),
-               z=(_number, 0.0), R=(_number, 1.0)),
-    "verhulst": dict(_RATES, R=(_number, 1.0), i=(integral, REQUIRED), N=(integral, REQUIRED),
-                     L=(_number, 1.0), horizon=(_number, REQUIRED), state=(_number, 0.5)),
-    "divergent": dict(xi=(_xi, REQUIRED), c1=(_number, REQUIRED), c2=(_number, 0.0),
-                      z_min=(_number, 0.0), z_max=(_number, 1.0)),
+    "dupire": dict(r=(number, None), q=(number, None), v=(number, REQUIRED),
+                   T=(number, REQUIRED), state=(number, 1.0)),
+    "bk": dict(_RATES, a=(number, 0.0), b=(number, 0.0), S=(number, REQUIRED),
+               z=(number, 0.0), R=(number, 1.0)),
+    "verhulst": dict(_RATES, R=(number, 1.0), i=(_count, REQUIRED), N=(_count, REQUIRED),
+                     L=(number, 1.0), horizon=(number, REQUIRED), state=(number, 0.5)),
+    "divergent": dict(xi=(_xi, REQUIRED), c1=(number, REQUIRED), c2=(number, 0.0),
+                      z_min=(number, 0.0), z_max=(number, 1.0)),
 }
 
 
@@ -269,14 +262,12 @@ def cmd_transform(cfg, args):
 
 def cmd_boundaries(cfg, args):
     p = _read(cfg, "boundaries params", chi_minus=(_curve, REQUIRED), chi_plus=(_curve, REQUIRED),
-              N=(_count, REQUIRED), degree=(integral, REQUIRED), T=(_number, REQUIRED))
+              N=(_count, REQUIRED), degree=(_count, REQUIRED), T=(positive, REQUIRED))
     n, degree, T = p["N"], p["degree"], p["T"]
     if n < 2:
         raise ConfigError(f"N must be at least 2, got {n}")
     if degree not in (1, 2, 3):
         raise ConfigError(f"degree must be 1, 2 or 3, got {degree}")
-    if not (math.isfinite(T) and T > 0.0):
-        raise ConfigError(f"T must be positive and finite, got {T}")
     try:
         bset = build_internal_boundaries(p["chi_minus"], p["chi_plus"], n, degree, T)
     except ConfigError as exc:

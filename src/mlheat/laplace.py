@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._lazy import lazy_attributes
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, integral, positive
 
 # scipy.integrate serves only the forward-transform oracle, so it is
 # imported at its first call, not with the package
@@ -58,9 +58,9 @@ def stehfest_weights(m=DEFAULT_ORDER):
     hold to the last bit.  Each order is built once per process; the
     weights are read-only, since every caller shares them.
     """
-    if m != int(m) or m < 2 or m % 2 != 0:
+    m = integral(m, "Stehfest order")
+    if m < 2 or m % 2 != 0:
         raise ConfigError(f"Stehfest order must be a positive even integer, got {m}")
-    m = int(m)
     if m > _MAX_ORDER:
         raise ConfigError(f"Stehfest order {m} exceeds the double-precision limit {_MAX_ORDER}")
     return _stehfest_scheme(m)
@@ -98,8 +98,7 @@ def invert_laplace(F, T, scheme=None):
 
     ``F`` may return a scalar or an ndarray (inverted componentwise, bitwise).
     """
-    if not (np.isfinite(T) and T > 0.0):
-        raise ConfigError(f"time T must be positive, got {T}")
+    T = positive(T, "time T")
     if scheme is None:
         scheme = stehfest_weights()
     vals = []
@@ -119,12 +118,8 @@ def forward_laplace_numeric(f, lam, t_max=None, tol=1e-12):
     the integral is computed with the substitution u = sqrt(t).  The tail
     is truncated at ``t_max``, by default where exp(-lam t) < tol.
     """
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise ConfigError(f"lambda must be positive, got {lam}")
-    if t_max is None:
-        t_max = -math.log(tol) / lam
-    if t_max <= 0.0:
-        raise ConfigError(f"t_max must be positive, got {t_max}")
+    lam, tol = positive(lam, "lambda"), positive(tol, "tol")
+    t_max = positive(-math.log(tol) / lam if t_max is None else t_max, "t_max")
     split = min(1.0 / lam, 0.5 * t_max)
     quad = sys.modules[__name__].quad
     head, err1 = quad(

@@ -45,7 +45,7 @@ import numpy as np
 
 from ._lazy import lazy_attributes
 from ._workspace import _local, _scratch
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, NumericalError, number, positive
 from .laplace import stehfest_weights
 
 # LAPACK's dgtsv serves only the solve_tridiagonal oracle, so scipy is
@@ -85,7 +85,7 @@ class LayeredMedium:
     def uniform(cls, y0, yN, sigmas):
         """Split [y0, yN] into len(sigmas) equal layers."""
         sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-        return cls(np.linspace(y0, yN, len(sigmas) + 1), sigmas)
+        return cls(np.linspace(number(y0, "y0"), number(yN, "yN"), len(sigmas) + 1), sigmas)
 
     @property
     def n_layers(self):
@@ -102,7 +102,7 @@ def locate_source_layer(medium, x0):
     A source sitting exactly on an internal boundary has no well-defined
     source layer and is rejected.
     """
-    b = medium.boundaries
+    b, x0 = medium.boundaries, number(x0, "x0")
     if not (b[0] < x0 < b[-1]):
         raise ConfigError(f"source x0={x0} outside the open strip ({b[0]}, {b[-1]})")
     j = int(np.searchsorted(b, x0, side="left"))
@@ -120,8 +120,8 @@ class GreensProblem:
     T: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.T) and self.T > 0.0):
-            raise ConfigError(f"horizon T must be positive, got {self.T}")
+        object.__setattr__(self, "x0", number(self.x0, "x0"))
+        object.__setattr__(self, "T", positive(self.T, "horizon T"))
         object.__setattr__(self, "_j", locate_source_layer(self.medium, self.x0))
 
     @property
@@ -205,9 +205,7 @@ def _sinh_ratios(p, q):
 
 
 def _sqrt_lam(lam):
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise ConfigError("Laplace variable must be positive and finite")
-    return np.array([math.sqrt(lam)])
+    return np.array([math.sqrt(positive(lam, "Laplace variable"))])
 
 
 def _excess_couplings(sigmas, omegas, sq):
@@ -422,7 +420,7 @@ def laplace_field(problem, lam, g_hat, x):
     g = np.concatenate(([0.0], gh[: j - 1], [0.0], gh[j - 1 :], [0.0]))
     left, right = coupling[j - 1, 0], coupling[j, 0]
     g[j] = (1.0 / sq[0] + left * g[j - 1] + right * g[j + 1]) / (excess[j - 1, 0] + left + right)
-    return float(_field(nodes, sigmas, sq, g[:, None], np.atleast_1d(float(x)))[0, 0])
+    return float(_field(nodes, sigmas, sq, g[:, None], np.atleast_1d(number(x, "x")))[0, 0])
 
 
 def _flux_residual(excess, coupling, sq, g, j):

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from ._workspace import _local, _scratch
-from .errors import ConfigError
+from .errors import ConfigError, positive
 
 # Truncation.  Theta terms with q^(k^2) below exp(-_DECAY) are dropped;
 # images more than _REACH sqrt(delta) beyond [-l, l] are dropped, being
@@ -38,29 +38,10 @@ _DECAY = 42.0
 _REACH = 13.0
 
 
-def _check_args(z, q):
-    z = np.asarray(z, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if not np.all(np.isfinite(q)):
-        raise ConfigError("nome q must be finite")
-    if np.any(q < 0.0) or np.any(q >= 1.0):
-        raise ConfigError("nome q must lie in [0, 1)")
-    if not np.all(np.isfinite(z)):
-        raise ConfigError("phase z must be finite")
-    return z, q
-
-
 def _theta_orders(decay):
     """The orders k = 1 ... K of the theta terms kept when the smallest
     w^2 delta is ``decay``: q^(k^2) = exp(-decay k^2) down to exp(-_DECAY)."""
     return np.arange(1, int(math.ceil(math.sqrt(_DECAY / decay))) + 1)
-
-
-def _power(x, d, out):
-    """x ** d as the ** operator takes it: an array by multiplication into
-    ``out``, a 0-d one as a numpy scalar, by pow(), whose square can differ
-    from x * x in the last bit."""
-    return x[()] ** d if x.ndim == 0 else np.power(x, d, out)
 
 
 def _image_sum(delta, a, l, deriv, outs=None):
@@ -147,7 +128,7 @@ def _image_sum(delta, a, l, deriv, outs=None):
             plus += other
         plus += image(d, a, g, term)
         if d:
-            plus /= np.multiply(norm, _power(np.negative(two_delta, den), d, den), den)
+            plus /= np.multiply(norm, np.power(np.negative(two_delta, den), d, den), den)
         else:
             plus /= norm
     ws.top = mark
@@ -219,7 +200,7 @@ def _theta_sum(delta, a, l, deriv, outs=None):
             total *= 2.0
             total += 1.0
         else:
-            total *= np.multiply(-2.0, _power(w, d, scale), scale)
+            total *= np.multiply(-2.0, np.power(w, d, scale), scale)
         total /= l
     ws.top = mark
     return outs if isinstance(deriv, tuple) else outs[0]
@@ -301,8 +282,11 @@ def folded_kernel(delta, a, l, deriv=0):
 
 
 def _theta3_deriv(z, q, deriv):
-    # theta3(z, q) = l K(delta, z, l) with l = pi/2 and q = exp(-4 delta)
-    z, q = _check_args(z, q)
+    # theta3(z, q) = l K(delta, z, l) with l = pi/2 and q = exp(-4 delta);
+    # folded_kernel checks the phase z
+    q = np.asarray(q, dtype=float)
+    if not np.all((q >= 0.0) & (q < 1.0)):
+        raise ConfigError("nome q must lie in [0, 1)")
     with np.errstate(divide="ignore"):
         delta = -np.log(q) / 4.0
     half_pi = 0.5 * math.pi
@@ -347,10 +331,5 @@ def eta_kernel(dt, l, sigma, parity):
     """
     if parity not in ("even", "odd"):
         raise ConfigError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if not (np.isfinite(dt) and dt > 0.0):
-        raise ConfigError(f"dt must be positive and finite, got {dt}")
-    if not (np.isfinite(l) and l > 0.0):
-        raise ConfigError(f"layer width l must be positive, got {l}")
-    if not (np.isfinite(sigma) and sigma > 0.0):
-        raise ConfigError(f"sigma must be positive, got {sigma}")
+    dt, l, sigma = positive(dt, "dt"), positive(l, "layer width l"), positive(sigma, "sigma")
     return folded_kernel(sigma * sigma * dt, 0.0 if parity == "even" else l, l)

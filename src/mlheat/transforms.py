@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._lazy import lazy_attributes
-from .errors import ConfigError, NumericalError, integral
+from .errors import ConfigError, NumericalError, integral, number, positive
 
 # Nothing here calls quad any more.  It stays an attribute, imported on
 # lookup, only because the benchmark's tracer wraps ``transforms.quad``.
@@ -46,7 +46,7 @@ class Curve:
 
     def __init__(self, times=None, values=None, constant=None):
         if constant is not None:
-            self._const = float(constant)
+            self._const = number(constant, "constant")
             self._times = None
             self._values = None
         else:
@@ -264,7 +264,7 @@ def dupire_to_heat(ts, v_i, T):
     multiplier = exp(-int_0^t q).  The heat clock depends on the bucket's
     variance curve, hence layer_clock is set.
     """
-    v = _as_curve(v_i)
+    v, T = _as_curve(v_i), positive(T, "T")
     if np.any(v(np.linspace(0.0, T, 101)) <= 0.0):
         raise ConfigError("bucket variance must be positive on [0, T]")
     breaks = _breaks(0.0, T, *vars(ts).values(), v)
@@ -289,9 +289,8 @@ def bk_layer_chart(ts, a_i, b_i, S, constants=(1.0, 0.0, 0.0, 0.0, 0.0)):
     with psi = C1 exp(int_S^t kappa) and the remaining coefficients given
     by nested integrals of the term structure.
     """
-    c1, c2, c3, c4, c5 = constants
-    if c1 <= 0.0:
-        raise ConfigError("C1 must be positive for a monotone spatial map")
+    c1, c2, c3, c4, c5 = (number(c, f"C{k}") for k, c in enumerate(constants, 1))
+    c1, S = positive(c1, "C1"), positive(S, "S")
     a, b = _as_curve(a_i), _as_curve(b_i)
     breaks = _breaks(0.0, S, *vars(ts).values(), a, b)
     table = lambda f: _Cumulative(f, breaks, S)
@@ -318,6 +317,7 @@ def bk_affine_zcb(ts, a_i, b_i, t, S, z, R=1.0):
     These are alpha and beta of the default bk_layer_chart, so the value is
     its multiplier at the state R e^z, for 0 <= t <= S, one t or an array.
     """
+    S, R, z = positive(S, "S"), number(R, "R"), number(z, "z")
     if np.any(np.asarray(t) > S):
         raise ConfigError(f"need t <= S, got t={t}, S={S}")
     return bk_layer_chart(ts, a_i, b_i, S).multiplier(t, R * math.exp(z))
@@ -336,6 +336,7 @@ def verhulst_chart(ts, R, i, N, L, horizon):
     heat clock tau depends on the layer, hence layer_clock is set.
     """
     i, N = integral(i, "i"), integral(N, "N")
+    R, horizon = number(R, "R"), positive(horizon, "horizon")
     if not 0 <= i < N:
         raise ConfigError(f"layer index {i} outside 0..{N - 1}")
     barrier = _as_curve(L)
@@ -396,9 +397,7 @@ def nondivergent_to_divergent(Xi, c1, c2, boundaries=None):
     be positive on each tabulated interval.  A table only grows, and
     later calls read the largest one built.
     """
-    if c1 <= 0.0:
-        raise ConfigError(f"c1 must be positive for a monotone map, got {c1}")
-    xi = _as_curve(Xi)
+    c1, c2, xi = positive(c1, "c1"), number(c2, "c2"), _as_curve(Xi)
 
     def xi_sq_inv(x):
         val = np.asarray(xi(x), dtype=float)

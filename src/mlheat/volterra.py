@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._workspace import _local, _scratch
-from .errors import ConfigError, NumericalError, integral
+from .errors import ConfigError, NumericalError, integral, number, positive
 from .special_functions import _DECAY, _REACH, _folded_kernels, _theta_orders, folded_kernel
 from .transforms import _CHEB, _TAIL, _as_curve, _breaks, _panels, _series_at
 
@@ -114,8 +114,7 @@ class GitLayerProblem:
     M: int
 
     def __post_init__(self):
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise ConfigError(f"horizon T must be positive and finite, got {self.T}")
+        object.__setattr__(self, "T", positive(self.T, "horizon T"))
         object.__setattr__(self, "M", integral(self.M, "M"))
         if self.M < 2:
             raise ConfigError(f"need at least 2 time steps, got M={self.M}")
@@ -170,13 +169,11 @@ def build_internal_boundaries(chi_minus, chi_plus, N, degree, T):
     2T/3 (never nodes) that lie more than 1e-9 T from the samples taken.
     A T whose power T**degree underflows is a NumericalError.
     """
-    N, degree = integral(N, "N"), integral(degree, "degree")
+    N, degree, T = integral(N, "N"), integral(degree, "degree"), positive(T, "horizon T")
     if degree not in (1, 2, 3):
         raise ConfigError(f"degree must be 1, 2 or 3, got {degree}")
     if N < 2:
         raise ConfigError(f"need at least 2 layers, got N={N}")
-    if not (math.isfinite(T) and T > 0.0):
-        raise ConfigError(f"horizon T must be positive and finite, got {T}")
     cm, cp = _as_curve(chi_minus), _as_curve(chi_plus)
     grid = np.linspace(0.0, T, 200)
     cm_g, cp_g = cm(grid), cp(grid)
@@ -210,7 +207,7 @@ def build_internal_boundaries(chi_minus, chi_plus, N, degree, T):
                 "constructed interior boundaries cross on [0, T]; "
                 "try a higher polynomial degree"
             )
-    return PolynomialBoundarySet(coeffs=coeffs, degree=degree, horizon=float(T))
+    return PolynomialBoundarySet(coeffs=coeffs, degree=degree, horizon=T)
 
 
 def git_kernel_set(tau, s, y_minus, y_plus, xi):
@@ -219,6 +216,7 @@ def git_kernel_set(tau, s, y_minus, y_plus, xi):
     The image series is used for small tau - s and the theta series for
     large, switching at the equal-convergence nome (see ``folded_kernel``).
     """
+    tau, s, xi = number(tau, "tau"), number(s, "s"), number(xi, "xi")
     if not s < tau:
         raise ConfigError(f"need s < tau, got s={s}, tau={tau}")
     ym, yp = _as_curve(y_minus), _as_curve(y_plus)
@@ -227,7 +225,6 @@ def git_kernel_set(tau, s, y_minus, y_plus, xi):
     if l <= 0.0:
         raise ConfigError("boundaries cross: y_minus(tau) < y_plus(tau) required")
     delta = tau - s
-    xi = float(xi)
 
     delta_minus = 1.0 / np.sqrt(np.pi * delta) if xi == yms else 0.0
     delta_plus = 1.0 / np.sqrt(np.pi * delta) if xi == yps else 0.0
@@ -723,6 +720,7 @@ def check_refinement(problem, rel_tol=0.10):
     Returns the pair of gradient solutions; raises NumericalError when
     the terminal gradients move by more than rel_tol between the grids.
     """
+    rel_tol = positive(rel_tol, "rel_tol")
     coarse = solve_volterra_single_layer(problem)
     fine = solve_volterra_single_layer(dataclasses.replace(problem, M=2 * problem.M))
     scale = max(np.max(np.abs(fine.omega)), np.max(np.abs(fine.theta)), 1e-30)
@@ -853,7 +851,7 @@ def git_field_single_layer(problem, gradients, x, tau):
     still found.  A point then costs its kernel sums: its initial term and
     K, K' over the history, O(M).
     """
-    tau = float(tau)
+    tau = number(tau, "time tau")
     if not 0.0 <= tau <= problem.T + 1e-12 * max(problem.T, 1.0):
         raise ConfigError(f"time {tau} outside the horizon [0, {problem.T}]")
     grid = gradients.grid

@@ -153,6 +153,7 @@ class TestRejectedValues:
         ("green", {}, {"eval": {"grid": 1e300}}),
         ("compare", {}, {"fd": {"N_x": 1e300, "M_t": 40}}),
         ("compare", {}, {"fd": {"N_x": 41, "M_t": 1e300}}),
+        ("green", {}, {"solver": {"m": 1e300, "layers": 4}}),
     ], ids=["odd-m", "x0-outside", "x0-on-boundary", "T-nonpositive", "decreasing-boundaries",
             "negative-sigma", "abscissa-outside", "fd-nx-3", "zero-layers", "x0-not-a-number",
             "layers-not-a-number", "scalar-boundaries", "list-sigma", "fd-nx-not-a-number",
@@ -160,7 +161,7 @@ class TestRejectedValues:
             "solver-not-an-object", "eval-not-an-object", "fd-not-an-object", "layers-4.7",
             "m-16.5", "grid-5.9", "fd-nx-40.5", "output-not-a-path", "sigma-true",
             "x0-numeric-string", "boundary-numeric-string", "layers-1e300", "grid-1e300",
-            "fd-nx-1e300", "fd-mt-1e300"])
+            "fd-nx-1e300", "fd-mt-1e300", "m-1e300"])
     def test_rejected_value_exits_2(self, tmp_path, capsys, command, problem, extra):
         # a key given as None is left out
         problem = dict({"y0": 0.0, "yN": 1.0, "sigma": 1.0, "x0": 0.3, "T": 0.1}, **problem)
@@ -177,7 +178,8 @@ class TestRejectedValues:
         ({"sigma": True}, {"layers": 4}, "bad 'sigma' in problem: expected a number, got True"),
         ({"x0": "0.3"}, {"layers": 4}, "bad 'x0' in problem: expected a number, got '0.3'"),
         ({}, {"layers": 1e300}, "bad 'layers' in solver: 1e+300 exceeds the limit of 100000"),
-    ], ids=["sigma-true", "x0-numeric-string", "layers-1e300"])
+        ({}, {"m": 1e300, "layers": 4}, "bad 'm' in solver: 1e+300 exceeds the limit of 100000"),
+    ], ids=["sigma-true", "x0-numeric-string", "layers-1e300", "m-1e300"])
     def test_only_json_numbers_within_the_cap_are_read(self, tmp_path, capsys, problem, solver,
                                                        message):
         payload = {"problem": dict({"y0": 0.0, "yN": 1.0, "sigma": 1.0, "x0": 0.3, "T": 0.1},
@@ -358,10 +360,12 @@ class TestTransform:
         ("dupire", {"r": 0.02, "v": True, "T": 1.0}),
         ("bk", {"kappa": 0.1, "S": "2.0"}),
         ("dupire", {"r": 0.02, "v": 0.04, "T": 1.0, "samples": 1e300}),
+        ("verhulst", {"horizon": 1.0, "i": 1e300, "N": 4}),
+        ("verhulst", {"horizon": 1.0, "i": 0, "N": 1e300}),
     ], ids=["dupire-v", "dupire-r", "bk-a", "verhulst-i", "divergent-xi",
             "samples-negative", "samples-zero", "divergent-xi-kind", "xi-not-an-object",
             "params-a-list", "samples-2.5", "verhulst-i-0.5", "dupire-v-true",
-            "bk-S-numeric-string", "samples-1e300"])
+            "bk-S-numeric-string", "samples-1e300", "verhulst-i-1e300", "verhulst-N-1e300"])
     def test_non_numeric_param_is_config_error(self, tmp_path, capsys, kind, payload):
         cfg = write_config(tmp_path, "p.json", payload)
         assert main(["transform", kind, "--config", cfg]) == 2
@@ -444,10 +448,11 @@ class TestBoundaries:
     @pytest.mark.parametrize("bad", [{"N": "four"}, {"T": [1.0, 2.0]},
                                      {"chi_plus": ["a", 1.0]}, {"T": math.nan}, {"N": 1},
                                      {"N": 3.9}, {"degree": 2.5}, [1.0], {"chi_minus": True},
-                                     {"chi_plus": [1.0, True]}, {"T": "2.0"}, {"N": 1e300}],
+                                     {"chi_plus": [1.0, True]}, {"T": "2.0"}, {"N": 1e300},
+                                     {"degree": 1e300}],
                              ids=["N", "T", "chi_plus", "T-nan", "N-1", "N-3.9", "degree-2.5",
                                   "params-a-list", "chi_minus-true", "chi_plus-true-coefficient",
-                                  "T-numeric-string", "N-1e300"])
+                                  "T-numeric-string", "N-1e300", "degree-1e300"])
     def test_non_numeric_value_is_config_error(self, tmp_path, capsys, bad):
         # a list stands for the whole params file
         payload = bad if isinstance(bad, list) else dict(

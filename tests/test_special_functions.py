@@ -216,6 +216,21 @@ class TestFoldedKernel:
                 ref = folded_kernel(float(deltas[i, 0]), float(a[0, j]), 1.3, deriv)
                 assert v[i, j] == pytest.approx(ref, rel=1e-13, abs=1e-300)
 
+    def test_point_alone_equals_its_array_bitwise(self):
+        # every order's power, (-2 delta)^d or w^d, is taken by one rule for
+        # a 0-d and an n-d array, so a point asked alone keeps the array's bits
+        rng = np.random.default_rng(20261020)
+        delta = np.exp(rng.uniform(np.log(1e-3), np.log(5.0), 1000))
+        a = rng.uniform(-3.0, 3.0, 1000)
+        l = rng.uniform(0.2, 2.0, 1000)
+        for deriv in (0, 1, 2):
+            v = folded_kernel(delta, a, l, deriv)
+            alone = [folded_kernel(*p, deriv) for p in zip(delta.tolist(), a.tolist(), l.tolist())]
+            assert v.tobytes() == np.array(alone).tobytes(), deriv
+        z, q = rng.uniform(-3.0, 3.0, 1000), rng.uniform(0.0, 0.99, 1000)
+        alone = [theta3_dzz(*p) for p in zip(z.tolist(), q.tolist())]
+        assert theta3_dzz(z, q).tobytes() == np.array(alone).tobytes()
+
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
             folded_kernel(0.0, 0.1, 1.0)
