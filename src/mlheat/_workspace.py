@@ -1,15 +1,27 @@
 """One scratch workspace per thread, shared by the whole package.
 
-The layered solve, the kernel series and the Volterra march take their
-temporaries from it: a flat float64 buffer handed out as views in LIFO
-order.  A public entry is a frame (``_scratch``): it releases what it
-took when it returns or raises, and every array it returns is a fresh
-one, never a view of the buffer.  The buffer grows only between calls,
-to a call's high-water mark plus 1/8, and never shrinks, so a thread
-keeps about the scratch of its largest call resident, and later calls of
-that size reuse those pages instead of faulting fresh ones in.
-"""
+The workspace holds what a kernel pass reads and writes: the temporaries
+of the image and theta sums (``special_functions``), the offset and kernel
+arrays handed to them and the coupling K made from their results in the
+Volterra march, the field's kernel arrays, the initial-data terms
+(``volterra._initial_terms``, with the series coefficients that
+``transforms._series_at`` gathers) and the (N, m) arrays of the layered
+solve.  Those are large (a kernel sum holds about 17 doubles per element)
+and made again for every block and call: taken afresh, their pages went
+back to the system each time and were faulted in again.  The per-pair
+arithmetic around a pass (the pair geometry, the data-term weights, the
+field's flux sums) is plain numpy: a few arrays of one block's pairs,
+which the allocator hands back from block to block without fresh pages,
+so writing them into the workspace would buy nothing.
 
+It is a flat float64 buffer handed out as views in LIFO order.  A public
+entry is a frame (``_scratch``): it releases what it took when it returns
+or raises, and every array it returns is a fresh one, never a view of the
+buffer.  The buffer grows only between calls, to a call's high-water mark
+plus 1/8, and never shrinks, so a thread keeps about the scratch of its
+largest call resident, and later calls of that size reuse those pages
+instead of faulting fresh ones in.
+"""
 import functools
 import math
 import threading

@@ -41,26 +41,23 @@ def strip_green(problem, x):
     u = (2/l) sum_k q^(k^2) sin(k w (x0 - y0)) sin(k w (x - y0)),
     w = pi / l, q = exp(-w^2 sigma^2 T), whose terms do not cancel, so a
     decayed profile and the values near the walls keep full relative
-    precision.  The temporaries come from the workspace.
+    precision.  The image sum is one kernel pass over the direct and the
+    image offsets stacked, which it reads and writes in the workspace.
     """
     x = np.asarray(x, dtype=float)
     if not np.all((x >= problem.y0) & (x <= problem.yN)):
         raise ConfigError("evaluation point outside the strip")
-    ws = _local.ws
     l = problem.yN - problem.y0
     delta = problem.sigma ** 2 * problem.T
     if delta < l * l / math.pi:
-        direct, image, a = ws.take_many(3, *x.shape)
-        _folded_kernels(delta, np.subtract(x, problem.x0, a), l, (0,), [direct])
-        np.add(x, problem.x0, a)
-        _folded_kernels(delta, np.subtract(a, 2.0 * problem.y0, a), l, (0,), [image])
-        u = np.subtract(direct, image)
-        u *= 0.5
+        a, kernel = _local.ws.take_many(2, 2, *x.shape)
+        np.subtract(x, problem.x0, a[0, ...])
+        np.subtract(x + problem.x0, 2.0 * problem.y0, a[1, ...])
+        direct, image = _folded_kernels(delta, a, l, (0,), [kernel])[0]
+        u = 0.5 * (direct - image)
         return float(u) if u.ndim == 0 else u
     w = math.pi / l
     decay = w * w * delta
     k = _theta_orders(decay)
     weight = 2.0 / l * np.exp(-decay * k * k) * np.sin(k * w * (problem.x0 - problem.y0))
-    phase = ws.take(*x.shape, len(k))
-    np.multiply.outer(np.subtract(x, problem.y0, ws.take(*x.shape)), k * w, out=phase)
-    return np.sin(phase, phase) @ weight
+    return np.sin(np.multiply.outer(x - problem.y0, k * w)) @ weight

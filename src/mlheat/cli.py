@@ -13,7 +13,6 @@ numerical failure (any ``NumericalError``).
 import argparse
 import functools
 import json
-import math
 import sys
 import time
 
@@ -24,8 +23,8 @@ from .errors import ConfigError, NumericalError, integral, number, positive
 from .fd import FdGrid, fd_solve
 from .laplace import DEFAULT_ORDER, stehfest_weights
 from .layered import GreensProblem, LayeredMedium, greens_function
-from .transforms import (Curve, TermStructure, _as_curve, bk_layer_chart, dupire_to_heat,
-                         nondivergent_to_divergent, verhulst_chart)
+from .transforms import (Curve, TermStructure, _as_curve, _bk_state, bk_layer_chart,
+                         dupire_to_heat, nondivergent_to_divergent, verhulst_chart)
 from .volterra import build_internal_boundaries
 
 
@@ -241,12 +240,12 @@ def cmd_transform(cfg, args):
         return {"t": t, "tau": chart.tau_of_t(t), "x": chart.x_of_state(t, state),
                 "multiplier": chart.multiplier(t, state)}
     if kind == "bk":
-        chart = bk_layer_chart(ts, p["a"], p["b"], p["S"])
         t, z = np.linspace(0.0, p["S"], samples), p["z"]
         # the bond value is the chart's multiplier at the state R e^z (bk_affine_zcb)
+        state = _bk_state(p["R"], z)
+        chart = bk_layer_chart(ts, p["a"], p["b"], p["S"])
         return {"t": t, "tau": chart.tau_of_t(t), "x": chart.x_of_state(t, z),
-                "multiplier": chart.multiplier(t, z),
-                "F": chart.multiplier(t, p["R"] * math.exp(z))}
+                "multiplier": chart.multiplier(t, z), "F": chart.multiplier(t, state)}
     if kind == "verhulst":
         chart = verhulst_chart(ts, p["R"], p["i"], p["N"], p["L"], p["horizon"])
         t, state = np.linspace(0.0, p["horizon"], samples), p["state"]

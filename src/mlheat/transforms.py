@@ -21,11 +21,13 @@ and double R on demand.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._lazy import lazy_attributes
+from ._workspace import _local
 from .errors import ConfigError, NumericalError, integral, number, positive
 
 # Nothing here calls quad any more.  It stays an attribute, imported on
@@ -199,10 +201,16 @@ def _panels(f, breaks):
 
 
 def _series_at(edges, coef, t):
-    """The series (edges, coef) of ``_panels`` at t in [edges[0], edges[-1]]."""
+    """The series (edges, coef) of ``_panels`` at t in [edges[0], edges[-1]];
+    each t's coefficients are gathered into the workspace."""
     j = np.searchsorted(edges[1:-1], t, side="right")
     a, b = edges[j], edges[j + 1]
-    return _CHEB.chebval((2.0 * t - a - b) / (b - a), np.moveaxis(coef[j], -1, 0), tensor=False)
+    ws = _local.ws
+    mark = ws.top
+    c = coef.take(j, axis=0, out=ws.take(*np.shape(j), coef.shape[-1]))
+    value = _CHEB.chebval((2.0 * t - a - b) / (b - a), np.moveaxis(c, -1, 0), tensor=False)
+    ws.top = mark
+    return value
 
 
 class _Cumulative:
@@ -320,7 +328,18 @@ def bk_affine_zcb(ts, a_i, b_i, t, S, z, R=1.0):
     S, R, z = positive(S, "S"), number(R, "R"), number(z, "z")
     if np.any(np.asarray(t) > S):
         raise ConfigError(f"need t <= S, got t={t}, S={S}")
-    return bk_layer_chart(ts, a_i, b_i, S).multiplier(t, R * math.exp(z))
+    state = _bk_state(R, z)
+    return bk_layer_chart(ts, a_i, b_i, S).multiplier(t, state)
+
+
+def _bk_state(R, z):
+    """The state R e^z at which the default bk chart's multiplier is the
+    bond value; ``ConfigError`` naming z when it overflows."""
+    try:
+        state = R * math.exp(z)
+    except OverflowError:
+        state = math.inf
+    return number(state, f"the state R e^z at z={z!r}")
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +358,8 @@ def verhulst_chart(ts, R, i, N, L, horizon):
     R, horizon = number(R, "R"), positive(horizon, "horizon")
     if not 0 <= i < N:
         raise ConfigError(f"layer index {i} outside 0..{N - 1}")
+    if N * N > sys.float_info.max:
+        raise ConfigError(f"N: N^2 must be a finite float, got N={N}")
     barrier = _as_curve(L)
     if np.any(barrier(np.linspace(0.0, horizon, 101)) <= 0.0):
         raise ConfigError("barrier L(t) must be positive on [0, horizon]")

@@ -10,12 +10,14 @@ large lags.  Once the gradients are known the field anywhere inside the
 strip follows by quadrature of a boundary-potential representation.
 
 The march builds its coupling block by block, each block's history pairs
-at once, and the field its kernel passes block by block of points; every
-array the size of a block comes from the package's per-thread scratch
-workspace (``_workspace``) and is released at the end of its block, so a
-thread keeps one block's scratch resident (about 3.5 MB at _BLOCK pairs)
-and later blocks and calls reuse those pages.  The public functions
-release what they took when they return or raise and return fresh arrays.
+at once, and the field its kernel passes block by block of points.  What
+a kernel pass reads and writes (its offsets and kernels, and the coupling
+K) comes from the package's per-thread scratch workspace (``_workspace``)
+and is released at the end of its block, so a thread keeps one block's
+kernel scratch resident (about 3.4 MB at _BLOCK pairs) and later blocks
+and calls reuse those pages; the per-pair arithmetic around the passes
+is plain numpy.  The public functions release what they took when they
+return or raise and return fresh arrays.
 
 Also provided: construction of polynomial internal boundaries that split a
 moving strip into uniform sub-strips.
@@ -48,24 +50,8 @@ def _derivative(f, t, T):
 # ----------------------------------------------------------------------
 
 def _self_peak(delta, dy):
-    """dy / (2 sqrt(pi delta^3)) * exp(-dy^2 / (4 delta)) (the n = 0 image),
-    as a workspace array."""
-    delta = np.asarray(delta, dtype=float)
-    dy = np.asarray(dy, dtype=float)
-    ws = _local.ws
-    shape = np.broadcast(delta, dy).shape
-    peak = ws.take(*shape)
-    mark = ws.top
-    gauss, four = ws.take(*shape), ws.take(*delta.shape)
-    np.sqrt(np.multiply(np.pi, delta, peak), peak)
-    np.multiply(2.0, peak, peak)
-    peak *= delta
-    np.divide(dy, peak, peak)
-    np.negative(np.multiply(dy, dy, gauss), gauss)
-    np.exp(np.divide(gauss, np.multiply(4.0, delta, four), gauss), gauss)
-    peak *= gauss
-    ws.top = mark
-    return peak
+    """dy / (2 sqrt(pi delta^3)) * exp(-dy^2 / (4 delta)) (the n = 0 image)."""
+    return dy / (2.0 * np.sqrt(np.pi * delta) * delta) * np.exp(-(dy * dy) / (4.0 * delta))
 
 
 # ----------------------------------------------------------------------
@@ -190,23 +176,20 @@ def build_internal_boundaries(chi_minus, chi_plus, N, degree, T):
     ts = np.sort(np.array(samples))
     vander = np.vander(ts, degree + 1, increasing=True)
     cm_s, cp_s = cm(ts), cp(ts)
-    coeffs = np.empty((N - 1, degree + 1))
+    # the samples of interior boundary i = 1 ... N - 1, one stacked
+    # right-hand side each, so every boundary takes the same solve
+    rhs = cm_s + np.arange(1, N)[:, None] / N * (cp_s - cm_s)
     try:
-        for i in range(1, N):
-            coeffs[i - 1] = np.linalg.solve(vander, cm_s + (i / N) * (cp_s - cm_s))
+        coeffs = np.linalg.solve(vander, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         raise NumericalError(f"singular degree-{degree} interpolation in t at T = {T!r}")
 
-    curves = [cm_g]
-    for i in range(N - 1):
-        curves.append(np.polynomial.polynomial.polyval(grid, coeffs[i]))
-    curves.append(cp_g)
-    for lo, hi in zip(curves[:-1], curves[1:]):
-        if np.any(hi - lo <= 0.0):
-            raise NumericalError(
-                "constructed interior boundaries cross on [0, T]; "
-                "try a higher polynomial degree"
-            )
+    curves = np.vstack([cm_g, np.polynomial.polynomial.polyval(grid, coeffs.T), cp_g])
+    if np.any(np.diff(curves, axis=0) <= 0.0):
+        raise NumericalError(
+            "constructed interior boundaries cross on [0, T]; "
+            "try a higher polynomial degree"
+        )
     return PolynomialBoundarySet(coeffs=coeffs, degree=degree, horizon=T)
 
 
@@ -411,9 +394,12 @@ def _initial_terms(s, tau, c, l, deriv, spectrum=None):
     c + 2nl +- [0, reach], reach = _REACH sqrt(tau) <= l, of each image,
     clipped to the strip and cut at u0's panel edges.  A caller holding
     conj(F(kw)) for a single row, read at the same tau and l, passes it as
-    ``spectrum`` and the table is not read again.
+    ``spectrum`` and the table is not read again.  The theta rows' terms
+    and the quadrature's kernel pass are workspace arrays.
     """
     out = np.zeros(c.shape)
+    ws = _local.ws
+    mark = ws.top
     w = np.pi / l
     decay = w * w * tau
     theta, k = _table_rows(s, tau, l)
@@ -432,15 +418,17 @@ def _initial_terms(s, tau, c, l, deriv, spectrum=None):
         wave = wave.imag if deriv % 2 else wave.real
         if deriv:
             wave *= -kw ** deriv
-        weight = 2.0 * np.exp(-np.multiply.outer(decay[rows], k * k))
-        total = (weight * wave[:, inv]).sum(axis=-1)
+        weight = np.multiply.outer(decay[rows], k * k, out=ws.take(len(rows), len(k)))
+        np.exp(np.negative(weight, weight), weight)
+        weight *= 2.0
+        terms = wave.take(inv, axis=1, out=ws.take(len(c), len(rows), len(k)))
+        terms *= weight
+        total = terms.sum(axis=-1)
         if deriv == 0:
             total += s.fourier.mass
         out[:, rows] = total / l[rows]
     rows = np.flatnonzero(~theta)
     if len(rows):
-        ws = _local.ws
-        mark = ws.top
         lo, hi = s.edges[0], s.edges[-1]
         cr, span = c[:, rows, None], 2.0 * l[rows, None]
         reach = np.minimum(_REACH * np.sqrt(tau[rows, None]), l[rows, None])
@@ -462,37 +450,37 @@ def _initial_terms(s, tau, c, l, deriv, spectrum=None):
         terms = _folded_kernels(tau[r], offsets, l[r], (deriv,), [ws.take(*xi.shape)])[0]
         terms *= u0w
         out[:, rows] = np.bincount(at, terms.sum(axis=1), minlength=cr.size).reshape(-1, len(rows))
-        ws.top = mark
+    ws.top = mark
     return out
 
 
-def _eta(delta, a, l, eta=None):
+def _eta(delta, a, l):
     """The Stieltjes kernels at the lags delta, shape (2, 2, n): K at the
     offsets a, shape (2, n), of both walls from the minus wall and at
     a + l from the plus wall, each equation's row against each wall's
     data; the self kernels drop the Kronecker spike of the point riding
-    its own boundary.  Written to ``eta``, or to a workspace array."""
+    its own boundary.  A workspace array, as are the offsets of its pass."""
     ws = _local.ws
     n = a.shape[-1]
-    if eta is None:
-        eta = ws.take(2, 2, n)
+    eta = ws.take(2, 2, n)
     mark = ws.top
     offsets = ws.take(4, n)
     offsets[:2] = a
     np.add(a, l, offsets[2:])
     _folded_kernels(delta, offsets, l, (0,), [eta.reshape(4, n)])
-    spike = np.sqrt(np.multiply(np.pi, delta, offsets[0]), offsets[0])
-    np.divide(1.0, spike, spike)
+    ws.top = mark
+    spike = 1.0 / np.sqrt(np.pi * delta)
     eta[0, 0] -= spike
     eta[1, 1] -= spike
-    ws.top = mark
     return eta
 
 
 def _pair_weights(s, k, j):
     """The history weights of the data terms at the pairs (row k, node
     j < k) on the grid s.t, k and j of shape (P,): r and gamma, shape (P,),
-    and eta, shape (2, 2, P).
+    eta, shape (2, 2, P), and the pairs' geometry, each of shape (P,):
+    the lag tau - t_j, its square root, sqrt(tau - t_(j+1)), y_minus(tau),
+    y_plus(tau) and the width l, tau = t_k.
 
     The weakly singular term of row k, tau = t_k, integrates
     (chi(s) - chi(tau)) / (2 sqrt(pi (tau-s)^3)) with chi piecewise
@@ -502,46 +490,19 @@ def _pair_weights(s, k, j):
     of chi, not chi itself.  The Stieltjes term, the integral of chi
     d(eta) by parts with eta vanishing at s = tau, reads
     -chi(0) eta(tau) - sum_j eta(mid_j) (chi_(j+1) - chi_j), each eta at
-    the interval's midpoint (``_eta``).
+    the interval's midpoint (``_eta``, the only workspace array here).
     """
-    t, n = s.t, len(j)
-    ws = _local.ws
-    r, gamma = ws.take_many(2, n)
-    eta = ws.take(2, 2, n)
-    mark = ws.top
-    # the arguments of _eta below what only r and gamma need
-    mid, l = ws.take_many(2, n)
-    a = ws.take(2, n)
-    inner = ws.top
-    tau, t_j, t_next, ua, ub, sqrt_ua, sqrt_ub = ws.take_many(7, n)
-    t.take(k, out=tau, mode="clip")
-    t.take(j, out=t_j, mode="clip")
-    after = np.add(j, 1, ws.take(n).view(np.intp))
-    t.take(after, out=t_next, mode="clip")
-    np.subtract(tau, t_j, ua)
-    np.subtract(tau, t_next, ub)
-    np.sqrt(ua, sqrt_ua)
-    np.sqrt(ub, sqrt_ub)
+    tau, t_j, t_next = s.t[k], s.t[j], s.t[j + 1]
+    ua, ub = tau - t_j, tau - t_next
+    sqrt_ua, sqrt_ub = np.sqrt(ua), np.sqrt(ub)
     # on the final interval, ub = 0, chi(s) - chi(tau) is its slope times
     # s - tau: r = 1 / sqrt(ua) and alpha = 0
-    r[...] = sqrt_ub
-    np.copyto(r, sqrt_ua, where=np.equal(after, k, ws.take_mask(n)))
-    np.divide(1.0, r, r)
-    np.divide(1.0, sqrt_ua, gamma)
-    gamma -= r
-    gamma *= ua
-    gamma += sqrt_ua
-    gamma -= sqrt_ub
-    np.add(t_j, t_next, mid)
-    mid *= 0.5
-    np.subtract(tau, mid, mid)
-    ymt = s.y[0].take(k, out=ua, mode="clip")
-    np.subtract(s.y[1].take(k, out=l, mode="clip"), ymt, l)
-    np.subtract(ymt, s.y_mid.take(j, axis=1, out=a, mode="clip"), a)
-    ws.top = inner
-    _eta(mid, a, l, eta)
-    ws.top = mark
-    return r, gamma, eta
+    r = 1.0 / np.where(j + 1 == k, sqrt_ua, sqrt_ub)
+    gamma = (1.0 / sqrt_ua - r) * ua + sqrt_ua - sqrt_ub
+    ymt, ypt = s.y[:, k]
+    l = ypt - ymt
+    eta = _eta(tau - 0.5 * (t_j + t_next), ymt - s.y_mid[:, j], l)
+    return r, gamma, eta, (ua, sqrt_ua, sqrt_ub, ymt, ypt, l)
 
 
 def _row_terms(s, k, weak, parts, i0):
@@ -571,67 +532,42 @@ def _march_rows(s, k0, k1, i0):
     Returns d, shape (2, R), and K, shape (2, P, 2), over the P pairs in
     the row-by-row order of ``_pair_weights``; R = k1 - k0.  i0 holds the
     rows' initial-data terms, ``_initial_terms`` at s.y[:, k] with deriv 1.
-    K and every array the size of the block's pairs are workspace arrays.
+    K is a workspace array; its pass reads the pair geometry that
+    ``_pair_weights`` gathers for the data terms.
     """
-    t = s.t
     k = np.arange(k0, k1)
-    n = (k0 + k1 - 1) * (k1 - k0) // 2
-    ws = _local.ws
-    K = ws.take(2, n, 2)
-    base = ws.top
     # the history pairs (row k_p, node j < k_p), row by row: row r's
     # pairs start at first[r]
     first = np.cumsum(k) - k
-    # summed from their steps: k_p steps by 1 where a row starts, j
-    # returns to 0 there and steps by 1 within a row
-    k_p, j = ws.take(2, n).view(np.intp)
-    k_p.fill(0)
-    k_p[0], k_p[first[1:]] = k0, 1
-    j.fill(1)
-    j[0], j[first[1:]] = 0, 1 - k[:-1]
-    np.cumsum(k_p, out=k_p)
-    np.cumsum(j, out=j)
-    mark = ws.top
-    dchi = np.diff(s.chi).take(j, axis=1, out=ws.take(2, n), mode="clip")
-    w, gamma, eta = _pair_weights(s, k_p, j)
-    weak = np.divide(dchi, np.diff(t).take(j, out=ws.take(n), mode="clip"), ws.take(2, n))
-    weak *= gamma
-    weak += np.multiply(w, dchi, ws.take(2, n))
-    eta *= dchi
+    k_p = np.repeat(k, k)
+    n = len(k_p)
+    j = np.arange(n) - np.repeat(first, k)
+    ws = _local.ws
+    K = ws.take(2, n, 2)
+    base = ws.top
+    dchi = np.diff(s.chi)[:, j]
+    w, gamma, eta, (ua, sqrt_ua, sqrt_ub, ymt, ypt, l) = _pair_weights(s, k_p, j)
+    weak = dchi / np.diff(s.t)[j] * gamma + w * dchi
     d = _row_terms(s, k, np.add.reduceat(weak, first, axis=-1),
-                   np.add.reduceat(eta, first, axis=-1), i0)
-    ws.top = mark
+                   np.add.reduceat(eta * dchi, first, axis=-1), i0)
 
     # moving-boundary memory: kernel = smooth * (tau-s)^(-1/2), integrated
     # with exact sqrt weights and left-endpoint values; regular coupling
     # by the trapezoid rule, the kernels vanishing at s = tau
-    tau, ua, sqrt_ua, ymt, ypt, l, memory, q, tmp = ws.take_many(9, n)
-    t.take(k_p, out=tau, mode="clip")
-    np.subtract(tau, t.take(j, out=tmp, mode="clip"), ua)
-    np.sqrt(ua, sqrt_ua)
-    s.y[0].take(k_p, out=ymt, mode="clip")
-    s.y[1].take(k_p, out=ypt, mode="clip")
-    np.subtract(ypt, ymt, l)
+    y_j = s.y[:, j]
     offsets = ws.take(4, n)
-    a = s.y.take(j, axis=1, out=offsets[:2], mode="clip")
-    np.subtract(ymt, a, a)
+    a = np.subtract(ymt, y_j, offsets[:2])
     np.add(a, l, offsets[2:])
     ups = _folded_kernels(ua, offsets, l, (1,), [ws.take(4, n)])[0]
     peak_m = _self_peak(ua, a[0])
-    peak_p = _self_peak(ua, np.subtract(ypt, s.y[1].take(j, out=tmp, mode="clip"), tmp))
-    # ymt is done with: it takes tau - t_(j+1)
-    lag = t.take(np.add(j, 1, ws.take(n).view(np.intp)), out=ymt, mode="clip")
-    np.sqrt(np.subtract(tau, lag, lag), lag)
-    np.multiply(2.0, sqrt_ua, memory)
-    memory *= np.subtract(sqrt_ua, lag, lag)
-    s.q.take(j, out=q, mode="clip")
+    peak_p = _self_peak(ua, ypt - y_j[1])
+    memory = 2.0 * sqrt_ua * (sqrt_ua - sqrt_ub)
+    q = s.q[j]
     # columns of the unknowns omega, theta, each over the equations e
-    np.multiply(q, np.add(ups[0], peak_m, tmp), tmp)
-    np.subtract(np.multiply(peak_m, memory, K[0, :, 0]), tmp, K[0, :, 0])
-    np.multiply(q, ups[2], K[1, :, 0])
-    np.multiply(np.negative(q, tmp), ups[1], K[0, :, 1])
-    np.multiply(q, np.add(ups[3], peak_p, tmp), tmp)
-    np.subtract(tmp, np.multiply(peak_p, memory, peak_p), K[1, :, 1])
+    K[0, :, 0] = peak_m * memory - q * (ups[0] + peak_m)
+    K[1, :, 0] = q * ups[2]
+    K[0, :, 1] = -q * ups[1]
+    K[1, :, 1] = q * (ups[3] + peak_p) - peak_p * memory
     ws.top = base
     return d, K
 
@@ -652,7 +588,7 @@ def _lag_rows(s, i0):
     M = len(s.t) - 1
     dchi = np.diff(s.chi)
     slope = dchi / np.diff(s.t)
-    r, gamma, eta = (w[..., ::-1] for w in _pair_weights(s, np.full(M, M), np.arange(M)))
+    r, gamma, eta = (w[..., ::-1] for w in _pair_weights(s, np.full(M, M), np.arange(M))[:3])
 
     def history(lag, data):
         # sum_{j<k} lag[k - j - 1] data[j] for every row k
@@ -808,22 +744,15 @@ class _Instant:
         mark = ws.top
         for p in range(0, len(x), step):
             xp = x[p:p + step, None, None]
-            size = len(xp)
             # offsets (direct, mirror) x point x wall (y-, y+) x node
-            a, kernel, slope = ws.take_many(3, 2, size, 2, n)
+            a, kernel, slope = ws.take_many(3, 2, len(xp), 2, n)
             np.subtract(xp, self.y, a[0])
             np.subtract(np.add(xp, self.y, a[1]), 2.0 * self.ymt, a[1])
             _folded_kernels(self.dh, a, self.l, (0, 1), [kernel, slope])
-            upsilon = np.subtract(kernel[0], kernel[1], kernel[0])
-            upsilon *= 0.5
-            lam = np.add(slope[0], slope[1], slope[0])
-            lam *= -0.5
-            flux, term, double = ws.take_many(3, size, n)
-            np.multiply(f[0], upsilon[:, 0], flux)
-            flux += np.multiply(f[1], upsilon[:, 1], term)
-            np.multiply(self.chi_h[0], lam[:, 0], double)
-            double -= np.multiply(self.chi_h[1], lam[:, 1], term)
-            flux += double
+            upsilon = 0.5 * (kernel[0] - kernel[1])
+            lam = -0.5 * (slope[0] + slope[1])
+            flux = f[0] * upsilon[:, 0] + f[1] * upsilon[:, 1]
+            flux += self.chi_h[0] * lam[:, 0] - self.chi_h[1] * lam[:, 1]
             # summed row by row, so a point's value does not depend on its block
             flux *= self.q
             out[p:p + step] += flux.sum(axis=-1)

@@ -362,10 +362,12 @@ class TestTransform:
         ("dupire", {"r": 0.02, "v": 0.04, "T": 1.0, "samples": 1e300}),
         ("verhulst", {"horizon": 1.0, "i": 1e300, "N": 4}),
         ("verhulst", {"horizon": 1.0, "i": 0, "N": 1e300}),
+        ("bk", {"S": 1.0, "z": 800.0}),
     ], ids=["dupire-v", "dupire-r", "bk-a", "verhulst-i", "divergent-xi",
             "samples-negative", "samples-zero", "divergent-xi-kind", "xi-not-an-object",
             "params-a-list", "samples-2.5", "verhulst-i-0.5", "dupire-v-true",
-            "bk-S-numeric-string", "samples-1e300", "verhulst-i-1e300", "verhulst-N-1e300"])
+            "bk-S-numeric-string", "samples-1e300", "verhulst-i-1e300", "verhulst-N-1e300",
+            "bk-z-800"])
     def test_non_numeric_param_is_config_error(self, tmp_path, capsys, kind, payload):
         cfg = write_config(tmp_path, "p.json", payload)
         assert main(["transform", kind, "--config", cfg]) == 2

@@ -211,6 +211,8 @@ def _field_at_nan_time():
     lambda: eta_kernel(np.array([0.1, 0.2]), 1.0, 1.0, "even"),
     lambda: Curve(constant="x"),
     lambda: bk_layer_chart(TermStructure(), 0.0, 0.0, 1.0, constants=(math.nan, 0, 0, 0, 0)),
+    lambda: bk_affine_zcb(TermStructure(), 0.0, 0.5, 0.5, 1.0, z=800.0),
+    lambda: verhulst_chart(TermStructure(), 1.0, 0, 10**300, 1.0, 1.0),
 ], ids=["decreasing-boundaries", "sigma-count", "x0-on-boundary", "negative-T",
         "odd-stehfest", "fd-nx-3", "x0-outside-strip", "nome-1", "nan-phase", "eta-parity",
         "field-nan-time", "volterra-M-2.5", "volterra-M-string", "fd-nx-40.5", "fd-mt-40.5",
@@ -218,7 +220,7 @@ def _field_at_nan_time():
         "divergent-c1-inf", "greens-T-true", "volterra-T-true", "strip-sigma-true",
         "boundaries-T-true", "greens-T-string", "strip-T-string", "invert-T-string",
         "forward-lambda-string", "greens-x0-string", "dupire-T-string", "eta-dt-array",
-        "curve-constant-string", "bk-C1-nan"])
+        "curve-constant-string", "bk-C1-nan", "bk-zcb-z-800", "verhulst-N-int-1e300"])
 def test_rejected_input_raises_config_error(call):
     with pytest.raises(ConfigError):
         call()

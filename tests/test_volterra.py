@@ -951,21 +951,28 @@ class TestFieldArray:
         assert slopes == [prob.y_minus, prob.y_plus]
 
 
-# one moving march plus a 101-point field at M = 200, warmed twice, then
-# the minor page faults of a third; in a fresh interpreter, because a large
+# one moving march plus a 101-point field at M = 200 and one fixed-wall
+# march (the lag rows, which read _pair_weights too) plus a 101-point field
+# at M = 2000 on the width-5 strip of fixed_strip, warmed twice, then the
+# minor page faults of a third; in a fresh interpreter, because a large
 # free earlier in a process raises glibc's dynamic thresholds and hides
 # temporaries that go back to the system at the end of every block
 FAULTS = """
 import math, resource
 import numpy as np
 from mlheat import GitLayerProblem, git_field_single_layer, solve_volterra_single_layer
-problem = GitLayerProblem(y_minus=0.0, y_plus=lambda t: 1.0 + 0.3 * t, chi_minus=0.1,
-                          chi_plus=lambda t: 0.2 + 0.1 * t,
-                          u0=lambda x: 0.1 + 0.1 * x + math.sin(math.pi * x), T=0.8, M=200)
-xs = np.linspace(0.005, 1.235, 101)
+moving = GitLayerProblem(y_minus=0.0, y_plus=lambda t: 1.0 + 0.3 * t, chi_minus=0.1,
+                         chi_plus=lambda t: 0.2 + 0.1 * t,
+                         u0=lambda x: 0.1 + 0.1 * x + math.sin(math.pi * x), T=0.8, M=200)
+fixed = GitLayerProblem(y_minus=-2.0, y_plus=3.0, chi_minus=lambda t: 1.0 + np.sin(t),
+                        chi_plus=lambda t: 2.0 - 0.3 * np.asarray(t) ** 2,
+                        u0=lambda x: 1.0 + 0.2 * (x + 2.0) + np.sin(0.2 * np.pi * (x + 2.0)) ** 2,
+                        T=10.0, M=2000)
+cases = [(moving, np.linspace(0.005, 1.235, 101)), (fixed, np.linspace(-1.95, 2.95, 101))]
 
 def run():
-    git_field_single_layer(problem, solve_volterra_single_layer(problem), xs, problem.T)
+    for problem, xs in cases:
+        git_field_single_layer(problem, solve_volterra_single_layer(problem), xs, problem.T)
 
 # the first call sizes the workspace; the second brings its pages in
 for _ in range(2):
@@ -1068,4 +1075,4 @@ class TestWorkspace:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         faults = int(proc.stdout.split()[-1])
-        assert faults <= 200, f"{faults} minor page faults in one march and field at M = 200"
+        assert faults <= 200, f"{faults} minor page faults in the marches and fields of FAULTS"
