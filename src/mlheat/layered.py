@@ -395,7 +395,7 @@ def solve_tridiagonal(sys):
     if len(e) != max(n - 1, 0) or len(r) != n:
         raise ConfigError("inconsistent system dimensions")
     pad = np.concatenate(([0.0], np.abs(e), [0.0]))
-    if np.any(d - pad[:-1] - pad[1:] <= 0.0):
+    if not np.all(d - pad[:-1] - pad[1:] > 0.0):
         raise NumericalError("tridiagonal system is not diagonally dominant")
     # the LAPACK wrapper wants one (unused) off-diagonal entry at n = 1
     off = e if n > 1 else np.zeros(1)
@@ -462,16 +462,10 @@ def _node_values(problem, scheme):
     return sq, nodes, sigmas, excess, coupling, g
 
 
-@_scratch
 def boundary_values(problem, scheme=None):
-    """Time-domain internal-boundary values f_i(T), i = 1..N-1."""
-    if scheme is None:
-        scheme = stehfest_weights()
-    f = scheme.invert(_node_values(problem, scheme)[-1], problem.T)
-    if not np.all(np.isfinite(f)):
-        raise NumericalError("non-finite Laplace-domain boundary values")
-    j = problem.source_layer  # drop the walls and the source
-    return np.concatenate((f[1:j], f[j + 1 : -1]))
+    """Time-domain internal-boundary values f_i(T), i = 1..N-1: those of
+    ``greens_function`` at no evaluation point, with its checks."""
+    return greens_function(problem, scheme, np.empty(0)).boundary_values
 
 
 @_scratch
@@ -490,7 +484,7 @@ def _flux_jumps(problem, scheme):
 
 @_scratch
 def greens_function(problem, scheme=None, xs=None):
-    """Time-domain Green's function on the abscissas ``xs``.
+    """Time-domain Green's function on the abscissas ``xs``, a 1-D array.
 
     One batched solve covers all Stehfest nodes, and the field and the
     boundary values are inverted from it.  The flux jumps are computed
@@ -500,6 +494,8 @@ def greens_function(problem, scheme=None, xs=None):
         scheme = stehfest_weights()
     b = problem.medium.boundaries
     xs = np.linspace(b[0], b[-1], 101) if xs is None else np.asarray(xs, dtype=float)
+    if xs.ndim != 1:
+        raise ConfigError(f"evaluation points xs must be 1-D, got shape {xs.shape}")
     sq, nodes, sigmas, _, _, g = _node_values(problem, scheme)
     j = problem.source_layer
     vals = scheme.invert(_field(nodes, sigmas, sq, g, xs), problem.T)

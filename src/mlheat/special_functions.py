@@ -281,14 +281,24 @@ def folded_kernel(delta, a, l, deriv=0):
     return float(out) if out.ndim == 0 else out
 
 
+# fdlibm's pi/2 in two parts (Cody-Waite): pio2_1 is its first 33 bits, so n
+# times twice it is exact for |n| < 2^20, and pio2_1t is the rest of pi/2
+_PIO2_1, _PIO2_1T = 1.57079632673412561417e+00, 6.07710050650619224932e-11
+
+
 def _theta3_deriv(z, q, deriv):
-    # theta3(z, q) = l K(delta, z, l) with l = pi/2 and q = exp(-4 delta);
-    # folded_kernel checks the phase z
+    # theta3(z, q) = l K(delta, z, l) with l = pi/2 and q = exp(-4 delta).
+    # z first sheds its nearest multiple of the period pi, taken in two parts,
+    # so that folded_kernel's fold by 2 l = fl(pi) has no rounding of pi to add;
+    # a non-finite z becomes NaN there, which folded_kernel rejects
     q = np.asarray(q, dtype=float)
     if not np.all((q >= 0.0) & (q < 1.0)):
         raise ConfigError("nome q must lie in [0, 1)")
-    with np.errstate(divide="ignore"):
+    z = np.asarray(z, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
         delta = -np.log(q) / 4.0
+        n = np.rint(z / math.pi)
+        z = (z - n * (2.0 * _PIO2_1)) - n * (2.0 * _PIO2_1T)
     half_pi = 0.5 * math.pi
     return half_pi * folded_kernel(delta, z, half_pi, deriv)
 

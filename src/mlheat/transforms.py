@@ -56,7 +56,7 @@ class Curve:
             values = np.asarray(values, dtype=float)
             if times.ndim != 1 or times.shape != values.shape or len(times) < 2:
                 raise ConfigError("sampled curve needs matching 1-D times and values")
-            if np.any(np.diff(times) <= 0.0):
+            if not np.all(np.diff(times) > 0.0):
                 raise ConfigError("curve sample times must be strictly increasing")
             self._const = None
             self._times = times
@@ -239,7 +239,7 @@ class _Cumulative:
 
     def __call__(self, t):
         scalar, t = not isinstance(t, _ARRAYS), np.asarray(t, dtype=float)
-        if np.any((t < self._lo) | (t > self._hi)):
+        if not np.all((t >= self._lo) & (t <= self._hi)):
             raise ConfigError(f"t outside the chart's interval [{self._lo}, {self._hi}]")
         F = np.where(t == self._anchor, 0.0, _series_at(self._edges, self._coef, t))
         return float(F) if scalar else F
@@ -247,6 +247,8 @@ class _Cumulative:
     def inverse(self, y):
         """t with int_anchor^t f = y, for a table monotone in t."""
         scalar, y = not isinstance(y, _ARRAYS), np.asarray(y, dtype=float)
+        if not np.all(np.isfinite(y)):
+            raise ConfigError(f"target {y} outside the chart's time range")
         t, todo = np.interp(y.ravel(), *self._start), np.arange(y.size)
         for _ in range(_NEWTON_STEPS):
             u = t[todo]
@@ -273,7 +275,7 @@ def dupire_to_heat(ts, v_i, T):
     variance curve, hence layer_clock is set.
     """
     v, T = _as_curve(v_i), positive(T, "T")
-    if np.any(v(np.linspace(0.0, T, 101)) <= 0.0):
+    if not np.all(v(np.linspace(0.0, T, 101)) > 0.0):
         raise ConfigError("bucket variance must be positive on [0, T]")
     breaks = _breaks(0.0, T, *vars(ts).values(), v)
     drift = _Cumulative(lambda u: ts.r(u) - ts.q(u), breaks, 0.0)
@@ -326,7 +328,7 @@ def bk_affine_zcb(ts, a_i, b_i, t, S, z, R=1.0):
     its multiplier at the state R e^z, for 0 <= t <= S, one t or an array.
     """
     S, R, z = positive(S, "S"), number(R, "R"), number(z, "z")
-    if np.any(np.asarray(t) > S):
+    if not np.all(np.asarray(t) <= S):
         raise ConfigError(f"need t <= S, got t={t}, S={S}")
     state = _bk_state(R, z)
     return bk_layer_chart(ts, a_i, b_i, S).multiplier(t, state)
@@ -361,7 +363,7 @@ def verhulst_chart(ts, R, i, N, L, horizon):
     if N * N > sys.float_info.max:
         raise ConfigError(f"N: N^2 must be a finite float, got N={N}")
     barrier = _as_curve(L)
-    if np.any(barrier(np.linspace(0.0, horizon, 101)) <= 0.0):
+    if not np.all(barrier(np.linspace(0.0, horizon, 101)) > 0.0):
         raise ConfigError("barrier L(t) must be positive on [0, horizon]")
     breaks = _breaks(0.0, horizon, *vars(ts).values(), barrier)
     table = lambda f: _Cumulative(f, breaks, 0.0)
@@ -422,8 +424,8 @@ def nondivergent_to_divergent(Xi, c1, c2, boundaries=None):
 
     def xi_sq_inv(x):
         val = np.asarray(xi(x), dtype=float)
-        if np.any(val <= 0.0):
-            i = np.argmax(val <= 0.0)
+        if not np.all(val > 0.0):
+            i = np.argmin(val > 0.0)
             raise ConfigError(f"Xi must be positive, got Xi({np.ravel(x)[i]}) = {val.flat[i]}")
         return 1.0 / (val * val)
 
@@ -452,7 +454,7 @@ def nondivergent_to_divergent(Xi, c1, c2, boundaries=None):
         (side -1) origin; 0 where v is origin."""
         scalar, v = not isinstance(v, _ARRAYS), np.asarray(v, dtype=float)
         if not np.all(np.isfinite(v)):
-            raise NumericalError(f"the divergent chart maps finite values only, got {v}")
+            raise ConfigError(f"the divergent chart maps finite values only, got {v}")
         out = np.zeros(v.shape)
         for side in (1, -1):
             part = side * (v - origin) > 0.0

@@ -163,7 +163,7 @@ def build_internal_boundaries(chi_minus, chi_plus, N, degree, T):
     cm, cp = _as_curve(chi_minus), _as_curve(chi_plus)
     grid = np.linspace(0.0, T, 200)
     cm_g, cp_g = cm(grid), cp(grid)
-    if np.any(cp_g - cm_g <= 0.0):
+    if not np.all(cp_g - cm_g > 0.0):
         raise ConfigError("external boundaries cross: chi_minus < chi_plus required on [0, T]")
 
     samples = [0.0, T]
@@ -185,7 +185,7 @@ def build_internal_boundaries(chi_minus, chi_plus, N, degree, T):
         raise NumericalError(f"singular degree-{degree} interpolation in t at T = {T!r}")
 
     curves = np.vstack([cm_g, np.polynomial.polynomial.polyval(grid, coeffs.T), cp_g])
-    if np.any(np.diff(curves, axis=0) <= 0.0):
+    if not np.all(np.diff(curves, axis=0) > 0.0):
         raise NumericalError(
             "constructed interior boundaries cross on [0, T]; "
             "try a higher polynomial degree"
@@ -205,7 +205,7 @@ def git_kernel_set(tau, s, y_minus, y_plus, xi):
     ym, yp = _as_curve(y_minus), _as_curve(y_plus)
     ymt, ypt, yms, yps = float(ym(tau)), float(yp(tau)), float(ym(s)), float(yp(s))
     l = ypt - ymt
-    if l <= 0.0:
+    if not l > 0.0:
         raise ConfigError("boundaries cross: y_minus(tau) < y_plus(tau) required")
     delta = tau - s
 
@@ -306,9 +306,9 @@ class _Sampled:
 def _sample(problem, t):
     """``problem`` sampled on the time grid t, which starts at 0."""
     y = np.stack([problem.y_minus(t), problem.y_plus(t)])
-    if y[1, 0] <= y[0, 0]:
+    if not y[1, 0] > y[0, 0]:
         raise ConfigError("boundaries cross at t = 0")
-    if np.any(y[1] <= y[0]):
+    if not np.all(y[1] > y[0]):
         raise ConfigError("boundaries cross inside the horizon")
     mids = 0.5 * (t[:-1] + t[1:])
     edges, coef = _panels(problem.u0, _breaks(y[0, 0], y[1, 0], problem.u0))
@@ -699,7 +699,7 @@ class _Instant:
         self.tau = tau
         self.ymt, self.ypt = float(problem.y_minus(at)[0]), float(problem.y_plus(at)[0])
         self.l = self.ypt - self.ymt
-        if self.l <= 0.0:
+        if not self.l > 0.0:
             raise ConfigError("boundaries cross inside the horizon")
         self.chi = float(problem.chi_minus(at)[0]), float(problem.chi_plus(at)[0])
         if tau > 0.0:
@@ -793,7 +793,7 @@ def git_field_single_layer(problem, gradients, x, tau):
     shape = np.shape(x)
     x = np.asarray(x, dtype=float).ravel()
     tol = 1e-12 * max(now.l, 1.0)
-    outside = (x < now.ymt - tol) | (x > now.ypt + tol)
+    outside = ~((x >= now.ymt - tol) & (x <= now.ypt + tol))
     if outside.any():
         raise ConfigError(f"point x={x[outside][0]} outside the strip [{now.ymt}, {now.ypt}] "
                           f"at tau={tau}")

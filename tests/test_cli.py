@@ -409,14 +409,31 @@ class TestBoundaries:
         assert len(lines) == 201
         assert "boundary_1_coeffs=" in captured.err
 
-    def test_crossing_externals_is_numerical_failure(self, tmp_path, capsys):
-        # chi_minus overtakes chi_plus inside [0, T]
+    def test_crossing_externals_is_config_error(self, tmp_path, capsys):
+        # chi_minus overtakes chi_plus inside [0, T]: the library rejects the
+        # input, and every rejected input exits 2
         payload = {"chi_minus": [0.0, 1.0], "chi_plus": 1.0, "N": 3,
                    "degree": 1, "T": 2.0}
         cfg = write_config(tmp_path, "bad.json", payload)
         rc = main(["boundaries", "--config", cfg])
-        assert rc == 3
-        assert "numerical failure" in capsys.readouterr().err
+        assert rc == 2
+        assert "config error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad, code, message", [
+        ({"N": 1}, 2, "config error: need at least 2 layers, got N=1"),
+        ({"degree": 5}, 2, "config error: degree must be 1, 2 or 3, got 5"),
+        ({"chi_minus": [0.0, 2.0]}, 2, "config error: external boundaries cross"),
+        ({"degree": 3, "T": 1e-110}, 3, "numerical failure: singular degree-3 interpolation"),
+    ], ids=["N-1", "degree-5", "crossing-externals", "underflowing-horizon"])
+    def test_library_decides_the_exit_code(self, tmp_path, capsys, bad, code, message):
+        # build_internal_boundaries alone checks N, degree, T and crossing;
+        # main maps its ConfigError to 2 and its NumericalError to 3
+        payload = dict({"chi_minus": -1.0, "chi_plus": [1.0, 1.0], "N": 3, "degree": 1,
+                        "T": 2.0}, **bad)
+        cfg = write_config(tmp_path, "bnd.json", payload)
+        assert main(["boundaries", "--config", cfg]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(message)
 
     @pytest.mark.parametrize("degree", [2, 3])
     def test_short_horizon(self, tmp_path, capsys, degree):

@@ -168,13 +168,21 @@ def _medium():
     return LayeredMedium(np.array([0.0, 0.5, 1.0]), np.array([1.0, 2.0]))
 
 
-def _strip(M=4):
-    return GitLayerProblem(0.0, 1.0, 0.0, 0.0, 0.0, T=1.0, M=M)
+def _strip(M=4, y_plus=1.0):
+    return GitLayerProblem(0.0, y_plus, 0.0, 0.0, 0.0, T=1.0, M=M)
 
 
-def _field_at_nan_time():
-    problem = _strip()
-    return git_field_single_layer(problem, solve_volterra_single_layer(problem), 0.3, math.nan)
+def _field(problem, x, tau):
+    return git_field_single_layer(problem, solve_volterra_single_layer(problem), x, tau)
+
+
+def _nan_wall_at(t):
+    """A plus wall at 1 that is NaN at time t alone."""
+    return lambda s: np.where(np.asarray(s) == t, math.nan, 1.0)
+
+
+def _nan_curve(t):
+    return math.nan * np.asarray(t)
 
 
 @pytest.mark.parametrize("call", [
@@ -188,7 +196,7 @@ def _field_at_nan_time():
     lambda: theta3(0.0, 1.0),
     lambda: theta3(math.nan, 0.5),
     lambda: eta_kernel(0.1, 1.0, 1.0, "both"),
-    _field_at_nan_time,
+    lambda: _field(_strip(), 0.3, math.nan),
     lambda: _strip(M=2.5),
     lambda: _strip(M="5"),
     lambda: FdGrid.for_problem(GreensProblem(_medium(), x0=0.3, T=1.0), 40.5, 40),
@@ -213,6 +221,21 @@ def _field_at_nan_time():
     lambda: bk_layer_chart(TermStructure(), 0.0, 0.0, 1.0, constants=(math.nan, 0, 0, 0, 0)),
     lambda: bk_affine_zcb(TermStructure(), 0.0, 0.5, 0.5, 1.0, z=800.0),
     lambda: verhulst_chart(TermStructure(), 1.0, 0, 10**300, 1.0, 1.0),
+    lambda: build_internal_boundaries(_nan_curve, 1.0, 3, 1, 1.0),
+    lambda: Curve([math.nan, 1.0], [0.0, 1.0]),
+    lambda: dupire_to_heat(TermStructure(), 0.04, 1.0).tau_of_t(math.nan),
+    lambda: dupire_to_heat(TermStructure(), 0.04, 1.0).t_of_tau(math.nan),
+    lambda: _field(_strip(), math.nan, 0.0),
+    lambda: solve_volterra_single_layer(_strip(y_plus=_nan_wall_at(0.5))),
+    lambda: _field(_strip(y_plus=_nan_wall_at(0.3)), 0.5, 0.3),
+    lambda: dupire_to_heat(TermStructure(), _nan_curve, 1.0),
+    lambda: verhulst_chart(TermStructure(), 1.0, 0, 4, _nan_curve, 1.0),
+    lambda: nondivergent_to_divergent(_nan_curve, 1.0, 0.0).z_of_x(0.5),
+    lambda: nondivergent_to_divergent(1.0, 1.0, 0.0).z_of_x(math.nan),
+    lambda: nondivergent_to_divergent(1.0, 1.0, 0.0).x_of_z(math.inf),
+    lambda: bk_affine_zcb(TermStructure(), 0.0, 0.5, math.nan, 1.0, 0.0),
+    lambda: greens_function(GreensProblem(_medium(), 0.3, 1.0), xs=np.zeros((2, 2))),
+    lambda: greens_function(GreensProblem(_medium(), 0.3, 1.0), xs=0.5),
 ], ids=["decreasing-boundaries", "sigma-count", "x0-on-boundary", "negative-T",
         "odd-stehfest", "fd-nx-3", "x0-outside-strip", "nome-1", "nan-phase", "eta-parity",
         "field-nan-time", "volterra-M-2.5", "volterra-M-string", "fd-nx-40.5", "fd-mt-40.5",
@@ -220,9 +243,25 @@ def _field_at_nan_time():
         "divergent-c1-inf", "greens-T-true", "volterra-T-true", "strip-sigma-true",
         "boundaries-T-true", "greens-T-string", "strip-T-string", "invert-T-string",
         "forward-lambda-string", "greens-x0-string", "dupire-T-string", "eta-dt-array",
-        "curve-constant-string", "bk-C1-nan", "bk-zcb-z-800", "verhulst-N-int-1e300"])
+        "curve-constant-string", "bk-C1-nan", "bk-zcb-z-800", "verhulst-N-int-1e300",
+        "boundaries-nan-curve", "curve-nan-time", "chart-nan-t", "chart-nan-target",
+        "field-nan-point-at-0", "volterra-nan-wall", "field-nan-wall-off-grid",
+        "dupire-nan-variance", "verhulst-nan-barrier", "divergent-nan-xi", "divergent-nan-x",
+        "divergent-inf-z", "bk-zcb-nan-t", "greens-xs-2d", "greens-xs-scalar"])
 def test_rejected_input_raises_config_error(call):
     with pytest.raises(ConfigError):
+        call()
+
+
+@pytest.mark.parametrize("call, rule", [
+    (lambda: _field(_strip(), math.nan, 0.5), "outside the strip"),
+    (lambda: solve_volterra_single_layer(_strip(y_plus=_nan_wall_at(0.0))),
+     "boundaries cross at t = 0"),
+    (lambda: git_kernel_set(1.0, 0.0, 0.0, _nan_wall_at(1.0), 0.5), "boundaries cross"),
+], ids=["field-nan-point", "volterra-nan-wall-at-0", "kernel-set-nan-wall"])
+def test_nan_fails_the_rule_it_breaks(call, rule):
+    # a NaN used to pass these checks and fail a later one, under its message
+    with pytest.raises(ConfigError, match=rule):
         call()
 
 

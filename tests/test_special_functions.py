@@ -2,6 +2,7 @@
 
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
@@ -74,6 +75,28 @@ class TestTheta3:
         for i, z in enumerate(zs):
             for j, q in enumerate(qs):
                 assert v[i, j] == pytest.approx(theta3(float(z), float(q)), rel=1e-14)
+
+    @pytest.mark.parametrize("q", [0.995, 0.9999])
+    @pytest.mark.parametrize("z", [
+        3.134415430813835, -3.134415430813835, math.pi / 2, -math.pi / 2,
+        math.pi / 2 + 1e-3, -math.pi / 2 - 1e-3, math.pi, -math.pi,
+        math.pi - 0.007, -math.pi + 0.007, math.pi + 0.0071])
+    def test_matches_mpmath_near_unit_nome(self, z, q):
+        # the period fold subtracts n pi, not n fl(pi): at z = 3.1344..., just
+        # past a zero of theta3'' at q = 0.9999, fl(pi)'s rounding alone put
+        # theta3'' 7.3e-8 off, and at z = pi theta3' 434 times the bound
+        for deriv, f in enumerate((theta3, theta3_dz, theta3_dzz)):
+            with mpmath.workdps(40):
+                ref = float(mpmath.jtheta(3, mpmath.mpf(z), mpmath.mpf(q), deriv))
+            assert abs(f(z, q) - ref) <= 1e-12 * max(1.0, abs(ref)), deriv
+
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan])
+    def test_non_finite_phase_is_config_error(self, z):
+        for f in (theta3, theta3_dz, theta3_dzz):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigError, match="offset a must be finite"):
+                    f(z, 0.5)
 
     def test_invalid_nome(self):
         with pytest.raises(ValueError):
