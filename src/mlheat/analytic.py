@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._workspace import _local, _scratch
-from .errors import ConfigError, number, positive
+from .errors import ConfigError, number, positive, reals
 from .special_functions import _folded_kernels, _theta_orders
 
 
@@ -44,7 +44,7 @@ def strip_green(problem, x):
     precision.  The image sum is one kernel pass over the direct and the
     image offsets stacked, which it reads and writes in the workspace.
     """
-    x = np.asarray(x, dtype=float)
+    x = reals(x, "x")
     if not np.all((x >= problem.y0) & (x <= problem.yN)):
         raise ConfigError("evaluation point outside the strip")
     l = problem.yN - problem.y0
@@ -55,9 +55,10 @@ def strip_green(problem, x):
         np.subtract(x + problem.x0, 2.0 * problem.y0, a[1, ...])
         direct, image = _folded_kernels(delta, a, l, (0,), [kernel])[0]
         u = 0.5 * (direct - image)
-        return float(u) if u.ndim == 0 else u
-    w = math.pi / l
-    decay = w * w * delta
-    k = _theta_orders(decay)
-    weight = 2.0 / l * np.exp(-decay * k * k) * np.sin(k * w * (problem.x0 - problem.y0))
-    return np.sin(np.multiply.outer(x - problem.y0, k * w)) @ weight
+    else:
+        w = math.pi / l
+        decay = w * w * delta
+        k = _theta_orders(decay)
+        weight = 2.0 / l * np.exp(-decay * k * k) * np.sin(k * w * (problem.x0 - problem.y0))
+        u = np.sin(np.multiply.outer(x - problem.y0, k * w)) @ weight
+    return float(u) if x.ndim == 0 else u

@@ -21,6 +21,7 @@ import numpy as np
 from ._lazy import lazy_attributes
 from .errors import ConfigError, NumericalError, integral
 from .layered import SolutionField
+from .transforms import _as_curve
 
 # scipy.linalg is imported at the first FD solve, not with the package
 __getattr__ = lazy_attributes(__name__, solve_banded="scipy.linalg:solve_banded")
@@ -49,16 +50,13 @@ class FdGrid:
         return cls(N_x=N_x, M_t=M_t, xs=xs, dt=problem.T / M_t)
 
 
-def _nearest_node(xs, x):
-    return int(np.argmin(np.abs(xs - x)))
-
-
 def fd_solve(problem, grid, u0=None):
     """Solve the layered problem on ``grid`` and return a SolutionField.
 
     By default the initial condition is the unit point source of
-    ``problem`` placed on the nearest node; passing a callable ``u0``
-    replaces it with smooth data sampled at the grid nodes.
+    ``problem`` placed on the nearest node; passing ``u0`` (a constant, a
+    Curve or a callable, as ``transforms._as_curve`` takes it) replaces it
+    with smooth data sampled at the grid nodes.
     """
     med = problem.medium
     b = med.boundaries
@@ -67,22 +65,27 @@ def fd_solve(problem, grid, u0=None):
     dx = xs[1] - xs[0]
     dt = grid.dt
 
-    # snapped internal-boundary nodes must stay distinct and interior,
-    # otherwise the grid cannot represent the layer structure
-    bnodes = [_nearest_node(xs, y) for y in b[1:-1]]
-    if len(bnodes) != len(set(bnodes)) or any(k in (0, n - 1) for k in bnodes):
+    # the nearest node of each internal boundary and of the source, the
+    # lower one on a tie; the boundaries' nodes must stay distinct and
+    # interior, otherwise the grid cannot represent the layer structure
+    pts = np.append(b[1:-1], problem.x0)
+    k = np.clip(np.searchsorted(xs, pts), 1, n - 1)
+    nodes = k - (pts - xs[k - 1] <= xs[k] - pts)
+    bnodes = nodes[:-1]
+    if np.any(np.diff(bnodes, prepend=0, append=n - 1) == 0):
         raise ConfigError("grid too coarse: layer boundaries collide after snapping")
 
     # per-node diffusion Xi^2 (left-continuous layer lookup)
     idx = np.clip(np.searchsorted(b, xs, side="left"), 1, med.n_layers)
     diff = med.sigmas[idx - 1] ** 2
 
+    # Xi^2 per layer by pow, as numpy rounds a scalar sigma ** 2
+    sig2 = np.float_power(med.sigmas, 2)
+
     # delta-spike convection at the snapped boundary nodes, Xi^2 jump
     # times delta(0) ~ 2/(y_N - y_0)
     conv = np.zeros(n)
-    d0 = 2.0 / (b[-1] - b[0])
-    for i, k in enumerate(bnodes):
-        conv[k] += (med.sigmas[i + 1] ** 2 - med.sigmas[i] ** 2) * d0
+    conv[bnodes] = np.diff(sig2) * (2.0 / (b[-1] - b[0]))
 
     # spatial operator A u = diff u_xx + conv u_x (interior rows only)
     sub = diff / dx ** 2 - conv / (2.0 * dx)
@@ -110,9 +113,9 @@ def fd_solve(problem, grid, u0=None):
 
     if u0 is None:
         u = np.zeros(n)
-        u[_nearest_node(xs, problem.x0)] = 1.0 / dx
+        u[nodes[-1]] = 1.0 / dx
     else:
-        u = np.asarray([float(u0(x)) for x in xs], dtype=float)
+        u = np.array(_as_curve(u0)(xs))  # a copy: a callable may return its own array
     u[0] = u[-1] = 0.0
 
     lhs = {theta: banded_lhs(theta) for theta in (1.0, 0.5)}
@@ -126,17 +129,13 @@ def fd_solve(problem, grid, u0=None):
     if not np.all(np.isfinite(u)):
         raise NumericalError("finite-difference solution blew up")
 
-    fvals = u[bnodes] if bnodes else np.empty(0)
     # one-sided flux mismatch at the snapped boundary nodes
-    jumps = np.empty(len(bnodes))
-    for i, k in enumerate(bnodes):
-        left = med.sigmas[i] ** 2 * (u[k] - u[k - 1]) / dx
-        right = med.sigmas[i + 1] ** 2 * (u[k + 1] - u[k]) / dx
-        jumps[i] = left - right
+    left = sig2[:-1] * (u[bnodes] - u[bnodes - 1]) / dx
+    right = sig2[1:] * (u[bnodes + 1] - u[bnodes]) / dx
     return SolutionField(
         time=problem.T,
         xs=xs,
         values=u,
-        boundary_values=np.asarray(fvals),
-        flux_jumps=jumps,
+        boundary_values=u[bnodes],
+        flux_jumps=left - right,
     )

@@ -45,7 +45,7 @@ import numpy as np
 
 from ._lazy import lazy_attributes
 from ._workspace import _local, _scratch
-from .errors import ConfigError, NumericalError, number, positive
+from .errors import ConfigError, NumericalError, number, positive, reals
 from .laplace import stehfest_weights
 
 # LAPACK's dgtsv serves only the solve_tridiagonal oracle, so scipy is
@@ -61,8 +61,8 @@ class LayeredMedium:
     sigmas: np.ndarray
 
     def __post_init__(self):
-        b = np.atleast_1d(np.asarray(self.boundaries, dtype=float))
-        s = np.atleast_1d(np.asarray(self.sigmas, dtype=float))
+        b = np.atleast_1d(reals(self.boundaries, "boundaries"))
+        s = np.atleast_1d(reals(self.sigmas, "sigmas"))
         if b.ndim != 1 or s.ndim != 1:
             raise ConfigError("boundaries and sigmas must be 1-D")
         if len(b) < 2:
@@ -84,7 +84,7 @@ class LayeredMedium:
     @classmethod
     def uniform(cls, y0, yN, sigmas):
         """Split [y0, yN] into len(sigmas) equal layers."""
-        sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
+        sigmas = np.atleast_1d(reals(sigmas, "sigmas"))
         return cls(np.linspace(number(y0, "y0"), number(yN, "yN"), len(sigmas) + 1), sigmas)
 
     @property
@@ -388,9 +388,7 @@ def assemble_system(problem, lam):
 
 def solve_tridiagonal(sys):
     """Solve M g = rhs with LAPACK ``dgtsv`` after a dominance check."""
-    d = np.asarray(sys.diag, dtype=float)
-    e = np.asarray(sys.offdiag, dtype=float)
-    r = np.asarray(sys.rhs, dtype=float)
+    d, e, r = reals(sys.diag, "diag"), reals(sys.offdiag, "offdiag"), reals(sys.rhs, "rhs")
     n = len(d)
     if len(e) != max(n - 1, 0) or len(r) != n:
         raise ConfigError("inconsistent system dimensions")
@@ -416,7 +414,7 @@ def laplace_field(problem, lam, g_hat, x):
     sq = _sqrt_lam(lam)
     nodes, sigmas, excess, coupling = _system(problem, sq)
     j = problem.source_layer
-    gh = np.asarray(g_hat, dtype=float).ravel()
+    gh = reals(g_hat, "g_hat").ravel()
     g = np.concatenate(([0.0], gh[: j - 1], [0.0], gh[j - 1 :], [0.0]))
     left, right = coupling[j - 1, 0], coupling[j, 0]
     g[j] = (1.0 / sq[0] + left * g[j - 1] + right * g[j + 1]) / (excess[j - 1, 0] + left + right)
@@ -493,7 +491,7 @@ def greens_function(problem, scheme=None, xs=None):
     if scheme is None:
         scheme = stehfest_weights()
     b = problem.medium.boundaries
-    xs = np.linspace(b[0], b[-1], 101) if xs is None else np.asarray(xs, dtype=float)
+    xs = np.linspace(b[0], b[-1], 101) if xs is None else reals(xs, "xs")
     if xs.ndim != 1:
         raise ConfigError(f"evaluation points xs must be 1-D, got shape {xs.shape}")
     sq, nodes, sigmas, _, _, g = _node_values(problem, scheme)

@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from ._workspace import _local, _scratch
-from .errors import ConfigError, positive
+from .errors import ConfigError, positive, reals
 
 # Truncation.  Theta terms with q^(k^2) below exp(-_DECAY) are dropped;
 # images more than _REACH sqrt(delta) beyond [-l, l] are dropped, being
@@ -216,7 +216,7 @@ def _folded_kernels(delta, a, l, orders, outs=None):
     None, and returned as a list.  The temporaries come from the workspace.
     """
     # checked before broadcasting, so each argument is scanned at its own size
-    delta, a, l = (np.asarray(v, dtype=float) for v in (delta, a, l))
+    delta, a, l = reals(delta, "delta"), reals(a, "a"), reals(l, "l")
     if not (delta > 0.0).all():
         raise ConfigError("time lag delta must be positive")
     if not np.isfinite(a).all():
@@ -291,10 +291,9 @@ def _theta3_deriv(z, q, deriv):
     # z first sheds its nearest multiple of the period pi, taken in two parts,
     # so that folded_kernel's fold by 2 l = fl(pi) has no rounding of pi to add;
     # a non-finite z becomes NaN there, which folded_kernel rejects
-    q = np.asarray(q, dtype=float)
+    z, q = reals(z, "z"), reals(q, "q")
     if not np.all((q >= 0.0) & (q < 1.0)):
         raise ConfigError("nome q must lie in [0, 1)")
-    z = np.asarray(z, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = -np.log(q) / 4.0
         n = np.rint(z / math.pi)

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._lazy import lazy_attributes
 from ._workspace import _local
-from .errors import ConfigError, NumericalError, integral, number, positive
+from .errors import ConfigError, NumericalError, integral, number, positive, reals
 
 # Nothing here calls quad any more.  It stays an attribute, imported on
 # lookup, only because the benchmark's tracer wraps ``transforms.quad``.
@@ -39,35 +39,29 @@ __getattr__ = lazy_attributes(__name__, quad="scipy.integrate:quad")
 # curves and term structures
 # ----------------------------------------------------------------------
 
-# arguments a curve evaluates as arrays; anything else is a scalar
-_ARRAYS = (np.ndarray, list, tuple)
-
-
 class Curve:
     """Scalar function of time: a constant or linearly interpolated samples."""
 
     def __init__(self, times=None, values=None, constant=None):
         if constant is not None:
-            self._const = number(constant, "constant")
-            self._times = None
-            self._values = None
+            self._const, self._times, self._values = number(constant, "constant"), None, None
         else:
-            times = np.asarray(times, dtype=float)
-            values = np.asarray(values, dtype=float)
+            times, values = reals(times, "times"), reals(values, "values")
             if times.ndim != 1 or times.shape != values.shape or len(times) < 2:
                 raise ConfigError("sampled curve needs matching 1-D times and values")
             if not np.all(np.diff(times) > 0.0):
                 raise ConfigError("curve sample times must be strictly increasing")
-            self._const = None
-            self._times = times
-            self._values = values
+            if not np.all(np.isfinite(values)):
+                raise ConfigError("curve sample values must be finite")
+            self._const, self._times, self._values = None, times, values
 
     def __call__(self, t):
+        t = reals(t, "t")
         if self._const is None:
-            return np.interp(t, self._times, self._values)
-        if isinstance(t, _ARRAYS):
-            return np.full(np.shape(t), self._const)
-        return self._const
+            v = np.interp(t, self._times, self._values)
+        else:
+            v = np.full(t.shape, self._const)
+        return float(v) if t.ndim == 0 else v
 
 
 class _CallableCurve(Curve):
@@ -77,9 +71,9 @@ class _CallableCurve(Curve):
         self._fn = fn
 
     def __call__(self, t):
-        if not isinstance(t, _ARRAYS):
-            return self._fn(t)
-        t = np.asarray(t, dtype=float)
+        t = reals(t, "t")
+        if t.ndim == 0:
+            return self._fn(float(t))
         try:
             v = np.asarray(self._fn(t), dtype=float)
             if v.shape == t.shape:
@@ -238,15 +232,15 @@ class _Cumulative:
         self._start = (F, t) if F[-1] >= F[0] else (F[::-1], t[::-1])
 
     def __call__(self, t):
-        scalar, t = not isinstance(t, _ARRAYS), np.asarray(t, dtype=float)
+        t = reals(t, "t")
         if not np.all((t >= self._lo) & (t <= self._hi)):
             raise ConfigError(f"t outside the chart's interval [{self._lo}, {self._hi}]")
         F = np.where(t == self._anchor, 0.0, _series_at(self._edges, self._coef, t))
-        return float(F) if scalar else F
+        return float(F) if t.ndim == 0 else F
 
     def inverse(self, y):
         """t with int_anchor^t f = y, for a table monotone in t."""
-        scalar, y = not isinstance(y, _ARRAYS), np.asarray(y, dtype=float)
+        y = reals(y, "target")
         if not np.all(np.isfinite(y)):
             raise ConfigError(f"target {y} outside the chart's time range")
         t, todo = np.interp(y.ravel(), *self._start), np.arange(y.size)
@@ -260,7 +254,7 @@ class _Cumulative:
                 break
         if np.any(np.abs(du) > 1e-10 * (self._hi - self._lo)):
             raise ConfigError(f"target {y} outside the chart's time range")
-        return float(t[0]) if scalar else t.reshape(y.shape)
+        return float(t[0]) if y.ndim == 0 else t.reshape(y.shape)
 
 
 # ----------------------------------------------------------------------
@@ -327,8 +321,8 @@ def bk_affine_zcb(ts, a_i, b_i, t, S, z, R=1.0):
     These are alpha and beta of the default bk_layer_chart, so the value is
     its multiplier at the state R e^z, for 0 <= t <= S, one t or an array.
     """
-    S, R, z = positive(S, "S"), number(R, "R"), number(z, "z")
-    if not np.all(np.asarray(t) <= S):
+    S, R, z, t = positive(S, "S"), number(R, "R"), number(z, "z"), reals(t, "t")
+    if not np.all(t <= S):
         raise ConfigError(f"need t <= S, got t={t}, S={S}")
     state = _bk_state(R, z)
     return bk_layer_chart(ts, a_i, b_i, S).multiplier(t, state)
@@ -423,7 +417,7 @@ def nondivergent_to_divergent(Xi, c1, c2, boundaries=None):
     c1, c2, xi = positive(c1, "c1"), number(c2, "c2"), _as_curve(Xi)
 
     def xi_sq_inv(x):
-        val = np.asarray(xi(x), dtype=float)
+        val = xi(x)
         if not np.all(val > 0.0):
             i = np.argmin(val > 0.0)
             raise ConfigError(f"Xi must be positive, got Xi({np.ravel(x)[i]}) = {val.flat[i]}")
@@ -449,10 +443,10 @@ def nondivergent_to_divergent(Xi, c1, c2, boundaries=None):
                 return tab
             R *= 2.0
 
-    def by_side(v, origin, fn):
-        """fn(side, entries) on the entries of v above (side 1) and below
-        (side -1) origin; 0 where v is origin."""
-        scalar, v = not isinstance(v, _ARRAYS), np.asarray(v, dtype=float)
+    def by_side(v, name, origin, fn):
+        """fn(side, entries) on the entries of v, the argument ``name``,
+        above (side 1) and below (side -1) origin; 0 where v is origin."""
+        v = reals(v, name)
         if not np.all(np.isfinite(v)):
             raise ConfigError(f"the divergent chart maps finite values only, got {v}")
         out = np.zeros(v.shape)
@@ -460,7 +454,7 @@ def nondivergent_to_divergent(Xi, c1, c2, boundaries=None):
             part = side * (v - origin) > 0.0
             if np.any(part):
                 out[part] = fn(side, v[part])
-        return float(out) if scalar else out
+        return float(out) if v.ndim == 0 else out
 
     def z_of_x(x):
         def integral(side, x):
@@ -468,7 +462,7 @@ def nondivergent_to_divergent(Xi, c1, c2, boundaries=None):
             while R < reach and R <= _MAX_REACH:
                 R *= 2.0
             return table(side, R)(x)
-        return c2 + c1 * by_side(x, 0.0, integral)
+        return c2 + c1 * by_side(x, "x", 0.0, integral)
 
     def x_of_z(z):
         def inverse(side, z):
@@ -477,12 +471,12 @@ def nondivergent_to_divergent(Xi, c1, c2, boundaries=None):
             far = np.max(side * z)
             tab = table(side, reaches=lambda R, tab: far <= side * (c2 + c1 * tab(side * R)))
             return tab.inverse((z - c2) / c1)
-        return by_side(z, c2, inverse)
+        return by_side(z, "z", c2, inverse)
 
     def sigma_sq_of_z(z):
         val = xi(x_of_z(z))
         return c1 * c1 / (val * val)
 
-    images = None if boundaries is None else z_of_x(np.asarray(boundaries, dtype=float))
+    images = None if boundaries is None else z_of_x(reals(boundaries, "boundaries"))
     return DivergentChart(z_of_x=z_of_x, x_of_z=x_of_z,
                           sigma_sq_of_z=sigma_sq_of_z, boundary_images=images)

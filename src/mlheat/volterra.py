@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._workspace import _local, _scratch
-from .errors import ConfigError, NumericalError, integral, number, positive
+from .errors import ConfigError, NumericalError, integral, number, positive, reals
 from .special_functions import _DECAY, _REACH, _folded_kernels, _theta_orders, folded_kernel
 from .transforms import _CHEB, _TAIL, _as_curve, _breaks, _panels, _series_at
 
@@ -72,7 +72,7 @@ class PolynomialBoundarySet:
 
     def evaluate(self, i, t):
         """Value of interior boundary i (0-based) at time(s) t."""
-        return np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), self.coeffs[i])
+        return np.polynomial.polynomial.polyval(reals(t, "t"), self.coeffs[i])
 
     @property
     def n_interior(self):
@@ -261,8 +261,8 @@ def _u0_rule(s, a, b):
 class _Sampled:
     """A problem sampled for the march: its curves on the time grid t and
     at the interval midpoints, u0 as one table on the strip at t = 0.
-    The field adds the walls' velocities on the grid (``slope``) and the
-    state of the last time it was asked at (``at``)."""
+    The field adds the walls' velocities on the grid (``slope``), the state
+    of the last time asked (``at``) and the last table read (``spectrum``)."""
 
     problem: GitLayerProblem
     t: np.ndarray
@@ -301,6 +301,14 @@ class _Sampled:
             # written as cached_property writes, past the frozen __setattr__
             now = self.__dict__["_now"] = _Instant(self, tau)
         return now
+
+    def spectrum(self, kw):
+        """conj(F(kw)), F u0's Fourier table (``fourier``); the last read is
+        kept, so the points of one tau asked one by one read it once."""
+        last = self.__dict__.get("_spectrum")
+        if last is None or not np.array_equal(last[0], kw):
+            last = self.__dict__["_spectrum"] = kw, np.conj(self.fourier(kw))
+        return last[1]
 
 
 def _sample(problem, t):
@@ -365,20 +373,7 @@ class _FourierTable:
         return _CHEB.chebval(1.0 - 2.0 * w.ravel() / self.top, self.coef).reshape(w.shape)
 
 
-def _table_rows(s, tau, l):
-    """The rows of ``_initial_terms`` that read the Fourier table, as a mask
-    of tau, and the theta orders k they take (None when no row is at or
-    above the split): tau >= (l / _REACH)^2 with k pi / l within the top."""
-    w = np.pi / l
-    theta = tau >= (l / _REACH) ** 2
-    k = None
-    if theta.any():
-        k = _theta_orders((w * w * tau)[theta].min())
-        theta &= k[-1] * w <= s.fourier.top
-    return theta, k
-
-
-def _initial_terms(s, tau, c, l, deriv, spectrum=None):
+def _initial_terms(s, tau, c, l, deriv):
     """u0 against the strip kernel: int u0(xi) K^(deriv)(tau, c - xi, l) dxi.
 
     tau and l have shape (R,), the centres c shape (P, R); so has the
@@ -392,17 +387,19 @@ def _initial_terms(s, tau, c, l, deriv, spectrum=None):
     table's top (a strip narrower than anywhere on the grid) and every row
     below the split sum K by ``_u0_rule`` over the half windows
     c + 2nl +- [0, reach], reach = _REACH sqrt(tau) <= l, of each image,
-    clipped to the strip and cut at u0's panel edges.  A caller holding
-    conj(F(kw)) for a single row, read at the same tau and l, passes it as
-    ``spectrum`` and the table is not read again.  The theta rows' terms
-    and the quadrature's kernel pass are workspace arrays.
+    clipped to the strip and cut at u0's panel edges.  The theta rows'
+    terms and the quadrature's kernel pass are workspace arrays.
     """
     out = np.zeros(c.shape)
     ws = _local.ws
     mark = ws.top
     w = np.pi / l
     decay = w * w * tau
-    theta, k = _table_rows(s, tau, l)
+    # the theta rows, with their frequencies k pi / l within the table's top
+    theta = tau >= (l / _REACH) ** 2
+    if theta.any():
+        k = _theta_orders(decay[theta].min())
+        theta &= k[-1] * w <= s.fourier.top
     rows = np.flatnonzero(theta)
     if len(rows):
         # the d-th a-derivative of 2 q^(k^2) cos(kw a) is 2 q^(k^2) Re((i kw)^d exp(i kw a))
@@ -410,11 +407,9 @@ def _initial_terms(s, tau, c, l, deriv, spectrum=None):
         new = np.append(True, np.any(key[:, 1:] != key[:, :-1], axis=0))  # runs of equal rows
         key, inv = key[:, new], np.cumsum(new) - 1
         kw = np.multiply.outer(key[0], k)
-        if spectrum is None:
-            spectrum = np.conj(s.fourier(kw))
         # exp(i kw (c - mid)) as the powers of its k = 1 term
         wave = np.exp(1j * key[0] * (key[1:] - s.fourier.mid))
-        wave = np.repeat(wave[..., None], len(k), axis=-1).cumprod(axis=-1) * spectrum
+        wave = np.repeat(wave[..., None], len(k), axis=-1).cumprod(axis=-1) * s.spectrum(kw)
         wave = wave.imag if deriv % 2 else wave.real
         if deriv:
             wave *= -kw ** deriv
@@ -690,8 +685,7 @@ def _gradient_residual(problem, gradients):
 class _Instant:
     """What the field at one time tau needs besides the gradients and x:
     the walls and their data at tau and, for tau > 0, the history nodes
-    before tau with their trapezoid weights, the walls and data there, and
-    the initial data's Fourier-table read at tau's frequencies.
+    before tau with their trapezoid weights and the walls and data there.
     ``_Sampled.at`` keeps the last one."""
 
     def __init__(self, s, tau):
@@ -710,13 +704,6 @@ class _Instant:
             self.y, self.chi_h = s.y[:, :n], s.chi[:, :n]
             # the data's share of the fluxes, chi- y-' and chi+ y+'
             self.drift = self.chi_h * s.slope[:, :n]
-            # conj(F(kw)) at tau's frequencies when the initial term reads
-            # the Fourier table there (``_initial_terms``), else None
-            l = np.array([self.l])
-            theta, k = _table_rows(s, at, l)
-            self.spectrum = None
-            if theta[0]:
-                self.spectrum = np.conj(s.fourier(np.multiply.outer(np.pi / l, k)))
 
     def field(self, s, gradients, x):
         """The field at interior points x, shape (P,), for tau > 0, on the sample s.
@@ -735,8 +722,7 @@ class _Instant:
         """
         n = len(self.dh)
         centres = np.concatenate([x, 2.0 * self.ymt - x])[:, None]
-        i0 = _initial_terms(s, np.array([self.tau]), centres, np.array([self.l]), 0,
-                            self.spectrum)[:, 0]
+        i0 = _initial_terms(s, np.array([self.tau]), centres, np.array([self.l]), 0)[:, 0]
         out = 0.5 * (i0[:len(x)] - i0[len(x):])
         f = np.stack([gradients.omega[:n] - self.drift[0], gradients.theta[:n] + self.drift[1]])
         step = max(1, _BLOCK // n)
@@ -774,10 +760,10 @@ def git_field_single_layer(problem, gradients, x, tau):
     from the march of this very ``problem`` object brings the march's
     sample of them, which also keeps the walls' velocities and the state
     of the last tau asked (``_Instant``: the walls at tau, the history
-    slice and its weights, the Fourier-table read), so points asked one by
-    one at one tau pay that once.  Any other pair has the problem sampled
-    on its grid once per call, so crossing boundaries in its history are
-    still found.  A point then costs its kernel sums: its initial term and
+    slice and its weights) and u0's last Fourier-table read, so points
+    asked one by one at one tau pay those once.  Any other pair has the
+    problem sampled on its grid once per call, so crossing boundaries in
+    its history are still found.  A point then costs its kernel sums: its initial term and
     K, K' over the history, O(M).
     """
     tau = number(tau, "time tau")
@@ -790,8 +776,8 @@ def git_field_single_layer(problem, gradients, x, tau):
     if s is None or s.problem is not problem or s.t is not grid:
         s = _sample(problem, grid)
     now = s.at(tau)
-    shape = np.shape(x)
-    x = np.asarray(x, dtype=float).ravel()
+    x = reals(x, "x")
+    shape, x = x.shape, x.ravel()
     tol = 1e-12 * max(now.l, 1.0)
     outside = ~((x >= now.ymt - tol) & (x <= now.ypt + tol))
     if outside.any():

@@ -100,3 +100,15 @@ class TestFdSolve:
         sol = fd_solve(prob, FdGrid.for_problem(prob, 81, 40))
         assert sol.boundary_values.shape == (2,)
         assert sol.flux_jumps.shape == (2,)
+
+    def test_u0_takes_the_curve_contract(self):
+        # a constant u0 is sampled as the callable that returns it, bit for bit
+        med = LayeredMedium(np.array([-1.0, -0.25, 0.5, 1.0]), np.array([0.5, 0.8, 0.35]))
+        prob = GreensProblem(medium=med, x0=0.1, T=0.5)
+        grid = FdGrid.for_problem(prob, 81, 40)
+        const, called = fd_solve(prob, grid, u0=0.7), fd_solve(prob, grid, u0=lambda x: 0.7)
+        for name in ("values", "boundary_values", "flux_jumps"):
+            assert getattr(const, name).tobytes() == getattr(called, name).tobytes(), name
+        # the grid's own array, returned by the callable, is not written to
+        fd_solve(prob, grid, u0=lambda x: x)
+        assert grid.xs[0] == -1.0 and grid.xs[-1] == 1.0

@@ -34,8 +34,9 @@ from mlheat import (ConfigError, Curve, FdGrid, GitLayerProblem, GreensProblem, 
                     fd_solve, forward_laplace_numeric, git_field_single_layer, git_kernel_set,
                     greens_function, invert_laplace, laplace_field, locate_source_layer,
                     nondivergent_to_divergent,
-                    solve_tridiagonal, solve_volterra_single_layer, stehfest_weights, strip_green,
-                    theta3, verhulst_chart)
+                    TridiagonalSystem, solve_tridiagonal, solve_volterra_single_layer,
+                    stehfest_weights, strip_green, theta3, verhulst_chart)
+from mlheat.special_functions import folded_kernel
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -185,6 +186,50 @@ def _nan_curve(t):
     return math.nan * np.asarray(t)
 
 
+# Every array argument of the library's entries: entry.argument -> (a bool
+# array that would be a valid value as floats, the call with the argument
+# set to a value and every other argument valid).
+_ARRAY_SLOTS = {
+    "LayeredMedium.boundaries": ([False, True], lambda v: LayeredMedium(v, [1.0])),
+    "LayeredMedium.sigmas": ([True], lambda v: LayeredMedium([0.0, 1.0], v)),
+    "LayeredMedium.uniform.sigmas": ([True], lambda v: LayeredMedium.uniform(0.0, 1.0, v)),
+    "greens_function.xs": ([False, True], lambda v: greens_function(
+        GreensProblem(_medium(), 0.3, 1.0), xs=v).values),
+    "solve_tridiagonal.diag": ([True], lambda v: solve_tridiagonal(
+        TridiagonalSystem(v, np.empty(0), [1.0], 1.0))),
+    "solve_tridiagonal.offdiag": ([True], lambda v: solve_tridiagonal(
+        TridiagonalSystem([3.0, 3.0], v, [1.0, 1.0], 1.0))),
+    "solve_tridiagonal.rhs": ([True], lambda v: solve_tridiagonal(
+        TridiagonalSystem([3.0], np.empty(0), v, 1.0))),
+    "laplace_field.g_hat": ([True], lambda v: laplace_field(
+        GreensProblem(_medium3(), 1, 1), 2.0, v, 1.5)),
+    "strip_green.x": ([False, True], lambda v: strip_green(StripProblem(-1, 2, 1, 1, 1), v)),
+    "folded_kernel.delta": ([True], lambda v: folded_kernel(v, 0.5, 1.0)),
+    "folded_kernel.a": ([True], lambda v: folded_kernel(1.0, v, 1.0)),
+    "folded_kernel.l": ([True], lambda v: folded_kernel(1.0, 0.5, v)),
+    "theta3.z": ([True], lambda v: theta3(v, 0.5)),
+    "theta3.q": ([False], lambda v: theta3(0.5, v)),
+    "Curve.times": ([False, True], lambda v: Curve(v, [0.0, 1.0])(0.5)),
+    "Curve.values": ([False, True], lambda v: Curve([0.0, 1.0], v)(0.5)),
+    "Curve.t": ([True], lambda v: Curve([0.0, 1.0], [0.0, 1.0])(v)),
+    "Curve.constant.t": ([True], lambda v: Curve(constant=1.0)(v)),
+    "callable-curve.t": ([True], lambda v: TermStructure(r=lambda t: 0.1 * t).r(v)),
+    "chart.tau_of_t": ([True], lambda v: dupire_to_heat(_RATES, 0.04, 1.0).tau_of_t(v)),
+    "chart.t_of_tau": ([False], lambda v: dupire_to_heat(_RATES, 0.04, 1.0).t_of_tau(v)),
+    "divergent.z_of_x": ([True], lambda v: nondivergent_to_divergent(1.0, 1.0, 0.0).z_of_x(v)),
+    "divergent.x_of_z": ([True], lambda v: nondivergent_to_divergent(1.0, 1.0, 0.0).x_of_z(v)),
+    "nondivergent_to_divergent.boundaries": ([False, True], lambda v: nondivergent_to_divergent(
+        1.0, 1.0, 0.0, boundaries=v).boundary_images),
+    "bk_affine_zcb.t": ([False, True], lambda v: bk_affine_zcb(_RATES, 0.02, 0.5, v, 1.0, 0.0)),
+    "PolynomialBoundarySet.evaluate.t": ([True], lambda v: build_internal_boundaries(
+        -1.0, 1.0, 3, 1, 1.0).evaluate(0, v)),
+    "git_field_single_layer.x": ([True], lambda v: git_field_single_layer(*_march(), v, 0.5)),
+}
+# the bad values of an array argument, from its bool array
+_NOT_REALS = {"string": lambda b: "a", "ragged": lambda b: [[0.5], [0.5, 0.6]],
+              "bool-array": np.array}
+
+
 @pytest.mark.parametrize("call", [
     lambda: LayeredMedium(np.array([0.0, 1.0, 0.5]), np.array([1.0, 1.0])),
     lambda: LayeredMedium(np.array([0.0, 1.0]), np.array([1.0, 2.0])),
@@ -236,7 +281,9 @@ def _nan_curve(t):
     lambda: bk_affine_zcb(TermStructure(), 0.0, 0.5, math.nan, 1.0, 0.0),
     lambda: greens_function(GreensProblem(_medium(), 0.3, 1.0), xs=np.zeros((2, 2))),
     lambda: greens_function(GreensProblem(_medium(), 0.3, 1.0), xs=0.5),
-], ids=["decreasing-boundaries", "sigma-count", "x0-on-boundary", "negative-T",
+    lambda: Curve([0.0, 1.0], [math.nan, 1.0]),
+] + [functools.partial(call, bad(b)) for b, call in _ARRAY_SLOTS.values()
+     for bad in _NOT_REALS.values()], ids=["decreasing-boundaries", "sigma-count", "x0-on-boundary", "negative-T",
         "odd-stehfest", "fd-nx-3", "x0-outside-strip", "nome-1", "nan-phase", "eta-parity",
         "field-nan-time", "volterra-M-2.5", "volterra-M-string", "fd-nx-40.5", "fd-mt-40.5",
         "boundaries-N-3.5", "verhulst-i-0.5", "verhulst-N-4.5", "divergent-c1-nan",
@@ -247,7 +294,8 @@ def _nan_curve(t):
         "boundaries-nan-curve", "curve-nan-time", "chart-nan-t", "chart-nan-target",
         "field-nan-point-at-0", "volterra-nan-wall", "field-nan-wall-off-grid",
         "dupire-nan-variance", "verhulst-nan-barrier", "divergent-nan-xi", "divergent-nan-x",
-        "divergent-inf-z", "bk-zcb-nan-t", "greens-xs-2d", "greens-xs-scalar"])
+        "divergent-inf-z", "bk-zcb-nan-t", "greens-xs-2d", "greens-xs-scalar", "curve-nan-value",
+        ] + [f"{slot}-{kind}" for slot in _ARRAY_SLOTS for kind in _NOT_REALS])
 def test_rejected_input_raises_config_error(call):
     with pytest.raises(ConfigError):
         call()
@@ -263,6 +311,40 @@ def test_nan_fails_the_rule_it_breaks(call, rule):
     # a NaN used to pass these checks and fail a later one, under its message
     with pytest.raises(ConfigError, match=rule):
         call()
+
+
+def test_rejected_array_names_its_argument_in_a_short_message():
+    # the message shows a bounded repr of the value, however long the list
+    with pytest.raises(ConfigError, match="^xs: expected real numbers") as err:
+        greens_function(GreensProblem(_medium(), 0.3, 1.0), xs=["a"] * 10**5)
+    assert len(str(err.value)) < 200
+
+
+# The entries that take an array argument, each as a function of it at
+# values 0.25 and 0.5 inside its range.
+_ANSWERS = {
+    "chart.tau_of_t": lambda v: dupire_to_heat(TermStructure(), 2.0, 1.0).tau_of_t(v),
+    "chart.t_of_tau": lambda v: dupire_to_heat(TermStructure(), 2.0, 1.0).t_of_tau(v),
+    "Curve.constant": lambda v: Curve(constant=1.5)(v),
+    "Curve.sampled": lambda v: Curve([0.0, 1.0], [0.0, 2.0])(v),
+    "z_of_x": lambda v: nondivergent_to_divergent(1.0, 1.3, 0.1).z_of_x(v),
+    "x_of_z": lambda v: nondivergent_to_divergent(1.0, 1.3, 0.1).x_of_z(v),
+    "strip_green.image": lambda v: strip_green(StripProblem(0.0, 1.0, 1.0, 0.3, 0.01), v),
+    "strip_green.theta": lambda v: strip_green(StripProblem(0.0, 1.0, 1.0, 0.3, 1.0), v),
+    "theta3": lambda v: theta3(v, 0.3),
+    "git_field_single_layer": lambda v: git_field_single_layer(*_march(), v, 0.5),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ANSWERS))
+def test_0d_argument_answers_as_a_float(entry):
+    # an argument with np.ndim 0 gives a float, anything else an ndarray of its shape
+    call = _ANSWERS[entry]
+    for v in (0.5, np.float64(0.5), np.array(0.5)):
+        assert isinstance(call(v), float), type(v)
+    for v in ([0.25, 0.5], [[0.25, 0.5]], np.array([0.5])):
+        out = call(v)
+        assert isinstance(out, np.ndarray) and out.shape == np.shape(v), np.shape(v)
 
 
 # Bad scalars: a "positive" slot also rejects 0 and negative values.

@@ -31,9 +31,17 @@ def _theta3_image(z, q):
     return total / math.sqrt(math.pi * s)
 
 
+# fdlibm's pi/2 in two parts: pio2_1, its first 33 bits, and pio2_1t, the rest
+_PIO2_1, _PIO2_1T = 1.57079632673412561417e+00, 6.07710050650619224932e-11
+
+
 def _theta3_image_derivs(z, q):
     # theta3 and its first two z-derivatives from the image form above,
-    # with Sum |term| as the scale of each sum's rounding error
+    # with Sum |term| as the scale of each sum's rounding error.  z first
+    # sheds its nearest multiple of the period pi, taken in two parts, so
+    # that x = 2 z / pi carries no rounding of pi times z
+    n = round(z / math.pi)
+    z = (z - n * (2.0 * _PIO2_1)) - n * (2.0 * _PIO2_1T)
     s = -math.log(q) / math.pi**2
     x = 2.0 * z / math.pi + 2.0 * np.arange(-200, 201)
     g = np.exp(-(x * x) / (4.0 * s)) / math.sqrt(math.pi * s)
